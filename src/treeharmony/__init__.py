@@ -8,7 +8,7 @@ probabilistic backtracking and tabu search, and persists each result as
 an independently re-verifiable certificate.
 """
 
-from .backtracking import BacktrackState, solve_backtracking, valid_labels
+from .backtracking import label_dfs, solve_backtracking
 from .config import DEFAULT_SEED, SolveOutcome, SolverConfig
 from .generate import (FreeTreeStream, GENERATOR_VERSION,
                        count_free_trees_enumerated, count_rooted_trees,
@@ -22,7 +22,7 @@ from .labelling import (BIJECTIVE, Certificate, CertificateError, ONTO,
                         iter_harmonious_bijective, normalize_labelling,
                         random_onto_labelling, shift_labelling,
                         verify_certificate)
-from .tabu import TabuState, delta_eval, solve_tabu
+from .tabu import TabuState, solve_tabu
 from .trees import (LevelSequenceError, Tree, canonical_from_edges,
                     canonicalize, centers, edges, format_level_sequence,
                     internal_nodes, is_caterpillar, leaves,
@@ -31,5 +31,4 @@ from .trees import (LevelSequenceError, Tree, canonical_from_edges,
 from .twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
                        solve_twostage, stage1_internal)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
 __version__ = "0.1.0"

@@ -1,13 +1,20 @@
-"""Probabilistic backtracking search for harmonious labellings.
+"""Bounded randomized labelling DFS, and the backtracking solver built on it.
 
-Nodes are labelled in level-sequence order, which guarantees each node's
-parent is already labelled, so every assignment fixes exactly one edge
-label.  A label is valid for the current node when the partial labelling
-on non-root nodes stays injective and the fixed edge labels stay
-pairwise distinct; always assigning valid labels therefore yields a
-harmonious labelling on completion.  The root is labelled uniformly at
-random and never revisited: shifting all labels by a constant preserves
-harmoniousness, so alternatives at the root add nothing.
+:func:`label_dfs` is the search engine shared by this solver and by stage
+1 of the two-stage solver.  It labels a fixed sequence of nodes in turn,
+each node's parent (when it has one in the search) being labelled before
+it, so every assignment fixes at most one edge label.  A value is valid
+for the current node when no node of the sequence holds it yet and the
+edge sum with the parent is new; always assigning valid values therefore
+keeps the labels injective and the fixed edge labels pairwise distinct.
+Candidates are tried in a random order, and the search stops once its
+backtrack budget is spent.
+
+The backtracking solver labels every non-root node in level-sequence
+order, which guarantees each node's parent is already labelled, so on
+completion the labelling is harmonious.  The root is labelled uniformly
+at random and never revisited: shifting all labels by a constant
+preserves harmoniousness, so alternatives at the root add nothing.
 
 Three randomized escapes from bad regions, all bounded:
 
@@ -25,66 +32,85 @@ from .labelling import is_harmonious
 from .trees import Tree
 
 
-class BacktrackState:
-    """Search position: next depth to label, partial labels, membership
-    structures for used node labels and edge sums, per-depth candidate
-    stacks, and the backtrack counter."""
-
-    __slots__ = ("tree", "n", "m", "labels", "depth", "used_node_labels",
-                 "used_edge_labels", "choice_stack", "backtracks")
-
-    def __init__(self, tree: Tree, root_label: int):
-        self.tree = tree
-        self.n = tree.n
-        self.m = tree.n - 1
-        self.labels = [-1] * tree.n
-        self.labels[0] = root_label
-        self.depth = 1
-        self.used_node_labels = [False] * self.m
-        self.used_edge_labels = [False] * self.m
-        self.choice_stack: list = [None] * tree.n
-        self.backtracks = 0
-
-    def assign(self, node: int, value: int) -> None:
-        self.labels[node] = value
-        self.used_node_labels[value] = True
-        s = (value + self.labels[self.tree.parents[node]]) % self.m
-        self.used_edge_labels[s] = True
-
-    def unassign(self, node: int) -> None:
-        value = self.labels[node]
-        self.labels[node] = -1
-        self.used_node_labels[value] = False
-        s = (value + self.labels[self.tree.parents[node]]) % self.m
-        self.used_edge_labels[s] = False
-
-
-def valid_labels(state: BacktrackState, node: int) -> set[int]:
-    """Values that keep the non-root labels injective and the fixed edge
-    labels distinct, given the assignment below *node*."""
-    parent_label = state.labels[state.tree.parents[node]]
-    m = state.m
-    used_v = state.used_node_labels
-    used_s = state.used_edge_labels
-    return {v for v in range(m)
-            if not used_v[v] and not used_s[(v + parent_label) % m]}
-
-
-def _perturb(state: BacktrackState, rng) -> None:
+def _perturb(stacks, depth: int, rng) -> None:
     # Swap two random candidates within each of (up to) two random
     # pending depths.  Reordering within a depth is always sound: a
     # depth's candidates were validated against the assignment below it,
     # which has not changed.
-    pending = [d for d in range(1, state.depth + 1)
-               if state.choice_stack[d] and len(state.choice_stack[d]) >= 2]
+    pending = [d for d in range(depth + 1) if len(stacks[d]) >= 2]
     if not pending:
         return
     count = min(2, len(pending))
     for d in rng.sample(pending, count):
-        stack = state.choice_stack[d]
+        stack = stacks[d]
         i = rng.randrange(len(stack))
         j = rng.randrange(len(stack))
         stack[i], stack[j] = stack[j], stack[i]
+
+
+def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
+              perturb_rate: float = 0.0) -> tuple[bool, int]:
+    """Label ``order[k]`` for k = 0, 1, ... with values from
+    ``range(n_values)`` that no node of *order* holds yet.  When
+    ``parents[k] >= 0`` it names an already-labelled node, and the edge
+    sum with it mod ``len(labels) - 1`` must be new as well.
+
+    Labels are written into *labels* in place; labels of nodes outside
+    *order* are read but never reserved.  Each depth's candidates are
+    shuffled once and popped from the end.  Returns (success, backtracks);
+    the search fails once *budget* backtracks are spent or every
+    candidate is exhausted, leaving the labels of *order* unspecified.
+    """
+    size = len(order)
+    if size == 0:
+        return True, 0
+    m = len(labels) - 1
+    used_value = [False] * n_values
+    used_sum = [False] * m
+    stacks: list = [None] * size
+    backtracks = 0
+
+    def candidates(k):
+        p = parents[k]
+        if p < 0:
+            out = [v for v in range(n_values) if not used_value[v]]
+        else:
+            pl = labels[p]
+            out = [v for v in range(n_values)
+                   if not used_value[v] and not used_sum[(v + pl) % m]]
+        rng.shuffle(out)
+        return out
+
+    k = 0
+    stacks[0] = candidates(0)
+    while True:
+        stack = stacks[k]
+        if not stack:
+            if backtracks >= budget:
+                return False, backtracks
+            backtracks += 1
+            stacks[k] = None
+            k -= 1
+            if k < 0:
+                return False, backtracks
+            value = labels[order[k]]
+            used_value[value] = False
+            p = parents[k]
+            if p >= 0:
+                used_sum[(value + labels[p]) % m] = False
+            continue
+        value = stack.pop()
+        labels[order[k]] = value
+        used_value[value] = True
+        p = parents[k]
+        if p >= 0:
+            used_sum[(value + labels[p]) % m] = True
+        k += 1
+        if k == size:
+            return True, backtracks
+        stacks[k] = candidates(k)
+        if perturb_rate > 0 and rng.random() < perturb_rate:
+            _perturb(stacks, k, rng)
 
 
 def _run_once(tree: Tree, cfg: SolverConfig, rng) -> tuple[tuple[int, ...] | None, int]:
@@ -92,33 +118,13 @@ def _run_once(tree: Tree, cfg: SolverConfig, rng) -> tuple[tuple[int, ...] | Non
     n = tree.n
     if n == 1:
         return (0,), 0
-    state = BacktrackState(tree, rng.randrange(n - 1))
-    candidates = sorted(valid_labels(state, 1))
-    rng.shuffle(candidates)
-    state.choice_stack[1] = candidates
-    while True:
-        stack = state.choice_stack[state.depth]
-        if not stack:
-            if state.backtracks >= cfg.backtrack_limit:
-                return None, state.backtracks
-            state.backtracks += 1
-            state.choice_stack[state.depth] = None
-            state.depth -= 1
-            if state.depth == 0:
-                # Root alternatives are shift-equivalent; the run's
-                # search space is exhausted.
-                return None, state.backtracks
-            state.unassign(state.depth)
-            continue
-        state.assign(state.depth, stack.pop())
-        if state.depth == n - 1:
-            return tuple(state.labels), state.backtracks
-        state.depth += 1
-        candidates = sorted(valid_labels(state, state.depth))
-        rng.shuffle(candidates)
-        state.choice_stack[state.depth] = candidates
-        if cfg.perturb_rate > 0 and rng.random() < cfg.perturb_rate:
-            _perturb(state, rng)
+    labels = [-1] * n
+    labels[0] = rng.randrange(n - 1)
+    # Exhausting the candidates of node 1 ends the run: root alternatives
+    # are shift-equivalent, so the run's search space is exhausted.
+    ok, backtracks = label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
+                               cfg.backtrack_limit, rng, cfg.perturb_rate)
+    return (tuple(labels) if ok else None), backtracks
 
 
 def solve_backtracking(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:

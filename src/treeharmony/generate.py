@@ -25,7 +25,7 @@ dissimilarity formula) for the free-tree totals.
 from functools import lru_cache
 from itertools import islice, product
 
-from .trees import rooted_level_sequence
+from .trees import canonical_from_edges, rooted_level_sequence
 
 # Bump whenever emission order could change; recorded in sweep checkpoints
 # so a resumed run never mixes two generator versions.
@@ -249,59 +249,6 @@ def prufer_decode(n: int, code) -> list[tuple[int, int]]:
     return out
 
 
-def _canonical_of_code(n: int, code) -> tuple[int, ...]:
-    """Canonical level sequence of the labelled tree a Pruefer code
-    decodes to.  Self-contained and loop-heavy on purpose: this runs
-    n^(n-2) times in the oracle."""
-    degree = [1] * n
-    for v in code:
-        degree[v] += 1
-    adj = [[] for _ in range(n)]
-    ptr = 0
-    leaf = -1
-    for v in code:
-        if leaf == -1:
-            while degree[ptr] != 1:
-                ptr += 1
-            leaf = ptr
-        adj[leaf].append(v)
-        adj[v].append(leaf)
-        degree[leaf] -= 1
-        degree[v] -= 1
-        if degree[v] == 1 and v < ptr:
-            leaf = v
-        else:
-            leaf = -1
-    u = -1
-    for w in range(n):
-        if degree[w] == 1:
-            if u == -1:
-                u = w
-            else:
-                adj[u].append(w)
-                adj[w].append(u)
-                break
-    # centers by leaf stripping
-    deg = [len(a) for a in adj]
-    layer = [v for v in range(n) if deg[v] == 1]
-    remaining = n
-    while remaining > 2:
-        remaining -= len(layer)
-        nxt = []
-        for v in layer:
-            for w in adj[v]:
-                deg[w] -= 1
-                if deg[w] == 1:
-                    nxt.append(w)
-        layer = nxt
-    best = None
-    for c in layer:
-        seq = rooted_level_sequence(adj, c)
-        if best is None or seq > best:
-            best = seq
-    return best
-
-
 def oracle_enumerate_prufer(n: int, start: int = 0, stop: int | None = None) -> set[tuple[int, ...]]:
     """Exact set of free-tree isomorphism classes on n nodes, by decoding
     all n^(n-2) Pruefer sequences, canonicalizing each and deduplicating.
@@ -319,5 +266,5 @@ def oracle_enumerate_prufer(n: int, start: int = 0, stop: int | None = None) -> 
     out = set()
     codes = product(range(n), repeat=n - 2)
     for code in islice(codes, start, stop):
-        out.add(_canonical_of_code(n, code))
+        out.add(canonical_from_edges(n, prufer_decode(n, code)))
     return out

@@ -99,10 +99,6 @@ class CheckpointError(RuntimeError):
     """Unreadable, corrupt, or mismatched checkpoint; resuming refused."""
 
 
-class SweepInterrupted(RuntimeError):
-    """Raised by the test-only early-stop hook after a block completes."""
-
-
 @dataclass
 class SweepReport:
     """Per-n summary: totals, per-solver attribution, and the level
@@ -192,7 +188,7 @@ class _Sweeper:
     the (optional) worker pool."""
 
     def __init__(self, cfg, workers, sink, checkpoint_path, completed,
-                 block_size, progress, stop_after_blocks):
+                 block_size, progress):
         self.cfg = cfg
         self.workers = workers
         self.sink = sink
@@ -200,8 +196,6 @@ class _Sweeper:
         self.completed = completed
         self.block_size = block_size
         self.progress = progress
-        self.stop_after_blocks = stop_after_blocks
-        self.blocks_done = 0
         self.pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def close(self):
@@ -267,18 +261,13 @@ class _Sweeper:
         self.completed[n] = last_index + 1
         _write_checkpoint(self.checkpoint_path, self.completed,
                           self.cfg.global_seed, GENERATOR_VERSION)
-        self.blocks_done += 1
         if self.progress is not None:
             self.progress(n, self.completed[n])
-        if (self.stop_after_blocks is not None
-                and self.blocks_done >= self.stop_after_blocks):
-            raise SweepInterrupted(f"stopped after {self.blocks_done} blocks")
 
 
 def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
           out_path, checkpoint_path, report_path=None, fresh: bool = False,
-          block_size: int = 1024, progress=None,
-          _stop_after_blocks: int | None = None) -> list[SweepReport]:
+          block_size: int = 1024, progress=None) -> list[SweepReport]:
     """Solve every free tree with n_min..n_max nodes, streaming one
     certificate per solved tree (in enumeration order) to *out_path*.
 
@@ -288,6 +277,9 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     is corrupt - pass ``fresh=True`` to discard it and start over.
     Failures never abort the sweep; they are accumulated per n in the
     returned reports (and appended to *report_path* when given).
+    ``progress(n, completed)`` runs after each block's checkpoint is
+    written; an exception it raises stops the sweep at that point, and a
+    later call resumes from there.
     """
     if not 1 <= n_min <= n_max:
         raise ValueError("need 1 <= n_min <= n_max")
@@ -318,7 +310,7 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     reports = []
     with open(out_path, out_mode, encoding="utf-8") as sink:
         sweeper = _Sweeper(cfg, workers, sink, checkpoint_path, completed,
-                           block_size, progress, _stop_after_blocks)
+                           block_size, progress)
         try:
             for n in range(n_min, n_max + 1):
                 report = sweeper.run_n(n)

@@ -98,10 +98,6 @@ class TabuState:
         self.labels[u], self.labels[v] = self.labels[v], self.labels[u]
 
 
-def delta_eval(state: TabuState, u: int, v: int) -> int:
-    return state.delta_eval(u, v)
-
-
 def _sample_pairs(state: TabuState, cfg: SolverConfig, rng):
     n = state.n
     pairs = []

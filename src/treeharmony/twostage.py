@@ -3,14 +3,16 @@
 The full constraint model - values a permutation of {0..n-1}, edge sums
 mod (n-1) all different - resists forward checking because every node's
 valid values depend on its parent.  Splitting the tree at its leaves
-fixes that.  Stage 1 assigns the internal nodes by bounded randomized
-backtracking (injective values, distinct sums on internal-internal
-edges).  The residual problem over the leaves is then a clean CSP: each
-leaf needs a value outside the used ones whose edge sum avoids the used
-sums, leaf values must be pairwise distinct, and leaf edge sums must be
-pairwise distinct too (the model's sum constraint covers leaf edges just
-as it covers internal ones).  Domains shrink by forward checking after
-every fixation; variables are picked smallest-domain-first.
+fixes that.  Stage 1 runs the bounded randomized labelling DFS that the
+backtracking solver also runs (:func:`treeharmony.backtracking.label_dfs`)
+over the internal nodes: injective values, distinct sums on
+internal-internal edges.  The residual problem over the leaves is then a
+clean CSP: each leaf needs a value outside the used ones whose edge sum
+avoids the used sums, leaf values must be pairwise distinct, and leaf
+edge sums must be pairwise distinct too (the model's sum constraint
+covers leaf edges just as it covers internal ones).  Domains shrink by
+forward checking after every fixation; variables are picked
+smallest-domain-first.
 
 A chosen stage-1 partial may admit no extension even when the tree is
 harmonious, so the pair of stages is retried several times before the
@@ -19,6 +21,7 @@ solver reports failure.
 
 from dataclasses import dataclass
 
+from .backtracking import label_dfs
 from .config import SolveOutcome, SolverConfig
 from .labelling import BIJECTIVE, is_harmonious, normalize_labelling
 from .trees import Tree, internal_nodes
@@ -49,71 +52,14 @@ def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None
     """Randomized bounded backtracking over the internal nodes: injective
     values from {0..n-1} with pairwise-distinct internal-internal edge
     sums mod (n-1).  None once the backtrack budget runs out."""
-    n = tree.n
-    m = n - 1
-    order = sorted(internal_nodes(tree))
-    if not order:
-        return {}
-    is_internal = [False] * n
-    for v in order:
-        is_internal[v] = True
-    position = {v: k for k, v in enumerate(order)}
-    # internal neighbors assigned before each variable (edges checked once)
-    earlier = [[w for w in tree.adjacency[v] if is_internal[w] and position[w] < k]
-               for k, v in enumerate(order)]
-
-    used_value = [False] * n
-    used_sum = [False] * m
-    assigned = [-1] * len(order)
-    stacks: list = [None] * len(order)
-    backtracks = 0
-    k = 0
-
-    def candidates(k):
-        v_earlier = earlier[k]
-        out = []
-        for value in range(n):
-            if used_value[value]:
-                continue
-            ok = True
-            for w in v_earlier:
-                if used_sum[(value + labels_of[w]) % m]:
-                    ok = False
-                    break
-            if ok:
-                out.append(value)
-        rng.shuffle(out)
-        return out
-
-    labels_of = {}
-    stacks[0] = candidates(0)
-    while True:
-        stack = stacks[k]
-        if not stack:
-            if backtracks >= cfg.stage1_budget:
-                return None
-            backtracks += 1
-            stacks[k] = None
-            k -= 1
-            if k < 0:
-                return None
-            value = assigned[k]
-            assigned[k] = -1
-            used_value[value] = False
-            for w in earlier[k]:
-                used_sum[(value + labels_of[w]) % m] = False
-            del labels_of[order[k]]
-            continue
-        value = stack.pop()
-        assigned[k] = value
-        used_value[value] = True
-        labels_of[order[k]] = value
-        for w in earlier[k]:
-            used_sum[(value + labels_of[w]) % m] = True
-        k += 1
-        if k == len(order):
-            return dict(labels_of)
-        stacks[k] = candidates(k)
+    internal = internal_nodes(tree)
+    order = sorted(internal)
+    # A parent precedes its children in level-sequence order, so each
+    # internal node's only earlier internal neighbour is its parent.
+    parents = [tree.parents[v] if tree.parents[v] in internal else -1 for v in order]
+    labels = [-1] * tree.n
+    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, rng)
+    return {v: labels[v] for v in order} if ok else None
 
 
 def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:

@@ -19,9 +19,8 @@ from treeharmony.config import SolverConfig
 from treeharmony.generate import (count_free_trees_enumerated, free_trees,
                                   oracle_count_otter, oracle_enumerate_prufer,
                                   prufer_decode)
-from treeharmony.hybrid import (SweepInterrupted, benchmark_solvers,
-                                derive_seed, make_certificate, solve_hybrid,
-                                sweep)
+from treeharmony.hybrid import (benchmark_solvers, derive_seed,
+                                make_certificate, solve_hybrid, sweep)
 from treeharmony.labelling import (BIJECTIVE, Certificate, eval_labelling,
                                    exhaustive_search, is_harmonious,
                                    iter_harmonious_bijective,
@@ -278,11 +277,21 @@ def test_criterion_08_determinism(tmp_path):
         ref = a.read_text()
         assert ref == b.read_text()
 
+        class Killed(Exception):
+            pass
+
+        blocks = []
+
+        def kill_after_ten_blocks(n, completed):
+            blocks.append(n)
+            if len(blocks) == 10:
+                raise Killed
+
         cut = tmp_path / "cut.jsonl"
         ck = tmp_path / "cut.ck"
-        with pytest.raises(SweepInterrupted):
+        with pytest.raises(Killed):
             sweep(2, 10, CFG, workers=2, out_path=cut, checkpoint_path=ck,
-                  block_size=10, _stop_after_blocks=10)
+                  block_size=10, progress=kill_after_ten_blocks)
         partial = cut.read_text()
         assert 0 < len(partial.splitlines()) < len(ref.splitlines())
         sweep(2, 10, CFG, workers=2, out_path=cut, checkpoint_path=ck,

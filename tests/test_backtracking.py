@@ -1,10 +1,10 @@
 """Probabilistic backtracking solver."""
 
+import math
 import random
 from itertools import permutations
 
-from treeharmony.backtracking import (BacktrackState, solve_backtracking,
-                                      valid_labels)
+from treeharmony.backtracking import label_dfs, solve_backtracking
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import is_harmonious, normalize_labelling
@@ -17,29 +17,63 @@ CFG = SolverConfig()
 
 
 # ------------------------------------------------------------------ #
-# valid_labels                                                        #
+# label_dfs                                                           #
 # ------------------------------------------------------------------ #
 
+class AscendingRng:
+    """Leaves every candidate list in ascending order, so the largest
+    candidate is tried first, and records each list."""
+
+    def __init__(self):
+        self.candidates = []
+
+    def shuffle(self, values):
+        self.candidates.append(list(values))
+
+
 def test_valid_labels_fresh_node_gets_all():
-    state = BacktrackState(P4, root_label=1)
-    assert valid_labels(state, 1) == {0, 1, 2}
+    # the preset root label is not reserved: node1 may take every value
+    rng = AscendingRng()
+    labels = [1, -1, -1, -1]
+    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, math.inf, rng)[0]
+    assert set(rng.candidates[0]) == {0, 1, 2}
+    assert is_harmonious(P4, labels)
 
 
 def test_valid_labels_p4_walkthrough():
-    # root=2; assign node1=2 (the allowed root duplicate, edge sum 1);
-    # node2's candidates must avoid value 2 and sum 1
-    state = BacktrackState(P4, root_label=2)
-    state.assign(1, 2)
-    state.depth = 2
-    assert valid_labels(state, 2) == {0, 1}
+    # root=2 is preset, so node1 may take all of {0,1,2}; it takes 2 (the
+    # allowed root duplicate, edge sum 1); node2's candidates must avoid
+    # value 2 and sum 1, and node3 (sums 1,0 used) is left with 0
+    rng = AscendingRng()
+    labels = [2, -1, -1, -1]
+    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, 0, rng) == (True, 0)
+    assert rng.candidates == [[0, 1, 2], [0, 1], [0]]
+    assert labels == [2, 2, 1, 0]
+    assert is_harmonious(P4, labels)
 
 
-def test_valid_labels_star_third_leaf_forced():
-    state = BacktrackState(STAR4, root_label=0)
-    state.assign(1, 1)
-    state.assign(2, 2)
-    state.depth = 3
-    assert valid_labels(state, 3) == {0}  # sums 1,2 used; 0 gives sum 0
+def test_label_dfs_star_third_leaf_forced():
+    rng = AscendingRng()
+    labels = [0, -1, -1, -1]
+    assert label_dfs(range(1, 4), STAR4.parents[1:], labels, 3, 0, rng) == (True, 0)
+    assert rng.candidates[2] == [0]  # sums 2,1 used; 0 gives sum 0
+    assert labels == [0, 2, 1, 0]
+
+
+def test_label_dfs_unbounded_succeeds_iff_root_dup_witness_exists():
+    # an unbounded search is exhaustive: it must find a labelling exactly
+    # when one with the duplicate on the root (label 0) exists, which
+    # needs every released edge sum to be free again after a backtrack
+    rng = random.Random(5)
+    for n in range(2, 9):
+        for seq in free_trees(n):
+            tree = Tree.from_level_sequence(seq)
+            labels = [0] + [-1] * (n - 1)
+            ok, _ = label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
+                              math.inf, rng)
+            assert ok == _has_root_dup_witness(tree), seq
+            if ok:
+                assert labels[0] == 0 and is_harmonious(tree, labels)
 
 
 # ------------------------------------------------------------------ #
@@ -108,21 +142,6 @@ def test_trivial_sizes_inside_restart_loop():
     assert solve_backtracking(two, CFG, random.Random(0)).labels == (0, 0)
     assert not solve_backtracking(one, SolverConfig(backtrack_restarts=0),
                                   random.Random(0)).success
-
-
-def test_used_edge_labels_track_assigned_nonroot_nodes():
-    # monotone state: one fixed edge sum per assigned non-root node
-    state = BacktrackState(P4, root_label=1)
-    assert sum(state.used_edge_labels) == 0
-    state.assign(1, 0)
-    assert sum(state.used_edge_labels) == 1
-    state.depth = 2
-    state.assign(2, 2)
-    assert sum(state.used_edge_labels) == 2
-    state.unassign(2)
-    assert sum(state.used_edge_labels) == 1
-    state.unassign(1)
-    assert sum(state.used_edge_labels) == 0
 
 
 def test_perturbation_keeps_soundness():

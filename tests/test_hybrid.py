@@ -1,14 +1,14 @@
 """Hybrid pipeline, seed derivation, and the checkpointed sweep."""
 
+import hashlib
 import random
 
 import pytest
 
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
-from treeharmony.hybrid import (CheckpointError, SweepInterrupted,
-                                _read_checkpoint, derive_seed, make_certificate,
-                                solve_hybrid, sweep)
+from treeharmony.hybrid import (CheckpointError, _read_checkpoint, derive_seed,
+                                make_certificate, solve_hybrid, sweep)
 from treeharmony.labelling import Certificate, is_harmonious, verify_certificate
 from treeharmony.trees import Tree
 
@@ -130,6 +130,25 @@ def test_sweep_small_range(tmp_path):
     assert completed[8] == 23 and seed == CFG.global_seed
 
 
+# SHA-256 of the certificate file of sweep(2, 10, ...), frozen: a change
+# here means old sweeps no longer replay byte for byte.  The second
+# config runs backtracking first, which certifies 178 of the 200 trees.
+REPLAY_DIGESTS = [
+    (CFG, "fc7edcbdab2f0070c73ed8963622744c3096b24d973acb75b618848940af4b26"),
+    (SolverConfig(pipeline=("backtrack", "twostage"), backtrack_limit=2000,
+                  backtrack_restarts=3, perturb_rate=0.05),
+     "3432a1d21deddde21c05da06d1871022c14f4958e7213a86fd9319c7eda62041"),
+]
+
+
+@pytest.mark.parametrize("cfg, digest", REPLAY_DIGESTS,
+                         ids=["default", "backtrack_first"])
+def test_sweep_certificates_replay_byte_identical(tmp_path, cfg, digest):
+    out = tmp_path / "r.jsonl"
+    sweep(2, 10, cfg, out_path=out, checkpoint_path=tmp_path / "c.txt")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_sweep_deterministic_across_worker_counts(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -139,14 +158,30 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
     assert _read_lines(a) == _read_lines(b)
 
 
+class _Stop(Exception):
+    pass
+
+
+def stop_after_blocks(k):
+    """A sweep progress callback that stops the sweep after k blocks."""
+    done = []
+
+    def progress(n, completed):
+        done.append(n)
+        if len(done) >= k:
+            raise _Stop
+
+    return progress
+
+
 def test_sweep_interrupt_and_resume_matches_uninterrupted(tmp_path):
     ref = tmp_path / "ref.jsonl"
     sweep(2, 8, CFG, workers=1, out_path=ref, checkpoint_path=tmp_path / "ref.ck")
     out = tmp_path / "cut.jsonl"
     ck = tmp_path / "cut.ck"
-    with pytest.raises(SweepInterrupted):
+    with pytest.raises(_Stop):
         sweep(2, 8, CFG, workers=1, out_path=out, checkpoint_path=ck,
-              block_size=5, _stop_after_blocks=3)
+              block_size=5, progress=stop_after_blocks(3))
     assert 0 < len(_read_lines(out).splitlines()) < 47
     sweep(2, 8, CFG, workers=1, out_path=out, checkpoint_path=ck, block_size=5)
     assert _read_lines(out) == _read_lines(ref)

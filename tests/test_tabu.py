@@ -6,7 +6,7 @@ from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees, prufer_decode
 from treeharmony.labelling import (eval_labelling, is_harmonious,
                                    random_onto_labelling)
-from treeharmony.tabu import TabuState, delta_eval, solve_tabu
+from treeharmony.tabu import TabuState, solve_tabu
 from treeharmony.trees import Tree, canonical_from_edges
 
 P3 = Tree.from_level_sequence((0, 1, 1))
@@ -29,17 +29,17 @@ def random_tree(n, rng) -> Tree:
 def test_delta_examples():
     # swapping equal labels changes nothing
     state = TabuState(P4, (1, 0, 2, 0))
-    assert delta_eval(state, 1, 3) == 0
+    assert state.delta_eval(1, 3) == 0
     # (1,0,2,0) -> swap nodes 0,2 -> (2,0,1,0): both have eval 1
     assert eval_labelling(P4, (1, 0, 2, 0)) == 1
     assert eval_labelling(P4, (2, 0, 1, 0)) == 1
-    assert delta_eval(state, 0, 2) == 0
+    assert state.delta_eval(0, 2) == 0
     # (1,0,2,0) -> swap nodes 2,3 -> (1,0,0,2): sums 1,0,0 - still eval 1
     assert eval_labelling(P4, (1, 0, 0, 2)) == 1
-    assert delta_eval(state, 2, 3) == 0
+    assert state.delta_eval(2, 3) == 0
     # (1,0,2,0) -> swap nodes 1,2 -> (1,2,0,0): sums 0,2,1 - eval 0
     assert eval_labelling(P4, (1, 2, 0, 0)) == 0
-    assert delta_eval(state, 1, 2) == -1
+    assert state.delta_eval(1, 2) == -1
 
 
 def test_cached_eval_matches_recomputation():
@@ -70,7 +70,7 @@ def test_delta_matches_full_recomputation():
         before = eval_labelling(tree, labels)
         swapped = list(labels)
         swapped[u], swapped[v] = swapped[v], swapped[u]
-        assert delta_eval(state, u, v) == eval_labelling(tree, swapped) - before
+        assert state.delta_eval(u, v) == eval_labelling(tree, swapped) - before
 
 
 def test_swaps_preserve_surjectivity():

@@ -19,8 +19,8 @@ from dataclasses import fields
 
 from .config import DEFAULT_SEED, SolverConfig
 from .generate import count_free_trees_enumerated, free_trees, oracle_count_otter
-from .hybrid import (CheckpointError, SOLVERS, _solver_rng_seed,
-                     make_certificate, solve_hybrid, sweep)
+from .hybrid import (DEFAULT_BLOCK_SIZE, CheckpointError, SOLVERS,
+                     _solver_rng_seed, make_certificate, solve_hybrid, sweep)
 from .labelling import Certificate, CertificateError, verify_certificate
 from .trees import (LevelSequenceError, Tree, canonicalize,
                     format_level_sequence, parse_level_sequence)
@@ -94,7 +94,10 @@ def build_parser() -> argparse.ArgumentParser:
                               "(default: <out>.report.jsonl)")
     p_sweep.add_argument("--fresh", action="store_true",
                          help="ignore an existing checkpoint and restart")
-    p_sweep.add_argument("--block-size", type=int, default=1024)
+    p_sweep.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
+                         help="trees per work unit (default: %(default)s); the "
+                              "costly trees of each n come last, so small "
+                              "blocks keep the workers equally busy")
     _add_solver_flags(p_sweep)
 
     p_verify = sub.add_parser("verify", help="re-verify a certificate file cold")
@@ -195,6 +198,10 @@ def _cmd_verify(args) -> int:
         print(f"verify: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
     count = 0
+    # Sweeps emit the trees of each n in strictly decreasing level-sequence
+    # order, and a resumed sweep appends in that same order, so a sequence
+    # not below the previous one of its n is a repeat or out of place.
+    previous: dict[int, tuple[int, ...]] = {}
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -204,6 +211,10 @@ def _cmd_verify(args) -> int:
             print(f"verify: line {lineno}: malformed record: {exc}", file=sys.stderr)
             return 2
         reason = verify_certificate(cert)
+        if reason is None and cert.n in previous and cert.levels >= previous[cert.n]:
+            reason = (f"level sequence not below the previous n={cert.n} one "
+                      "(repeated or out of order)")
+        previous[cert.n] = cert.levels
         if reason is not None:
             print(f"verify: line {lineno}: {reason}", file=sys.stderr)
             return 1

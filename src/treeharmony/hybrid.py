@@ -44,6 +44,11 @@ _SOLVER_SALT = {
 
 _MASK64 = (1 << 64) - 1
 
+# Trees per sweep block.  Enumeration puts the costly trees of each n
+# last, so large blocks leave the worker holding the final block busy
+# while the others idle; small blocks keep every worker equally busy.
+DEFAULT_BLOCK_SIZE = 64
+
 
 def _mix64(x: int) -> int:
     """splitmix64 finalizer: a declared, stable 64-bit avalanche."""
@@ -267,7 +272,7 @@ class _Sweeper:
 
 def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
           out_path, checkpoint_path, report_path=None, fresh: bool = False,
-          block_size: int = 1024, progress=None) -> list[SweepReport]:
+          block_size: int = DEFAULT_BLOCK_SIZE, progress=None) -> list[SweepReport]:
     """Solve every free tree with n_min..n_max nodes, streaming one
     certificate per solved tree (in enumeration order) to *out_path*.
 

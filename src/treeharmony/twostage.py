@@ -10,9 +10,14 @@ internal-internal edges.  The residual problem over the leaves is then a
 clean CSP: each leaf needs a value outside the used ones whose edge sum
 avoids the used sums, leaf values must be pairwise distinct, and leaf
 edge sums must be pairwise distinct too (the model's sum constraint
-covers leaf edges just as it covers internal ones).  Domains shrink by
-forward checking after every fixation; variables are picked
-smallest-domain-first.
+covers leaf edges just as it covers internal ones).  The leaf search
+holds each domain as an int bitmask, shrinks the domains by forward
+checking after every fixation, and picks variables smallest-domain-first.
+
+Both stages draw from the solver's RNG in a fixed pattern (see
+:func:`solve_leaf_csp`).  That pattern is a contract: a sweep is
+replayed from its seeds alone, so a change in what is drawn changes the
+labels, and so the bytes, of a replayed certificate file.
 
 A chosen stage-1 partial may admit no extension even when the tree is
 harmonious, so the pair of stages is retried several times before the
@@ -83,16 +88,39 @@ def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
     return LeafCSP(n, leaf_list, parent_labels, used_values, used_sums, domains)
 
 
+def _shuffled_values(dom: int, rng) -> list[int]:
+    """The values of bitmask *dom* in ascending order, shuffled once.
+    A single value skips the call, which would draw nothing anyway."""
+    if not dom & (dom - 1):
+        return [dom.bit_length() - 1]
+    values = []
+    while dom:
+        low = dom & -dom
+        values.append(low.bit_length() - 1)
+        dom ^= low
+    rng.shuffle(values)
+    return values
+
+
 def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
                    on_prune=None) -> dict[int, int] | None:
     """Backtracking with forward checking on the leaf CSP.
 
-    After each fixation the assigned value is removed from every other
-    domain, and so is every value that would repeat the new edge sum.
-    Variable order is smallest current domain first; value order is
-    randomized.  ``on_prune(leaf, value, assigned)`` is called on every
-    forward-checking removal (soundness instrumentation for tests).
-    None on failure or budget exhaustion.
+    Domains are int bitmasks: bit w of a leaf's domain means the leaf may
+    still take value w.  After each fixation the assigned value is
+    removed from every free leaf's domain, and so is every value that
+    would repeat the new edge sum.  The next variable is the free leaf
+    with the smallest domain (ties to the lowest leaf position), picked
+    in the same pass as forward checking; that pass stops at the first
+    wipeout.  Each search level keeps its own domain list, so
+    backtracking just drops the level.  ``on_prune(leaf, value,
+    assigned)`` is called on every forward-checking removal (soundness
+    instrumentation for tests).  None on failure or budget exhaustion.
+
+    The RNG consumption is a contract (see the module docstring): each
+    new level draws one ``rng.shuffle`` of its variable's values listed
+    in ascending order (a single value draws nothing), and nothing else
+    is drawn.
     """
     k = len(csp.leaves)
     if k == 0:
@@ -100,93 +128,74 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     if csp.has_empty_domain:
         return None
     m = csp.n - 1
-    domains = [set(d) for d in csp.domains]
+    leaves = csp.leaves
     parent_labels = csp.parent_labels
-    assigned: dict[int, int] = {}
-    done = [False] * k
-    trail: list[list[tuple[int, int]]] = []
-    stacks: list = []
-    chosen: list[int] = []
+    # kill[s][j]: the values whose edge sum with leaf j's parent label is
+    # s.  Labels run over {0..m}, so that is (s - pl) % m, plus m when
+    # (s - pl) % m == 0.
+    base = [1 << c for c in range(m)]
+    base[0] |= 1 << m
+    kill = [[base[(s - pl) % m] for pl in parent_labels] for s in range(m)]
+    doms = [sum(1 << w for w in d) for d in csp.domains]
+    # the domain list of each level; an assigned leaf's entry is 0
+    levels = [doms]
+    first = min(range(k), key=lambda j: doms[j].bit_count())
+    chosen = [first]
+    stacks = [_shuffled_values(doms[first], rng)]
+    values: list[int] = []   # values[d] is the value of chosen[d]
     backtracks = 0
-
-    def pick_variable():
-        best = -1
-        best_size = None
-        for i in range(k):
-            if done[i]:
-                continue
-            size = len(domains[i])
-            if best_size is None or size < best_size:
-                best, best_size = i, size
-        return best
-
-    def forward_check(i, value) -> bool:
-        removed = trail[-1]
-        s = (value + parent_labels[i]) % m
-        wipeout = False
-        for j in range(k):
-            if done[j] or j == i:
-                continue
-            dom = domains[j]
-            if value in dom:
-                dom.discard(value)
-                removed.append((j, value))
-                if on_prune is not None:
-                    on_prune(csp.leaves[j], value, dict(assigned))
-            # values w with (w + parent_label_j) % m == s; labels run over
-            # {0..m}, so only c and (when c == 0) c + m can hit
-            c = (s - parent_labels[j]) % m
-            for w in ((c, m) if c == 0 else (c,)):
-                if w in dom:
-                    dom.discard(w)
-                    removed.append((j, w))
-                    if on_prune is not None:
-                        on_prune(csp.leaves[j], w, dict(assigned))
-            if not dom:
-                wipeout = True
-        return not wipeout
-
-    def undo():
-        for j, w in trail.pop():
-            domains[j].add(w)
-
-    i = pick_variable()
-    values = sorted(domains[i])
-    rng.shuffle(values)
-    stacks.append(values)
-    chosen.append(i)
     while True:
-        i = chosen[-1]
         stack = stacks[-1]
         if not stack:
             stacks.pop()
             chosen.pop()
+            levels.pop()
             if not stacks:
                 return None
             if backtracks >= budget:
                 return None
             backtracks += 1
-            del assigned[csp.leaves[chosen[-1]]]
-            done[chosen[-1]] = False
-            undo()
+            values.pop()
             continue
         value = stack.pop()
-        assigned[csp.leaves[i]] = value
-        done[i] = True
-        trail.append([])
-        if len(assigned) == k:
-            return dict(assigned)
-        if forward_check(i, value):
-            j = pick_variable()
-            values = sorted(domains[j])
-            rng.shuffle(values)
-            stacks.append(values)
-            chosen.append(j)
+        i = chosen[-1]
+        if len(chosen) == k:
+            values.append(value)
+            return {leaves[j]: w for j, w in zip(chosen, values)}
+        s = (value + parent_labels[i]) % m
+        vbit = 1 << value
+        doms = levels[-1][:]
+        doms[i] = 0
+        if on_prune is not None:
+            assigned = {leaves[j]: w for j, w in zip(chosen, values)}
+            assigned[leaves[i]] = value
+        kill_s = kill[s]
+        best, best_size = -1, m + 2
+        for j, dom in enumerate(doms):
+            if not dom:
+                continue
+            kept = dom & ~(vbit | kill_s[j])
+            if on_prune is not None and kept != dom:
+                removed = dom ^ kept
+                if removed & vbit:
+                    on_prune(leaves[j], value, dict(assigned))
+                    removed ^= vbit
+                while removed:
+                    low = removed & -removed
+                    on_prune(leaves[j], low.bit_length() - 1, dict(assigned))
+                    removed ^= low
+            if not kept:
+                break
+            doms[j] = kept
+            if best_size > 1:   # no surviving domain is smaller than 1
+                size = kept.bit_count()
+                if size < best_size:
+                    best, best_size = j, size
         else:
-            del assigned[csp.leaves[i]]
-            done[i] = False
-            undo()
-    # unreachable
+            values.append(value)
+            levels.append(doms)
+            chosen.append(best)
+            stacks.append(_shuffled_values(doms[best], rng))
 
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:

@@ -59,6 +59,7 @@ def random_tree(n: int, rng) -> Tree:
 # 1. Enumeration correctness                                          #
 # ------------------------------------------------------------------ #
 
+@pytest.mark.slow
 def test_criterion_01_enumeration_counts():
     with criterion(1, "free-tree counts n=1..16 via both paths; "
                       "Pruefer set equality n<=9"):
@@ -82,6 +83,7 @@ def test_criterion_01_enumeration_counts():
 # 2. Scaled theorem check                                             #
 # ------------------------------------------------------------------ #
 
+@pytest.mark.slow
 def test_criterion_02_sweep_2_to_14(tmp_path):
     # criterion 1's own table sums to 5446 for n=2..14 (the criterion
     # text says 5,428 - an arithmetic slip; the Otter formula agrees
@@ -303,6 +305,7 @@ def test_criterion_08_determinism(tmp_path):
 # 9. Caterpillar smoke test                                           #
 # ------------------------------------------------------------------ #
 
+@pytest.mark.slow
 def test_criterion_09_caterpillars_without_tabu():
     with criterion(9, "all caterpillars n<=14 solved by twostage+backtrack "
                       "alone, zero failures"):
@@ -324,6 +327,7 @@ def test_criterion_09_caterpillars_without_tabu():
 # 10. Pipeline trend report                                           #
 # ------------------------------------------------------------------ #
 
+@pytest.mark.slow
 def test_criterion_10_benchmark_report():
     with criterion(10, "n=12 per-solver benchmark generated and archived "
                        "(trend read manually, not machine-asserted)"):

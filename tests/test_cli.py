@@ -169,6 +169,20 @@ def test_verify_detects_mutation(capsys, tmp_path):
     assert "duplicate edge label" in err or "label multiset not onto" in err
 
 
+def test_verify_rejects_repeated_tree(capsys, tmp_path):
+    # a block written twice (a stop between the certificate flush and the
+    # checkpoint rename, then a resume) repeats trees that each verify
+    out_file = tmp_path / "r.jsonl"
+    run(capsys, "sweep", "--min", "2", "--max", "7",
+        "--out", str(out_file), "--checkpoint", str(tmp_path / "c.txt"))
+    lines = out_file.read_text().splitlines()
+    assert json.loads(lines[9])["n"] == 6
+    dup_file = tmp_path / "dup.jsonl"
+    dup_file.write_text("\n".join(lines[:10] + lines[9:]) + "\n")
+    code, _, err = run(capsys, "verify", str(dup_file))
+    assert code == 1 and "line 11:" in err and "n=6" in err
+
+
 def test_verify_empty_file_warns(capsys, tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")

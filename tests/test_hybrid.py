@@ -149,6 +149,22 @@ def test_sweep_certificates_replay_byte_identical(tmp_path, cfg, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# SHA-256 of the certificate file of sweep(11, 11, ...) at the default
+# config, frozen like REPLAY_DIGESTS: the pool and the block size must
+# not move a byte.
+N11_DIGEST = "caf34c25498f569545524235f1668f03a281ca23ed218ce219bd3062a13f1349"
+
+
+@pytest.mark.parametrize("workers, blocks",
+                         [(2, {}), (1, {"block_size": 7})],
+                         ids=["pool_default_blocks", "serial_blocks_of_7"])
+def test_sweep_n11_replay_byte_identical(tmp_path, workers, blocks):
+    out = tmp_path / "r.jsonl"
+    sweep(11, 11, SolverConfig(), workers, out_path=out,
+          checkpoint_path=tmp_path / "c.txt", **blocks)
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N11_DIGEST
+
+
 def test_sweep_deterministic_across_worker_counts(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -5,9 +5,9 @@ import random
 from itertools import permutations
 
 from treeharmony.config import SolverConfig
-from treeharmony.generate import free_trees
+from treeharmony.generate import free_trees, prufer_decode
 from treeharmony.labelling import is_harmonious
-from treeharmony.trees import Tree, internal_nodes
+from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
 from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
@@ -111,6 +111,148 @@ def test_leaf_csp_singleton_domains_assigned_without_branching():
     csp = build_leaf_csp(P4, {0: 0, 1: 3})
     got = solve_leaf_csp(csp, random.Random(1), budget=0)
     assert got is not None  # no backtracking needed anywhere
+
+
+# ------------------------------------------------------------------ #
+# Stage 2 against the set-based reference                             #
+# ------------------------------------------------------------------ #
+
+def _reference_solve_leaf_csp(csp, rng, budget=5000, on_prune=None):
+    """The set-and-trail leaf search that the bitmask solver replaced,
+    body unchanged, kept as a test-only oracle: the bitmask solver must
+    match its variable order, value order, budget accounting and RNG
+    draws."""
+    k = len(csp.leaves)
+    if k == 0:
+        return {}
+    if csp.has_empty_domain:
+        return None
+    m = csp.n - 1
+    domains = [set(d) for d in csp.domains]
+    parent_labels = csp.parent_labels
+    assigned: dict[int, int] = {}
+    done = [False] * k
+    trail: list[list[tuple[int, int]]] = []
+    stacks: list = []
+    chosen: list[int] = []
+    backtracks = 0
+
+    def pick_variable():
+        best = -1
+        best_size = None
+        for i in range(k):
+            if done[i]:
+                continue
+            size = len(domains[i])
+            if best_size is None or size < best_size:
+                best, best_size = i, size
+        return best
+
+    def forward_check(i, value) -> bool:
+        removed = trail[-1]
+        s = (value + parent_labels[i]) % m
+        wipeout = False
+        for j in range(k):
+            if done[j] or j == i:
+                continue
+            dom = domains[j]
+            if value in dom:
+                dom.discard(value)
+                removed.append((j, value))
+                if on_prune is not None:
+                    on_prune(csp.leaves[j], value, dict(assigned))
+            # values w with (w + parent_label_j) % m == s; labels run over
+            # {0..m}, so only c and (when c == 0) c + m can hit
+            c = (s - parent_labels[j]) % m
+            for w in ((c, m) if c == 0 else (c,)):
+                if w in dom:
+                    dom.discard(w)
+                    removed.append((j, w))
+                    if on_prune is not None:
+                        on_prune(csp.leaves[j], w, dict(assigned))
+            if not dom:
+                wipeout = True
+        return not wipeout
+
+    def undo():
+        for j, w in trail.pop():
+            domains[j].add(w)
+
+    i = pick_variable()
+    values = sorted(domains[i])
+    rng.shuffle(values)
+    stacks.append(values)
+    chosen.append(i)
+    while True:
+        i = chosen[-1]
+        stack = stacks[-1]
+        if not stack:
+            stacks.pop()
+            chosen.pop()
+            if not stacks:
+                return None
+            if backtracks >= budget:
+                return None
+            backtracks += 1
+            del assigned[csp.leaves[chosen[-1]]]
+            done[chosen[-1]] = False
+            undo()
+            continue
+        value = stack.pop()
+        assigned[csp.leaves[i]] = value
+        done[i] = True
+        trail.append([])
+        if len(assigned) == k:
+            return dict(assigned)
+        if forward_check(i, value):
+            j = pick_variable()
+            values = sorted(domains[j])
+            rng.shuffle(values)
+            stacks.append(values)
+            chosen.append(j)
+        else:
+            del assigned[csp.leaves[i]]
+            done[i] = False
+            undo()
+
+
+def test_bitmask_solver_matches_set_reference():
+    # Stage-1 partials of random trees, plus arbitrary injective partials
+    # of the same internal nodes, which often leave an empty domain.
+    rng = random.Random(2024)
+    seen = {"empty": 0, "solved": 0, "failed": 0}
+    for _ in range(1000):
+        n = rng.randrange(4, 13)
+        code = [rng.randrange(n) for _ in range(n - 2)]
+        tree = Tree.from_level_sequence(
+            canonical_from_edges(n, prufer_decode(n, code)))
+        internal = sorted(internal_nodes(tree))
+        partials = [stage1_internal(tree, CFG, rng),
+                    dict(zip(internal, rng.sample(range(n), len(internal))))]
+        for partial in partials:
+            if partial is None:
+                continue
+            csp = build_leaf_csp(tree, partial)
+            seen["empty"] += csp.has_empty_domain
+            for budget in (0, 1, 150):
+                seed = rng.getrandbits(32)
+                ref_rng, new_rng = random.Random(seed), random.Random(seed)
+                ref_pruned, new_pruned = [], []
+                want = _reference_solve_leaf_csp(
+                    csp, ref_rng, budget,
+                    lambda *removal: ref_pruned.append(removal))
+                got = solve_leaf_csp(
+                    csp, new_rng, budget,
+                    lambda *removal: new_pruned.append(removal))
+                assert got == want, (tree.levels, partial, budget)
+                assert new_rng.getstate() == ref_rng.getstate(), \
+                    (tree.levels, partial, budget)
+                # the bitmask pass stops at a wipeout, so it reports a
+                # subsequence of the reference's removals
+                rest = iter(ref_pruned)
+                assert all(removal in rest for removal in new_pruned)
+                seen["solved" if got is not None else "failed"] += 1
+    assert min(seen.values()) > 100, seen
 
 
 # ------------------------------------------------------------------ #

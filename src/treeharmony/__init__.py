@@ -9,7 +9,7 @@ an independently re-verifiable certificate.
 """
 
 from .backtracking import label_dfs, solve_backtracking
-from .config import DEFAULT_SEED, SolveOutcome, SolverConfig
+from .config import DEFAULT_SEED, SOLVER_VERSION, SolveOutcome, SolverConfig
 from .generate import (FreeTreeStream, GENERATOR_VERSION,
                        count_free_trees_enumerated, count_rooted_trees,
                        free_trees, oracle_count_otter, oracle_enumerate_prufer,

@@ -6,10 +6,19 @@ default, overridable per run via CLI flags or a key=value config file
 entropy so bare invocations are replayable.
 """
 
+import json
+import zlib
 from dataclasses import dataclass, field, fields, replace
 from typing import Any
 
 DEFAULT_SEED = 1000003
+
+# Version of the solvers' search and RNG draws.  Bump it whenever any
+# solver's search or draws change: the same seeds then give other
+# labellings, so certificates of another version do not replay.
+# Version 2: stage 2 of the two-stage solver runs a Hall prefilter and
+# sibling refutation.
+SOLVER_VERSION = 2
 
 PIPELINE_TAGS = ("twostage", "backtrack", "tabu")
 
@@ -46,6 +55,19 @@ class SolverConfig:
         for tag in self.pipeline:
             if tag not in PIPELINE_TAGS:
                 raise ValueError(f"unknown solver tag {tag!r}")
+
+    def fingerprint(self) -> str:
+        """16 hex digits naming SOLVER_VERSION and every field but
+        ``global_seed``: what, beside the seed, decides each tree's
+        labelling.  They are the CRC-32s of the settings' JSON text read
+        forwards and backwards, a guard against mixing configs by
+        mistake rather than a cryptographic digest; hashlib would load
+        OpenSSL, a few MB, into every sweep process."""
+        settings = {f.name: getattr(self, f.name) for f in fields(self)
+                    if f.name != "global_seed"}
+        settings["solver_version"] = SOLVER_VERSION
+        data = json.dumps(settings, sort_keys=True).encode("utf-8")
+        return f"{zlib.crc32(data):08x}{zlib.crc32(data[::-1]):08x}"
 
     def tabu_iteration_limit(self, n: int) -> int:
         if self.tabu_max_iters is not None:

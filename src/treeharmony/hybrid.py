@@ -9,8 +9,9 @@ an error.
 Sweeps are reproducible by construction: each tree's RNG seed derives
 from (global seed, n, enumeration index) alone, certificates are written
 in enumeration order through a single writer regardless of worker count,
-and the checkpoint records enough (seed, generator version, completed
-counts) for a resumed run to produce byte-identical remaining output.
+and the checkpoint records enough (seed, generator version, config
+fingerprint, completed counts, output size) for a resumed run to produce
+byte-identical remaining output.
 """
 
 import json
@@ -19,9 +20,10 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .backtracking import solve_backtracking
-from .config import SolveOutcome, SolverConfig
+from .config import SOLVER_VERSION, SolveOutcome, SolverConfig
 from .generate import GENERATOR_VERSION, free_trees
 from .labelling import Certificate, normalize_labelling
 from .tabu import solve_tabu
@@ -131,10 +133,20 @@ class SweepReport:
         }, separators=(",", ":"))
 
 
-def _read_checkpoint(path) -> tuple[dict[int, int], int, str]:
+class Checkpoint(NamedTuple):
+    """A checkpoint as read back.  ``cfg`` and ``out`` are None for a
+    line written without them (the older form)."""
+
+    completed: dict[int, int]   # trees done per n, an enumeration prefix
+    seed: int
+    gen: str                    # GENERATOR_VERSION
+    cfg: str | None             # SolverConfig.fingerprint()
+    out: int | None             # output bytes once those trees were written
+
+
+def _read_checkpoint(path) -> Checkpoint:
     completed: dict[int, int] = {}
-    seed = None
-    gen = None
+    header = None
     try:
         with open(path, encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -147,26 +159,29 @@ def _read_checkpoint(path) -> tuple[dict[int, int], int, str]:
             parts = dict(item.split("=", 1) for item in line.split())
             n = int(parts["n"])
             completed[n] = int(parts["completed"])
-            line_seed = int(parts["seed"])
-            line_gen = parts["gen"]
+            out = parts.get("out")
+            line_header = (int(parts["seed"]), parts["gen"], parts.get("cfg"),
+                           None if out is None else int(out))
         except (KeyError, ValueError) as exc:
             raise CheckpointError(
                 f"corrupt checkpoint {path} line {lineno}: {exc}") from None
-        if seed is None:
-            seed, gen = line_seed, line_gen
-        elif (line_seed, line_gen) != (seed, gen):
+        if header is None:
+            header = line_header
+        elif line_header != header:
             raise CheckpointError(f"inconsistent checkpoint {path} line {lineno}")
-    if seed is None:
+    if header is None:
         raise CheckpointError(f"empty checkpoint {path}")
-    return completed, seed, gen
+    return Checkpoint(completed, *header)
 
 
-def _write_checkpoint(path, completed: dict[int, int], seed: int, gen: str) -> None:
+def _write_checkpoint(path, completed: dict[int, int], seed: int, gen: str,
+                      cfg: str, out: int) -> None:
     # write-temp-then-rename so a crash can never leave a torn file
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for n in sorted(completed):
-            fh.write(f"n={n} completed={completed[n]} seed={seed} gen={gen}\n")
+            fh.write(f"n={n} completed={completed[n]} seed={seed} gen={gen} "
+                     f"cfg={cfg} out={out}\n")
     os.replace(tmp, path)
 
 
@@ -201,6 +216,7 @@ class _Sweeper:
         self.completed = completed
         self.block_size = block_size
         self.progress = progress
+        self.fingerprint = cfg.fingerprint()
         self.pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
     def close(self):
@@ -264,8 +280,12 @@ class _Sweeper:
                 report.failures.append(info)
         self.sink.flush()
         self.completed[n] = last_index + 1
+        # The checkpoint names the output size, so a resume after a stop
+        # between the flush and the rename cuts the block's lines away
+        # and writes them again.
         _write_checkpoint(self.checkpoint_path, self.completed,
-                          self.cfg.global_seed, GENERATOR_VERSION)
+                          self.cfg.global_seed, GENERATOR_VERSION,
+                          self.fingerprint, os.fstat(self.sink.fileno()).st_size)
         if self.progress is not None:
             self.progress(n, self.completed[n])
 
@@ -277,9 +297,11 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     certificate per solved tree (in enumeration order) to *out_path*.
 
     The checkpoint is updated atomically after each completed block; an
-    existing checkpoint resumes the sweep (skipping completed prefixes)
-    and is refused if its seed or generator version disagrees, or if it
-    is corrupt - pass ``fresh=True`` to discard it and start over.
+    existing checkpoint resumes the sweep (skipping completed prefixes,
+    and cutting the output back to the size it records) and is refused
+    if its seed, generator version or config fingerprint disagrees, if
+    the output is shorter than it records, or if it is corrupt - pass
+    ``fresh=True`` to discard it and start over.
     Failures never abort the sweep; they are accumulated per n in the
     returned reports (and appended to *report_path* when given).
     ``progress(n, completed)`` runs after each block's checkpoint is
@@ -297,19 +319,34 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
         completed: dict[int, int] = {}
         out_mode = "w"
     else:
-        completed, ck_seed, ck_gen = _read_checkpoint(checkpoint_path)
-        if ck_seed != cfg.global_seed:
+        ck = _read_checkpoint(checkpoint_path)
+        completed = ck.completed
+        if ck.seed != cfg.global_seed:
             raise CheckpointError(
-                f"checkpoint seed {ck_seed} != configured seed {cfg.global_seed}; "
+                f"checkpoint seed {ck.seed} != configured seed {cfg.global_seed}; "
                 "pass fresh=True to restart")
-        if ck_gen != GENERATOR_VERSION:
+        if ck.gen != GENERATOR_VERSION:
             raise CheckpointError(
-                f"checkpoint generator {ck_gen!r} != {GENERATOR_VERSION!r}; "
+                f"checkpoint generator {ck.gen!r} != {GENERATOR_VERSION!r}; "
+                "pass fresh=True to restart")
+        fingerprint = cfg.fingerprint()
+        if ck.cfg is not None and ck.cfg != fingerprint:
+            raise CheckpointError(
+                f"checkpoint config cfg={ck.cfg} != configured cfg={fingerprint} "
+                f"(solver version {SOLVER_VERSION} and every setting but the seed); "
                 "pass fresh=True to restart")
         if not os.path.exists(out_path):
             raise CheckpointError(
                 f"checkpoint exists but output {out_path} does not; "
                 "pass fresh=True to restart")
+        if ck.out is not None:
+            size = os.path.getsize(out_path)
+            if size < ck.out:
+                raise CheckpointError(
+                    f"output {out_path} has {size} bytes, fewer than the "
+                    f"{ck.out} the checkpoint records; pass fresh=True to restart")
+            # drop lines written after the checkpoint's last block
+            os.truncate(out_path, ck.out)
         out_mode = "a"
 
     reports = []

@@ -10,14 +10,23 @@ internal-internal edges.  The residual problem over the leaves is then a
 clean CSP: each leaf needs a value outside the used ones whose edge sum
 avoids the used sums, leaf values must be pairwise distinct, and leaf
 edge sums must be pairwise distinct too (the model's sum constraint
-covers leaf edges just as it covers internal ones).  The leaf search
-holds each domain as an int bitmask, shrinks the domains by forward
-checking after every fixation, and picks variables smallest-domain-first.
+covers leaf edges just as it covers internal ones).
+
+Most stage-1 partials admit no extension, so stage 2 refutes before it
+searches.  A Hall prefilter first asks whether the leaves can be matched
+to distinct values, and to distinct edge sums, at all; if not, the
+partial is rejected without a search.  The leaf search then holds each
+domain as an int bitmask, shrinks the domains by forward checking after
+every fixation, and picks variables smallest-domain-first.  Leaves with
+the same parent are interchangeable (swapping their values keeps both
+the value set and the sum set), so a value refuted for one leaf is
+struck from its free siblings too.
 
 Both stages draw from the solver's RNG in a fixed pattern (see
 :func:`solve_leaf_csp`).  That pattern is a contract: a sweep is
 replayed from its seeds alone, so a change in what is drawn changes the
-labels, and so the bytes, of a replayed certificate file.
+labels, and so the bytes, of a replayed certificate file, and must come
+with a new :data:`treeharmony.config.SOLVER_VERSION`.
 
 A chosen stage-1 partial may admit no extension even when the tree is
 harmonious, so the pair of stages is retried several times before the
@@ -32,25 +41,42 @@ from .labelling import BIJECTIVE, is_harmonious, normalize_labelling
 from .trees import Tree, internal_nodes
 
 
+def _bits(mask: int) -> frozenset[int]:
+    return frozenset(w for w in range(mask.bit_length()) if mask >> w & 1)
+
+
 @dataclass(frozen=True)
 class LeafCSP:
-    """Residual leaf-assignment problem after stage 1.
+    """Residual leaf-assignment problem after stage 1, as bitmasks.
 
-    ``domains[i]`` is the initial candidate set of ``leaves[i]``:
-    unused values whose edge sum with the leaf's neighbor label avoids
-    the used sums.
+    Bit w of ``domain_masks[i]`` means ``leaves[i]`` may take value w:
+    w is unused and its edge sum with the leaf's neighbor label avoids
+    the used sums.  ``domains``, ``used_values`` and ``used_sums`` give
+    the same facts as frozensets.
     """
 
     n: int
     leaves: tuple[int, ...]
     parent_labels: tuple[int, ...]   # label of each leaf's unique neighbor
-    used_values: frozenset[int]
-    used_sums: frozenset[int]
-    domains: tuple[frozenset[int], ...]
+    used_value_mask: int             # bit w: an internal node has value w
+    used_sum_mask: int               # bit s: an internal edge has sum s
+    domain_masks: tuple[int, ...]
+
+    @property
+    def used_values(self) -> frozenset[int]:
+        return _bits(self.used_value_mask)
+
+    @property
+    def used_sums(self) -> frozenset[int]:
+        return _bits(self.used_sum_mask)
+
+    @property
+    def domains(self) -> tuple[frozenset[int], ...]:
+        return tuple(_bits(d) for d in self.domain_masks)
 
     @property
     def has_empty_domain(self) -> bool:
-        return any(not d for d in self.domains)
+        return not all(self.domain_masks)
 
 
 def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None:
@@ -68,84 +94,174 @@ def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None
 
 
 def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
-    """Reduce the remaining problem to a CSP over the leaves.  An empty
-    initial domain is not an error here; it shows up as an immediate
-    stage-2 failure and triggers a stage-1 retry."""
+    """Reduce the remaining problem to a CSP over the leaves, the nodes
+    that *partial* (stage 1's labels of the internal nodes) leaves
+    unlabelled.  An empty initial domain is not an error here; it shows
+    up as an immediate stage-2 failure and triggers a stage-1 retry."""
     n = tree.n
     m = n - 1
-    internal = internal_nodes(tree)
-    leaf_list = tuple(sorted(set(range(n)) - internal))
-    used_values = frozenset(partial.values())
-    used_sums = frozenset(
-        (partial[u] + partial[v]) % m
-        for u in internal for v in tree.adjacency[u]
-        if v in internal and u < v)
-    parent_labels = tuple(partial[tree.adjacency[leaf][0]] for leaf in leaf_list)
-    domains = tuple(
-        frozenset(w for w in range(n)
-                  if w not in used_values and (w + pl) % m not in used_sums)
-        for pl in parent_labels)
+    low = (1 << m) - 1
+    adjacency = tree.adjacency
+    parents = tree.parents
+    used_values = used_sums = 0
+    for v, value in partial.items():
+        used_values |= 1 << value
+        p = parents[v]
+        if p in partial:   # both ends internal
+            used_sums |= 1 << ((value + partial[p]) % m)
+    leaf_list = tuple(v for v in range(n) if v not in partial)
+    parent_labels = tuple(partial[adjacency[leaf][0]] for leaf in leaf_list)
+    free = ((1 << n) - 1) & ~used_values
+    open_sums = low & ~used_sums
+    by_label: dict[int, int] = {}
+    for pl in parent_labels:
+        if pl in by_label:
+            continue
+        # value w < m has sum (w + pl) % m, and value m has sum pl % m:
+        # the open sums rotated right by pl % m within m bits
+        r = pl % m
+        allowed = ((open_sums >> r) | (open_sums << (m - r))) & low
+        if open_sums >> r & 1:
+            allowed |= 1 << m
+        by_label[pl] = free & allowed
+    domains = tuple(by_label[pl] for pl in parent_labels)
     return LeafCSP(n, leaf_list, parent_labels, used_values, used_sums, domains)
 
 
-def _shuffled_values(dom: int, rng) -> list[int]:
-    """The values of bitmask *dom* in ascending order, shuffled once.
-    A single value skips the call, which would draw nothing anyway."""
-    if not dom & (dom - 1):
-        return [dom.bit_length() - 1]
+def _matchable(masks) -> bool:
+    """True when every mask can keep a bit of its own that no other mask
+    keeps (a system of distinct representatives): Kuhn's augmenting
+    paths over int masks, taking a free bit wherever there is one."""
+    owner: dict[int, int] = {}   # bit -> index of the mask holding it
+    taken = 0                    # the bits held
+    seen = 0                     # the bits visited by this augmentation
+
+    def augment(i: int) -> bool:
+        nonlocal taken, seen
+        spare = masks[i] & ~taken
+        if spare:
+            bit = spare & -spare
+            taken |= bit
+            owner[bit] = i
+            return True
+        while True:
+            avail = masks[i] & ~seen
+            if not avail:
+                return False
+            bit = avail & -avail
+            seen |= bit
+            if augment(owner[bit]):
+                owner[bit] = i
+                return True
+
+    for i in range(len(masks)):
+        seen = 0
+        if not augment(i):
+            return False
+    return True
+
+
+def _sum_mask(dom: int, pl: int, m: int) -> int:
+    """The edge sums that the values of *dom* make with parent label pl:
+    the inverse of the rotation in :func:`build_leaf_csp`."""
+    r = pl % m
+    low = (1 << m) - 1
+    d = dom & low
+    sums = ((d << r) | (d >> (m - r))) & low
+    if dom >> m:
+        sums |= 1 << r
+    return sums
+
+
+def _shuffled_values(dom: int, getrandbits) -> list[int]:
+    """The values of bitmask *dom* in ascending order, shuffled with the
+    draws of ``random.Random.shuffle``: for i from len-1 down to 1,
+    ``getrandbits(k)`` with k the bit length of i+1, repeated until the
+    draw is at most i."""
     values = []
     while dom:
         low = dom & -dom
         values.append(low.bit_length() - 1)
         dom ^= low
-    rng.shuffle(values)
+    for i in range(len(values) - 1, 0, -1):
+        bound = i + 1
+        k = bound.bit_length()
+        j = getrandbits(k)
+        while j >= bound:
+            j = getrandbits(k)
+        values[i], values[j] = values[j], values[i]
     return values
 
 
 def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
                    on_prune=None) -> dict[int, int] | None:
-    """Backtracking with forward checking on the leaf CSP.
+    """Refute, then search, the leaf CSP.
 
-    Domains are int bitmasks: bit w of a leaf's domain means the leaf may
-    still take value w.  After each fixation the assigned value is
-    removed from every free leaf's domain, and so is every value that
-    would repeat the new edge sum.  The next variable is the free leaf
-    with the smallest domain (ties to the lowest leaf position), picked
-    in the same pass as forward checking; that pass stops at the first
-    wipeout.  Each search level keeps its own domain list, so
-    backtracking just drops the level.  ``on_prune(leaf, value,
-    assigned)`` is called on every forward-checking removal (soundness
-    instrumentation for tests).  None on failure or budget exhaustion.
+    First a Hall prefilter: unless the leaves can be matched to distinct
+    values in their domains, and also to distinct edge sums, the CSP is
+    rejected.  Then backtracking with forward checking.  Domains are int
+    bitmasks: bit w of a leaf's domain means the leaf may still take
+    value w.  After each fixation the assigned value is removed from
+    every free leaf's domain, and so is every value that would repeat the
+    new edge sum.  The next variable is the free leaf with the smallest
+    domain (ties to the lowest leaf position), picked in the same pass as
+    forward checking; that pass stops at the first wipeout.  Each search
+    level keeps its own domain list, so backtracking just drops the
+    level.
 
-    The RNG consumption is a contract (see the module docstring): each
-    new level draws one ``rng.shuffle`` of its variable's values listed
-    in ascending order (a single value draws nothing), and nothing else
-    is drawn.
+    Sibling refutation: when value v of a level's leaf fails (a wipeout
+    or an exhausted subtree), v is cleared from every free sibling of
+    that leaf in the level's domain list, since a solution giving v to a
+    sibling would give v to the leaf once the two swap values.  Siblings
+    start with equal domains and forward checking takes the same values
+    from each, so a free sibling's domain is just the leaf's untried
+    values: it runs dry exactly when the level does.
+
+    ``on_prune(leaf, value, assigned)`` is called on every forward-checking
+    removal (soundness instrumentation for tests); sibling refutations
+    are not reported, as a refuted value may still extend to a labelling
+    under another assignment.  None on failure or budget exhaustion.
+
+    The RNG consumption is a contract (see the module docstring): a CSP
+    with an empty domain or one the prefilter rejects draws nothing;
+    otherwise each new level draws what one ``rng.shuffle`` of its
+    variable's values listed in ascending order draws (a single value
+    draws nothing), and nothing else is drawn.
     """
     k = len(csp.leaves)
     if k == 0:
         return {}
     if csp.has_empty_domain:
         return None
+    doms = list(csp.domain_masks)
     m = csp.n - 1
-    leaves = csp.leaves
     parent_labels = csp.parent_labels
+    if not (_matchable(doms) and _matchable(
+            [_sum_mask(d, pl, m) for d, pl in zip(doms, parent_labels)])):
+        return None
+    leaves = csp.leaves
+    getrandbits = rng.getrandbits
     # kill[s][j]: the values whose edge sum with leaf j's parent label is
     # s.  Labels run over {0..m}, so that is (s - pl) % m, plus m when
-    # (s - pl) % m == 0.
+    # (s - pl) % m == 0.  Rows are built on first use.
     base = [1 << c for c in range(m)]
     base[0] |= 1 << m
-    kill = [[base[(s - pl) % m] for pl in parent_labels] for s in range(m)]
-    doms = [sum(1 << w for w in d) for d in csp.domains]
+    kill: list = [None] * m
+    # sibs[j]: the other leaves with leaf j's parent
+    groups: dict[int, list[int]] = {}
+    for j, pl in enumerate(parent_labels):
+        groups.setdefault(pl, []).append(j)
+    sibs = [[g for g in groups[pl] if g != j] for j, pl in enumerate(parent_labels)]
     # the domain list of each level; an assigned leaf's entry is 0
     levels = [doms]
     first = min(range(k), key=lambda j: doms[j].bit_count())
     chosen = [first]
-    stacks = [_shuffled_values(doms[first], rng)]
+    stacks = [_shuffled_values(doms[first], getrandbits)]
     values: list[int] = []   # values[d] is the value of chosen[d]
     backtracks = 0
     while True:
         stack = stacks[-1]
+        i = chosen[-1]
         if not stack:
             stacks.pop()
             chosen.pop()
@@ -155,47 +271,58 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
             if backtracks >= budget:
                 return None
             backtracks += 1
-            values.pop()
-            continue
-        value = stack.pop()
-        i = chosen[-1]
-        if len(chosen) == k:
-            values.append(value)
-            return {leaves[j]: w for j, w in zip(chosen, values)}
-        s = (value + parent_labels[i]) % m
-        vbit = 1 << value
-        doms = levels[-1][:]
-        doms[i] = 0
-        if on_prune is not None:
-            assigned = {leaves[j]: w for j, w in zip(chosen, values)}
-            assigned[leaves[i]] = value
-        kill_s = kill[s]
-        best, best_size = -1, m + 2
-        for j, dom in enumerate(doms):
-            if not dom:
-                continue
-            kept = dom & ~(vbit | kill_s[j])
-            if on_prune is not None and kept != dom:
-                removed = dom ^ kept
-                if removed & vbit:
-                    on_prune(leaves[j], value, dict(assigned))
-                    removed ^= vbit
-                while removed:
-                    low = removed & -removed
-                    on_prune(leaves[j], low.bit_length() - 1, dict(assigned))
-                    removed ^= low
-            if not kept:
-                break
-            doms[j] = kept
-            if best_size > 1:   # no surviving domain is smaller than 1
-                size = kept.bit_count()
-                if size < best_size:
-                    best, best_size = j, size
+            # the subtree of the enclosing level's value is exhausted
+            i = chosen[-1]
+            value = values.pop()
         else:
-            values.append(value)
-            levels.append(doms)
-            chosen.append(best)
-            stacks.append(_shuffled_values(doms[best], rng))
+            value = stack.pop()
+            if len(chosen) == k:
+                values.append(value)
+                return {leaves[j]: w for j, w in zip(chosen, values)}
+            pl = parent_labels[i]
+            s = (value + pl) % m
+            vbit = 1 << value
+            doms = levels[-1][:]
+            doms[i] = 0
+            if on_prune is not None:
+                assigned = {leaves[j]: w for j, w in zip(chosen, values)}
+                assigned[leaves[i]] = value
+            kill_s = kill[s]
+            if kill_s is None:
+                kill_s = kill[s] = [base[(s - p) % m] for p in parent_labels]
+            best, best_size = -1, m + 2
+            for j, dom in enumerate(doms):
+                if not dom:
+                    continue
+                kept = dom & ~(vbit | kill_s[j])
+                if on_prune is not None and kept != dom:
+                    removed = dom ^ kept
+                    if removed & vbit:
+                        on_prune(leaves[j], value, dict(assigned))
+                        removed ^= vbit
+                    while removed:
+                        low = removed & -removed
+                        on_prune(leaves[j], low.bit_length() - 1, dict(assigned))
+                        removed ^= low
+                if not kept:
+                    break
+                doms[j] = kept
+                if best_size > 1:   # no surviving domain is smaller than 1
+                    size = kept.bit_count()
+                    if size < best_size:
+                        best, best_size = j, size
+            else:
+                values.append(value)
+                levels.append(doms)
+                chosen.append(best)
+                stacks.append(_shuffled_values(doms[best], getrandbits))
+                continue
+        # value is refuted for leaf i under this level's assignment, and
+        # so for each free sibling of i (an assigned one's entry stays 0)
+        keep = ~(1 << value)
+        level = levels[-1]
+        for j in sibs[i]:
+            level[j] &= keep
 
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:

@@ -5,8 +5,10 @@ import random
 
 import pytest
 
-from treeharmony.config import SolverConfig
-from treeharmony.generate import free_trees
+from treeharmony import hybrid
+from treeharmony.cli import main as cli_main
+from treeharmony.config import SOLVER_VERSION, SolverConfig
+from treeharmony.generate import GENERATOR_VERSION, free_trees
 from treeharmony.hybrid import (CheckpointError, _read_checkpoint, derive_seed,
                                 make_certificate, solve_hybrid, sweep)
 from treeharmony.labelling import Certificate, is_harmonious, verify_certificate
@@ -126,18 +128,21 @@ def test_sweep_small_range(tmp_path):
         assert verify_certificate(Certificate.from_json_line(ln)) is None
     assert len(_read_lines(rep).splitlines()) == 7
     # checkpoint reflects completion
-    completed, seed, gen = _read_checkpoint(ck)
-    assert completed[8] == 23 and seed == CFG.global_seed
+    checkpoint = _read_checkpoint(ck)
+    assert checkpoint.completed[8] == 23 and checkpoint.seed == CFG.global_seed
 
 
-# SHA-256 of the certificate file of sweep(2, 10, ...), frozen: a change
-# here means old sweeps no longer replay byte for byte.  The second
-# config runs backtracking first, which certifies 178 of the 200 trees.
+# SHA-256 of the certificate file of sweep(2, 10, ...) under solver
+# version 2, frozen: a change here means old sweeps no longer replay byte
+# for byte, and must come with a new SOLVER_VERSION.  The second config
+# runs backtracking first, which certifies 178 of the 200 trees;
+# two-stage certifies the other 22.
+REPLAY_SOLVER_VERSION = 2
 REPLAY_DIGESTS = [
-    (CFG, "fc7edcbdab2f0070c73ed8963622744c3096b24d973acb75b618848940af4b26"),
+    (CFG, "c6f4efe0830b9916f204fbe8ec36b616132dc3a1a5f795fd54d30538cc68154a"),
     (SolverConfig(pipeline=("backtrack", "twostage"), backtrack_limit=2000,
                   backtrack_restarts=3, perturb_rate=0.05),
-     "3432a1d21deddde21c05da06d1871022c14f4958e7213a86fd9319c7eda62041"),
+     "cd1bc8a701dec487c46c5640ea55ff0172eb4f0e8adafe5b28152cbdd1d54db2"),
 ]
 
 
@@ -146,13 +151,14 @@ REPLAY_DIGESTS = [
 def test_sweep_certificates_replay_byte_identical(tmp_path, cfg, digest):
     out = tmp_path / "r.jsonl"
     sweep(2, 10, cfg, out_path=out, checkpoint_path=tmp_path / "c.txt")
+    assert SOLVER_VERSION == REPLAY_SOLVER_VERSION
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 # SHA-256 of the certificate file of sweep(11, 11, ...) at the default
 # config, frozen like REPLAY_DIGESTS: the pool and the block size must
 # not move a byte.
-N11_DIGEST = "caf34c25498f569545524235f1668f03a281ca23ed218ce219bd3062a13f1349"
+N11_DIGEST = "c6339df415301cb147e31ecff0904305a0a5112274e583050940c25fe03b8de1"
 
 
 @pytest.mark.parametrize("workers, blocks",
@@ -162,6 +168,7 @@ def test_sweep_n11_replay_byte_identical(tmp_path, workers, blocks):
     out = tmp_path / "r.jsonl"
     sweep(11, 11, SolverConfig(), workers, out_path=out,
           checkpoint_path=tmp_path / "c.txt", **blocks)
+    assert SOLVER_VERSION == REPLAY_SOLVER_VERSION
     assert hashlib.sha256(out.read_bytes()).hexdigest() == N11_DIGEST
 
 
@@ -213,6 +220,89 @@ def test_sweep_refuses_mismatched_seed(tmp_path):
     # fresh=True restarts from nothing
     reports = sweep(2, 4, other, out_path=out, checkpoint_path=ck, fresh=True)
     assert sum(r.trees_total for r in reports) == 4
+
+
+@pytest.mark.parametrize("change", [{"stage2_budget": 151},
+                                    {"pipeline": ("backtrack", "twostage", "tabu")}],
+                         ids=["stage2_budget", "pipeline"])
+def test_sweep_refuses_resume_under_changed_config(tmp_path, change):
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.txt"
+    with pytest.raises(_Stop):
+        sweep(2, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5,
+              progress=stop_after_blocks(3))
+    other = CFG.with_overrides(change)
+    with pytest.raises(CheckpointError) as refused:
+        sweep(2, 8, other, out_path=out, checkpoint_path=ck, block_size=5)
+    message = str(refused.value)
+    assert f"cfg={CFG.fingerprint()}" in message
+    assert f"cfg={other.fingerprint()}" in message
+    reports = sweep(2, 8, other, out_path=out, checkpoint_path=ck, fresh=True)
+    assert sum(r.trees_total for r in reports) == 47
+
+
+def test_config_fingerprint_ignores_only_the_seed():
+    assert CFG.fingerprint() == SolverConfig(global_seed=5).fingerprint()
+    assert CFG.fingerprint() != SolverConfig(perturb_rate=0.02).fingerprint()
+    assert CFG.fingerprint() != SolverConfig(tabu_max_iters=7).fingerprint()
+    assert len(CFG.fingerprint()) == 16
+    int(CFG.fingerprint(), 16)
+
+
+def test_sweep_resumes_old_form_checkpoint_byte_identically(tmp_path):
+    # a checkpoint line without cfg= and out=, as older sweeps and
+    # hand-made resume points write it, still resumes
+    ref = tmp_path / "ref.jsonl"
+    sweep(8, 8, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck")
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.txt"
+    out.write_text("", encoding="utf-8")
+    ck.write_text(f"n=8 completed=10 seed={CFG.global_seed} "
+                  f"gen={GENERATOR_VERSION}\n", encoding="utf-8")
+    sweep(8, 8, CFG, out_path=out, checkpoint_path=ck)
+    tail = "".join(ref.read_text().splitlines(keepends=True)[10:])
+    assert out.read_text() == tail
+
+
+def test_sweep_resume_after_stop_before_checkpoint_rename(tmp_path, monkeypatch, capsys):
+    # A stop after a block's lines are flushed but before its checkpoint
+    # is written: the resume cuts those lines and writes them once.
+    ref = tmp_path / "ref.jsonl"
+    sweep(9, 10, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck",
+          block_size=40)
+    out = tmp_path / "cut.jsonl"
+    ck = tmp_path / "cut.ck"
+    write_checkpoint = hybrid._write_checkpoint
+    calls = []
+
+    def stop_on_third(*args):
+        calls.append(args)
+        if len(calls) == 3:
+            raise _Stop
+        write_checkpoint(*args)
+
+    monkeypatch.setattr(hybrid, "_write_checkpoint", stop_on_third)
+    with pytest.raises(_Stop):
+        sweep(9, 10, CFG, out_path=out, checkpoint_path=ck, block_size=40)
+    monkeypatch.undo()
+    # all 47 trees on 9 nodes, then the first block on 10 nodes
+    assert len(_read_lines(out).splitlines()) == 47 + 40
+    sweep(9, 10, CFG, out_path=out, checkpoint_path=ck, block_size=40)
+    assert out.read_bytes() == ref.read_bytes()
+    assert cli_main(["verify", str(out)]) == 0
+    assert "153 certificates ok" in capsys.readouterr().err
+
+
+def test_sweep_refuses_output_shorter_than_checkpoint(tmp_path):
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.txt"
+    with pytest.raises(_Stop):
+        sweep(2, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5,
+              progress=stop_after_blocks(3))
+    data = out.read_bytes()
+    out.write_bytes(data[:-1])
+    with pytest.raises(CheckpointError):
+        sweep(2, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5)
 
 
 def test_sweep_refuses_corrupt_checkpoint(tmp_path):

@@ -2,13 +2,17 @@
 forward checking, and the retry loop."""
 
 import random
-from itertools import permutations
+from functools import reduce
+from itertools import combinations, permutations
+from operator import or_
+
+import pytest
 
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees, prufer_decode
 from treeharmony.labelling import is_harmonious
 from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
-from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
+from treeharmony.twostage import (_matchable, build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
 P4 = Tree.from_level_sequence((0, 1, 2, 1))
@@ -117,24 +121,48 @@ def test_leaf_csp_singleton_domains_assigned_without_branching():
 # Stage 2 against the set-based reference                             #
 # ------------------------------------------------------------------ #
 
-def _reference_solve_leaf_csp(csp, rng, budget=5000, on_prune=None):
-    """The set-and-trail leaf search that the bitmask solver replaced,
-    body unchanged, kept as a test-only oracle: the bitmask solver must
-    match its variable order, value order, budget accounting and RNG
-    draws."""
+def _hall_holds(csp):
+    """Brute-force Hall condition: every set of leaves has, between them,
+    at least as many candidate values, and as many candidate edge sums,
+    as it has leaves."""
+    m = csp.n - 1
+    values = [set(d) for d in csp.domains]
+    sums = [{(w + pl) % m for w in d}
+            for d, pl in zip(csp.domains, csp.parent_labels)]
+    k = len(values)
+    for size in range(1, k + 1):
+        for subset in combinations(range(k), size):
+            if len(set().union(*(values[i] for i in subset))) < size:
+                return False
+            if len(set().union(*(sums[i] for i in subset))) < size:
+                return False
+    return True
+
+
+def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall):
+    """A set-and-trail leaf search kept as a test-only oracle: the
+    bitmask solver must match its variable order, value order, budget
+    accounting and RNG draws.  *hall* is the verdict of
+    :func:`_hall_holds` on *csp*, which the caller computes once per
+    CSP."""
     k = len(csp.leaves)
     if k == 0:
         return {}
     if csp.has_empty_domain:
         return None
+    if not hall:
+        return None
     m = csp.n - 1
     domains = [set(d) for d in csp.domains]
     parent_labels = csp.parent_labels
+    siblings = [[j for j in range(k) if j != i and parent_labels[j] == pl]
+                for i, pl in enumerate(parent_labels)]
     assigned: dict[int, int] = {}
     done = [False] * k
     trail: list[list[tuple[int, int]]] = []
     stacks: list = []
     chosen: list[int] = []
+    refuted: list[list[tuple[int, int]]] = []   # per level, undone with it
     backtracks = 0
 
     def pick_variable():
@@ -178,25 +206,42 @@ def _reference_solve_leaf_csp(csp, rng, budget=5000, on_prune=None):
         for j, w in trail.pop():
             domains[j].add(w)
 
-    i = pick_variable()
-    values = sorted(domains[i])
-    rng.shuffle(values)
-    stacks.append(values)
-    chosen.append(i)
+    def push_level(i):
+        values = sorted(domains[i])
+        rng.shuffle(values)
+        stacks.append(values)
+        chosen.append(i)
+        refuted.append([])
+
+    def refute(i, value):
+        # leaf i cannot take value at this level, so no free sibling can
+        for j in siblings[i]:
+            if done[j] or value not in domains[j]:
+                continue
+            domains[j].discard(value)
+            refuted[-1].append((j, value))
+            if not domains[j]:
+                stacks[-1].clear()
+
+    push_level(pick_variable())
     while True:
         i = chosen[-1]
         stack = stacks[-1]
         if not stack:
             stacks.pop()
             chosen.pop()
+            for j, w in refuted.pop():
+                domains[j].add(w)
             if not stacks:
                 return None
             if backtracks >= budget:
                 return None
             backtracks += 1
-            del assigned[csp.leaves[chosen[-1]]]
-            done[chosen[-1]] = False
+            i = chosen[-1]
+            value = assigned.pop(csp.leaves[i])
+            done[i] = False
             undo()
+            refute(i, value)
             continue
         value = stack.pop()
         assigned[csp.leaves[i]] = value
@@ -205,22 +250,19 @@ def _reference_solve_leaf_csp(csp, rng, budget=5000, on_prune=None):
         if len(assigned) == k:
             return dict(assigned)
         if forward_check(i, value):
-            j = pick_variable()
-            values = sorted(domains[j])
-            rng.shuffle(values)
-            stacks.append(values)
-            chosen.append(j)
+            push_level(pick_variable())
         else:
             del assigned[csp.leaves[i]]
             done[i] = False
             undo()
+            refute(i, value)
 
 
 def test_bitmask_solver_matches_set_reference():
     # Stage-1 partials of random trees, plus arbitrary injective partials
     # of the same internal nodes, which often leave an empty domain.
     rng = random.Random(2024)
-    seen = {"empty": 0, "solved": 0, "failed": 0}
+    seen = {"empty": 0, "hall": 0, "solved": 0, "failed": 0}
     for _ in range(1000):
         n = rng.randrange(4, 13)
         code = [rng.randrange(n) for _ in range(n - 2)]
@@ -234,13 +276,15 @@ def test_bitmask_solver_matches_set_reference():
                 continue
             csp = build_leaf_csp(tree, partial)
             seen["empty"] += csp.has_empty_domain
+            hall = _hall_holds(csp)
+            seen["hall"] += not (csp.has_empty_domain or hall)
             for budget in (0, 1, 150):
                 seed = rng.getrandbits(32)
                 ref_rng, new_rng = random.Random(seed), random.Random(seed)
                 ref_pruned, new_pruned = [], []
                 want = _reference_solve_leaf_csp(
                     csp, ref_rng, budget,
-                    lambda *removal: ref_pruned.append(removal))
+                    lambda *removal: ref_pruned.append(removal), hall)
                 got = solve_leaf_csp(
                     csp, new_rng, budget,
                     lambda *removal: new_pruned.append(removal))
@@ -325,6 +369,58 @@ def test_stage2_complete_relative_to_its_sample():
                     full.update(got)
                     labels = tuple(full[i] for i in range(n))
                     assert labels in extensions
+
+
+def test_stage2_complete_on_every_small_tree():
+    # the Hall prefilter and sibling refutation cut no extension away:
+    # every tree n=4..8 (stars and other sibling-heavy trees included),
+    # three stage-1 partials each
+    rng = random.Random(0x5EB)
+    extendable = 0
+    for n in range(4, 9):
+        for seq in free_trees(n):
+            tree = Tree.from_level_sequence(seq)
+            for attempt in range(3):
+                partial = stage1_internal(tree, CFG, rng)
+                extensions = _harmonious_completions(tree, partial)
+                got = solve_leaf_csp(build_leaf_csp(tree, partial),
+                                     random.Random(attempt), budget=10 ** 9)
+                assert (got is not None) == bool(extensions), (seq, partial)
+                if got is not None:
+                    full = dict(partial)
+                    full.update(got)
+                    assert tuple(full[i] for i in range(n)) in extensions
+                    extendable += 1
+    assert extendable > 10
+
+
+def test_matchable_agrees_with_brute_force_hall():
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(3000):
+        k = rng.randrange(1, 8)
+        width = rng.randrange(1, 9)
+        masks = [rng.getrandbits(width) & rng.getrandbits(width)
+                 for _ in range(k)]
+        hall = all(
+            bin(reduce(or_, (masks[i] for i in subset), 0)).count("1") >= size
+            for size in range(1, k + 1)
+            for subset in combinations(range(k), size))
+        assert _matchable(masks) == hall, masks
+        verdicts.add(hall)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n", [12, 13, 14, 15])
+def test_twostage_certifies_stars(n):
+    # all leaves of a star are siblings; a search that orders sibling
+    # values would fail here where refutation does not
+    star = Tree.from_level_sequence((0,) + (1,) * (n - 1))
+    for seed in range(5):
+        out = solve_twostage(star, SolverConfig(twostage_runs=100),
+                             random.Random(seed))
+        assert out.success, (n, seed)
+        assert is_harmonious(star, out.labels)
 
 
 # ------------------------------------------------------------------ #

@@ -17,8 +17,9 @@ DEFAULT_SEED = 1000003
 # solver's search or draws change: the same seeds then give other
 # labellings, so certificates of another version do not replay.
 # Version 2: stage 2 of the two-stage solver runs a Hall prefilter and
-# sibling refutation.
-SOLVER_VERSION = 2
+# sibling refutation.  Version 3: stage 1 of the two-stage solver only
+# returns partials with sum((deg(v) - 1) * f(v)) = 0 (mod n-1).
+SOLVER_VERSION = 3
 
 PIPELINE_TAGS = ("twostage", "backtrack", "tabu")
 

@@ -28,6 +28,14 @@ replayed from its seeds alone, so a change in what is drawn changes the
 labels, and so the bytes, of a replayed certificate file, and must come
 with a new :data:`treeharmony.config.SOLVER_VERSION`.
 
+Stage 1 also enforces a counting rule that every harmonious labelling f
+meets.  With m = n-1 the edge sums run over Z_m once each, so
+sum_v deg(v) f(v) = 0 + 1 + ... + (m-1) = m(m-1)/2 (mod m); the labels
+are 0..m once each, so sum_v f(v) = m(m+1)/2.  Subtracting,
+sum_v (deg(v) - 1) f(v) = -m = 0 (mod m).  Leaves have weight 0, so the
+internal labels alone decide the rule, and partials that break it are
+never built.
+
 A chosen stage-1 partial may admit no extension even when the tree is
 harmonious, so the pair of stages is retried several times before the
 solver reports failure.
@@ -35,7 +43,7 @@ solver reports failure.
 
 from dataclasses import dataclass
 
-from .backtracking import label_dfs
+from .backtracking import _open_values, _shuffled_values, label_dfs
 from .config import SolveOutcome, SolverConfig
 from .labelling import BIJECTIVE, is_harmonious, normalize_labelling
 from .trees import Tree, internal_nodes
@@ -82,14 +90,18 @@ class LeafCSP:
 def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None:
     """Randomized bounded backtracking over the internal nodes: injective
     values from {0..n-1} with pairwise-distinct internal-internal edge
-    sums mod (n-1).  None once the backtrack budget runs out."""
+    sums mod m = n-1, and sum((deg(v) - 1) * f(v)) = 0 (mod m) over the
+    internal nodes v, which every harmonious labelling meets (see the
+    module docstring).  None once the backtrack budget runs out."""
     internal = internal_nodes(tree)
     order = sorted(internal)
     # A parent precedes its children in level-sequence order, so each
     # internal node's only earlier internal neighbour is its parent.
     parents = [tree.parents[v] if tree.parents[v] in internal else -1 for v in order]
+    weights = [len(tree.adjacency[v]) - 1 for v in order]
     labels = [-1] * tree.n
-    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, rng)
+    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, rng,
+                      weights=weights)
     return {v: labels[v] for v in order} if ok else None
 
 
@@ -115,15 +127,8 @@ def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
     open_sums = low & ~used_sums
     by_label: dict[int, int] = {}
     for pl in parent_labels:
-        if pl in by_label:
-            continue
-        # value w < m has sum (w + pl) % m, and value m has sum pl % m:
-        # the open sums rotated right by pl % m within m bits
-        r = pl % m
-        allowed = ((open_sums >> r) | (open_sums << (m - r))) & low
-        if open_sums >> r & 1:
-            allowed |= 1 << m
-        by_label[pl] = free & allowed
+        if pl not in by_label:
+            by_label[pl] = free & _open_values(open_sums, pl, m)
     domains = tuple(by_label[pl] for pl in parent_labels)
     return LeafCSP(n, leaf_list, parent_labels, used_values, used_sums, domains)
 
@@ -163,7 +168,8 @@ def _matchable(masks) -> bool:
 
 def _sum_mask(dom: int, pl: int, m: int) -> int:
     """The edge sums that the values of *dom* make with parent label pl:
-    the inverse of the rotation in :func:`build_leaf_csp`."""
+    the inverse of the rotation in
+    :func:`treeharmony.backtracking._open_values`."""
     r = pl % m
     low = (1 << m) - 1
     d = dom & low
@@ -171,26 +177,6 @@ def _sum_mask(dom: int, pl: int, m: int) -> int:
     if dom >> m:
         sums |= 1 << r
     return sums
-
-
-def _shuffled_values(dom: int, getrandbits) -> list[int]:
-    """The values of bitmask *dom* in ascending order, shuffled with the
-    draws of ``random.Random.shuffle``: for i from len-1 down to 1,
-    ``getrandbits(k)`` with k the bit length of i+1, repeated until the
-    draw is at most i."""
-    values = []
-    while dom:
-        low = dom & -dom
-        values.append(low.bit_length() - 1)
-        dom ^= low
-    for i in range(len(values) - 1, 0, -1):
-        bound = i + 1
-        k = bound.bit_length()
-        j = getrandbits(k)
-        while j >= bound:
-            j = getrandbits(k)
-        values[i], values[j] = values[j], values[i]
-    return values
 
 
 def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,

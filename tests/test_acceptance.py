@@ -83,7 +83,6 @@ def test_criterion_01_enumeration_counts():
 # 2. Scaled theorem check                                             #
 # ------------------------------------------------------------------ #
 
-@pytest.mark.slow
 def test_criterion_02_sweep_2_to_14(tmp_path):
     # criterion 1's own table sums to 5446 for n=2..14 (the criterion
     # text says 5,428 - an arithmetic slip; the Otter formula agrees
@@ -305,7 +304,6 @@ def test_criterion_08_determinism(tmp_path):
 # 9. Caterpillar smoke test                                           #
 # ------------------------------------------------------------------ #
 
-@pytest.mark.slow
 def test_criterion_09_caterpillars_without_tabu():
     with criterion(9, "all caterpillars n<=14 solved by twostage+backtrack "
                       "alone, zero failures"):

@@ -4,7 +4,10 @@ import math
 import random
 from itertools import permutations
 
-from treeharmony.backtracking import label_dfs, solve_backtracking
+import pytest
+
+from treeharmony import backtracking
+from treeharmony.backtracking import _shuffled_values, label_dfs, solve_backtracking
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import is_harmonious, normalize_labelling
@@ -20,43 +23,59 @@ CFG = SolverConfig()
 # label_dfs                                                           #
 # ------------------------------------------------------------------ #
 
-class AscendingRng:
-    """Leaves every candidate list in ascending order, so the largest
-    candidate is tried first, and records each list."""
+@pytest.fixture
+def ascending(monkeypatch):
+    """Leaves every candidate list of label_dfs in ascending order, so
+    the largest candidate is tried first, and records each list."""
+    candidates = []
 
-    def __init__(self):
-        self.candidates = []
+    def record(dom, getrandbits):
+        values = [v for v in range(dom.bit_length()) if dom >> v & 1]
+        candidates.append(list(values))
+        return values
 
-    def shuffle(self, values):
-        self.candidates.append(list(values))
+    monkeypatch.setattr(backtracking, "_shuffled_values", record)
+    return candidates
 
 
-def test_valid_labels_fresh_node_gets_all():
+def test_shuffled_values_draws_like_shuffle():
+    rng = random.Random(11)
+    for _ in range(500):
+        dom = rng.getrandbits(rng.randrange(1, 40))
+        seed = rng.getrandbits(32)
+        ref_rng, new_rng = random.Random(seed), random.Random(seed)
+        want = [v for v in range(dom.bit_length()) if dom >> v & 1]
+        ref_rng.shuffle(want)
+        assert _shuffled_values(dom, new_rng.getrandbits) == want
+        assert new_rng.getstate() == ref_rng.getstate()
+
+
+def test_valid_labels_fresh_node_gets_all(ascending):
     # the preset root label is not reserved: node1 may take every value
-    rng = AscendingRng()
     labels = [1, -1, -1, -1]
-    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, math.inf, rng)[0]
-    assert set(rng.candidates[0]) == {0, 1, 2}
+    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, math.inf,
+                     random.Random(0))[0]
+    assert set(ascending[0]) == {0, 1, 2}
     assert is_harmonious(P4, labels)
 
 
-def test_valid_labels_p4_walkthrough():
+def test_valid_labels_p4_walkthrough(ascending):
     # root=2 is preset, so node1 may take all of {0,1,2}; it takes 2 (the
     # allowed root duplicate, edge sum 1); node2's candidates must avoid
     # value 2 and sum 1, and node3 (sums 1,0 used) is left with 0
-    rng = AscendingRng()
     labels = [2, -1, -1, -1]
-    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, 0, rng) == (True, 0)
-    assert rng.candidates == [[0, 1, 2], [0, 1], [0]]
+    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, 0,
+                     random.Random(0)) == (True, 0)
+    assert ascending == [[0, 1, 2], [0, 1], [0]]
     assert labels == [2, 2, 1, 0]
     assert is_harmonious(P4, labels)
 
 
-def test_label_dfs_star_third_leaf_forced():
-    rng = AscendingRng()
+def test_label_dfs_star_third_leaf_forced(ascending):
     labels = [0, -1, -1, -1]
-    assert label_dfs(range(1, 4), STAR4.parents[1:], labels, 3, 0, rng) == (True, 0)
-    assert rng.candidates[2] == [0]  # sums 2,1 used; 0 gives sum 0
+    assert label_dfs(range(1, 4), STAR4.parents[1:], labels, 3, 0,
+                     random.Random(0)) == (True, 0)
+    assert ascending[2] == [0]  # sums 2,1 used; 0 gives sum 0
     assert labels == [0, 2, 1, 0]
 
 

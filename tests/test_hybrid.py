@@ -133,16 +133,16 @@ def test_sweep_small_range(tmp_path):
 
 
 # SHA-256 of the certificate file of sweep(2, 10, ...) under solver
-# version 2, frozen: a change here means old sweeps no longer replay byte
+# version 3, frozen: a change here means old sweeps no longer replay byte
 # for byte, and must come with a new SOLVER_VERSION.  The second config
 # runs backtracking first, which certifies 178 of the 200 trees;
 # two-stage certifies the other 22.
-REPLAY_SOLVER_VERSION = 2
+REPLAY_SOLVER_VERSION = 3
 REPLAY_DIGESTS = [
-    (CFG, "c6f4efe0830b9916f204fbe8ec36b616132dc3a1a5f795fd54d30538cc68154a"),
+    (CFG, "aedb368a4c639aea5426d8ddd36c2ee2ba67e9ba07c023540eeab2f695cc59ca"),
     (SolverConfig(pipeline=("backtrack", "twostage"), backtrack_limit=2000,
                   backtrack_restarts=3, perturb_rate=0.05),
-     "cd1bc8a701dec487c46c5640ea55ff0172eb4f0e8adafe5b28152cbdd1d54db2"),
+     "13d85165efd93ef05502b4d0efef30259efe9564cc2b2399df2b82c02af36e0b"),
 ]
 
 
@@ -158,7 +158,7 @@ def test_sweep_certificates_replay_byte_identical(tmp_path, cfg, digest):
 # SHA-256 of the certificate file of sweep(11, 11, ...) at the default
 # config, frozen like REPLAY_DIGESTS: the pool and the block size must
 # not move a byte.
-N11_DIGEST = "c6339df415301cb147e31ecff0904305a0a5112274e583050940c25fe03b8de1"
+N11_DIGEST = "966a48f310a14d43e66dc0a2b2dd7c2ca449f05950d3bb8dd00c5e0264fb7696"
 
 
 @pytest.mark.parametrize("workers, blocks",

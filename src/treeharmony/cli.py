@@ -34,9 +34,7 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
                        help="key=value file setting solver parameters in bulk")
     for name in _CONFIG_FLAGS:
         flag = "--" + name.replace("_", "-")
-        if name == "perturb_rate":
-            group.add_argument(flag, type=float, default=None)
-        elif name == "pipeline":
+        if name == "pipeline":
             group.add_argument(flag, default=None,
                                help="comma-separated solver tags, e.g. twostage,backtrack")
         else:

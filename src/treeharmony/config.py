@@ -19,19 +19,22 @@ DEFAULT_SEED = 1000003
 # Version 2: stage 2 of the two-stage solver runs a Hall prefilter and
 # sibling refutation.  Version 3: stage 1 of the two-stage solver only
 # returns partials with sum((deg(v) - 1) * f(v)) = 0 (mod n-1).
-SOLVER_VERSION = 3
+# Version 4: both searches draw each candidate when they try it, not a
+# shuffled list per depth; stage 1 checks the congruence one node early;
+# stage 2 runs its Hall check below the root once it has backtracked;
+# perturbation is gone.
+SOLVER_VERSION = 4
 
 PIPELINE_TAGS = ("twostage", "backtrack", "tabu")
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Limits, tenures and probabilities for the three solvers, the
-    hybrid pipeline order, and the sweep's global seed."""
+    """Limits and tenures for the three solvers, the hybrid pipeline
+    order, and the sweep's global seed."""
 
     backtrack_limit: int = 50000      # backtrack events allowed per restart
     backtrack_restarts: int = 20      # independent runs per solve call
-    perturb_rate: float = 0.01        # per forward step
     tabu_sample_pairs: int = 30
     tabu_tenure: int = 8
     tabu_max_iters: int | None = None  # None: 20000 * n
@@ -103,8 +106,6 @@ class SolverConfig:
                 continue
             if key == "pipeline":
                 parsed[key] = tuple(t.strip() for t in value.split(",") if t.strip())
-            elif key == "perturb_rate":
-                parsed[key] = float(value)
             elif key == "tabu_max_iters" and value.lower() in ("none", "auto"):
                 parsed[key] = None
             else:

@@ -12,21 +12,28 @@ avoids the used sums, leaf values must be pairwise distinct, and leaf
 edge sums must be pairwise distinct too (the model's sum constraint
 covers leaf edges just as it covers internal ones).
 
-Most stage-1 partials admit no extension, so stage 2 refutes before it
-searches.  A Hall prefilter first asks whether the leaves can be matched
-to distinct values, and to distinct edge sums, at all; if not, the
-partial is rejected without a search.  The leaf search then holds each
-domain as an int bitmask, shrinks the domains by forward checking after
-every fixation, and picks variables smallest-domain-first.  Leaves with
-the same parent are interchangeable (swapping their values keeps both
-the value set and the sum set), so a value refuted for one leaf is
-struck from its free siblings too.
+Most stage-1 partials admit no extension, so stage 2 refutes as it
+searches.  The leaf search holds each domain as an int bitmask, shrinks
+the domains by forward checking after every fixation, and picks
+variables smallest-domain-first.  At the root, and at every level once
+the search has backtracked, it then asks whether the free leaves can
+still be matched to distinct values, and to distinct edge sums, at all
+(Hall's condition, found by bipartite matching as in Regin's
+all-different reasoning, but without its value filtering); if not, the
+fixation fails without a deeper search.  Leaves with the same parent
+are interchangeable (swapping their values keeps both the value set and
+the sum set), so a value refuted for one leaf is struck from its free
+siblings too.
 
-Both stages draw from the solver's RNG in a fixed pattern (see
-:func:`solve_leaf_csp`).  That pattern is a contract: a sweep is
-replayed from its seeds alone, so a change in what is drawn changes the
-labels, and so the bytes, of a replayed certificate file, and must come
-with a new :data:`treeharmony.config.SOLVER_VERSION`.
+Both stages draw from the solver's RNG in a fixed pattern: a search
+level keeps its untried values as a bitmask and, each time it tries
+one, draws it with :func:`treeharmony.backtracking._pick` (r as
+``random.Random._randbelow(c)`` draws it over the c untried values, then
+the r-th lowest of them; a last untried value draws nothing).  Nothing
+else is drawn.  That pattern is a contract: a sweep is replayed from its
+seeds alone, so a change in what is drawn changes the labels, and so the
+bytes, of a replayed certificate file, and must come with a new
+:data:`treeharmony.config.SOLVER_VERSION`.
 
 Stage 1 also enforces a counting rule that every harmonious labelling f
 meets.  With m = n-1 the edge sums run over Z_m once each, so
@@ -34,7 +41,9 @@ sum_v deg(v) f(v) = 0 + 1 + ... + (m-1) = m(m-1)/2 (mod m); the labels
 are 0..m once each, so sum_v f(v) = m(m+1)/2.  Subtracting,
 sum_v (deg(v) - 1) f(v) = -m = 0 (mod m).  Leaves have weight 0, so the
 internal labels alone decide the rule, and partials that break it are
-never built.
+never built: the last internal node takes only values that close the
+sum, and the one before it only values that leave the last node such a
+value.
 
 A chosen stage-1 partial may admit no extension even when the tree is
 harmonious, so the pair of stages is retried several times before the
@@ -43,7 +52,7 @@ solver reports failure.
 
 from dataclasses import dataclass
 
-from .backtracking import _open_values, _shuffled_values, label_dfs
+from .backtracking import _open_values, _pick, label_dfs
 from .config import SolveOutcome, SolverConfig
 from .labelling import BIJECTIVE, is_harmonious, normalize_labelling
 from .trees import Tree, internal_nodes
@@ -135,10 +144,20 @@ def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
 
 def _matchable(masks) -> bool:
     """True when every mask can keep a bit of its own that no other mask
-    keeps (a system of distinct representatives): Kuhn's augmenting
-    paths over int masks, taking a free bit wherever there is one."""
+    keeps (a system of distinct representatives): a greedy pass that
+    takes each mask's lowest free bit, then Kuhn's augmenting paths over
+    int masks for the masks it left without one."""
     owner: dict[int, int] = {}   # bit -> index of the mask holding it
     taken = 0                    # the bits held
+    pending = []
+    for i, mask in enumerate(masks):
+        spare = mask & ~taken
+        if spare:
+            bit = spare & -spare
+            taken |= bit
+            owner[bit] = i
+        else:
+            pending.append(i)
     seen = 0                     # the bits visited by this augmentation
 
     def augment(i: int) -> bool:
@@ -159,60 +178,73 @@ def _matchable(masks) -> bool:
                 owner[bit] = i
                 return True
 
-    for i in range(len(masks)):
+    for i in pending:
         seen = 0
         if not augment(i):
             return False
     return True
 
 
-def _sum_mask(dom: int, pl: int, m: int) -> int:
-    """The edge sums that the values of *dom* make with parent label pl:
-    the inverse of the rotation in
-    :func:`treeharmony.backtracking._open_values`."""
-    r = pl % m
+def _hall_holds(doms, parent_labels, m: int) -> bool:
+    """True when the free leaves (the non-zero entries of *doms*) can be
+    matched to distinct values of their domains, and also to distinct
+    edge sums: Hall's condition for both all-different constraints.  The
+    sums of a domain are its values rotated left by the parent label,
+    the inverse of :func:`treeharmony.backtracking._open_values`."""
+    if not _matchable([d for d in doms if d]):
+        return False
     low = (1 << m) - 1
-    d = dom & low
-    sums = ((d << r) | (d >> (m - r))) & low
-    if dom >> m:
-        sums |= 1 << r
-    return sums
+    sums = []
+    for dom, pl in zip(doms, parent_labels):
+        if dom:
+            r = pl % m
+            d = dom & low
+            mask = ((d << r) | (d >> (m - r))) & low
+            if dom >> m:   # value m has the sum of value 0
+                mask |= 1 << r
+            sums.append(mask)
+    return _matchable(sums)
 
 
 def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
                    on_prune=None) -> dict[int, int] | None:
-    """Refute, then search, the leaf CSP.
+    """Search the leaf CSP, refuting what it can at every level.
 
-    First a Hall prefilter: unless the leaves can be matched to distinct
-    values in their domains, and also to distinct edge sums, the CSP is
-    rejected.  Then backtracking with forward checking.  Domains are int
-    bitmasks: bit w of a leaf's domain means the leaf may still take
+    Backtracking with forward checking and a Hall check.  Domains are
+    int bitmasks: bit w of a leaf's domain means the leaf may still take
     value w.  After each fixation the assigned value is removed from
     every free leaf's domain, and so is every value that would repeat the
     new edge sum.  The next variable is the free leaf with the smallest
     domain (ties to the lowest leaf position), picked in the same pass as
-    forward checking; that pass stops at the first wipeout.  Each search
-    level keeps its own domain list, so backtracking just drops the
+    forward checking; that pass stops at the first wipeout.  Once the
+    search has backtracked, a fixation that forward checking survives
+    must also leave the free leaves matchable to distinct values and to
+    distinct edge sums (:func:`_hall_holds`); if they are not, the
+    fixation fails as a wipeout does.  The same check on the initial
+    domains rejects a CSP before any search.  Each search level keeps
+    its own domain list, in which the entry of the level's leaf holds
+    the values it has not yet tried, so backtracking just drops the
     level.
 
-    Sibling refutation: when value v of a level's leaf fails (a wipeout
-    or an exhausted subtree), v is cleared from every free sibling of
-    that leaf in the level's domain list, since a solution giving v to a
-    sibling would give v to the leaf once the two swap values.  Siblings
-    start with equal domains and forward checking takes the same values
-    from each, so a free sibling's domain is just the leaf's untried
-    values: it runs dry exactly when the level does.
+    Sibling refutation: when value v of a level's leaf fails (a wipeout,
+    a Hall violation or an exhausted subtree), v is cleared from every
+    free sibling of that leaf in the level's domain list, since a
+    solution giving v to a sibling would give v to the leaf once the two
+    swap values.  Siblings start with equal domains and forward checking
+    takes the same values from each, so a free sibling's domain is just
+    the leaf's untried values: it runs dry exactly when the level does.
 
     ``on_prune(leaf, value, assigned)`` is called on every forward-checking
-    removal (soundness instrumentation for tests); sibling refutations
-    are not reported, as a refuted value may still extend to a labelling
-    under another assignment.  None on failure or budget exhaustion.
+    removal (soundness instrumentation for tests); Hall violations and
+    sibling refutations are not reported, as a refuted value may still
+    extend to a labelling under another assignment.  None on failure or
+    budget exhaustion.
 
     The RNG consumption is a contract (see the module docstring): a CSP
-    with an empty domain or one the prefilter rejects draws nothing;
-    otherwise each new level draws what one ``rng.shuffle`` of its
-    variable's values listed in ascending order draws (a single value
-    draws nothing), and nothing else is drawn.
+    with an empty domain or one that fails the Hall check draws nothing;
+    otherwise each value a level tries is drawn when it is tried, with
+    :func:`treeharmony.backtracking._pick` on the level's untried values
+    (so a last untried value draws nothing), and nothing else is drawn.
     """
     k = len(csp.leaves)
     if k == 0:
@@ -222,11 +254,11 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     doms = list(csp.domain_masks)
     m = csp.n - 1
     parent_labels = csp.parent_labels
-    if not (_matchable(doms) and _matchable(
-            [_sum_mask(d, pl, m) for d, pl in zip(doms, parent_labels)])):
+    if not _hall_holds(doms, parent_labels, m):
         return None
     leaves = csp.leaves
     getrandbits = rng.getrandbits
+    pick = _pick
     # kill[s][j]: the values whose edge sum with leaf j's parent label is
     # s.  Labels run over {0..m}, so that is (s - pl) % m, plus m when
     # (s - pl) % m == 0.  Rows are built on first use.
@@ -240,19 +272,17 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     sibs = [[g for g in groups[pl] if g != j] for j, pl in enumerate(parent_labels)]
     # the domain list of each level; an assigned leaf's entry is 0
     levels = [doms]
-    first = min(range(k), key=lambda j: doms[j].bit_count())
-    chosen = [first]
-    stacks = [_shuffled_values(doms[first], getrandbits)]
+    chosen = [min(range(k), key=lambda j: doms[j].bit_count())]
     values: list[int] = []   # values[d] is the value of chosen[d]
     backtracks = 0
     while True:
-        stack = stacks[-1]
+        level = levels[-1]
         i = chosen[-1]
-        if not stack:
-            stacks.pop()
+        untried = level[i]
+        if not untried:
             chosen.pop()
             levels.pop()
-            if not stacks:
+            if not levels:
                 return None
             if backtracks >= budget:
                 return None
@@ -261,14 +291,15 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
             i = chosen[-1]
             value = values.pop()
         else:
-            value = stack.pop()
+            value = pick(untried, getrandbits)
+            vbit = 1 << value
+            level[i] = untried ^ vbit
             if len(chosen) == k:
                 values.append(value)
                 return {leaves[j]: w for j, w in zip(chosen, values)}
             pl = parent_labels[i]
             s = (value + pl) % m
-            vbit = 1 << value
-            doms = levels[-1][:]
+            doms = level[:]
             doms[i] = 0
             if on_prune is not None:
                 assigned = {leaves[j]: w for j, w in zip(chosen, values)}
@@ -298,11 +329,14 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
                     if size < best_size:
                         best, best_size = j, size
             else:
-                values.append(value)
-                levels.append(doms)
-                chosen.append(best)
-                stacks.append(_shuffled_values(doms[best], getrandbits))
-                continue
+                # below the root, Hall is checked once the search has
+                # backtracked: a search that has not yet failed seldom
+                # repays the matching
+                if not backtracks or _hall_holds(doms, parent_labels, m):
+                    values.append(value)
+                    levels.append(doms)
+                    chosen.append(best)
+                    continue
         # value is refuted for leaf i under this level's assignment, and
         # so for each free sibling of i (an assigned one's entry stays 0)
         keep = ~(1 << value)

@@ -7,7 +7,7 @@ from itertools import permutations
 import pytest
 
 from treeharmony import backtracking
-from treeharmony.backtracking import _shuffled_values, label_dfs, solve_backtracking
+from treeharmony.backtracking import _pick, label_dfs, solve_backtracking
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import is_harmonious, normalize_labelling
@@ -25,29 +25,37 @@ CFG = SolverConfig()
 
 @pytest.fixture
 def ascending(monkeypatch):
-    """Leaves every candidate list of label_dfs in ascending order, so
-    the largest candidate is tried first, and records each list."""
+    """Makes label_dfs try the largest untried candidate first and
+    records the candidates of each pick, in ascending order."""
     candidates = []
 
-    def record(dom, getrandbits):
-        values = [v for v in range(dom.bit_length()) if dom >> v & 1]
-        candidates.append(list(values))
-        return values
+    def record(mask, getrandbits):
+        candidates.append([v for v in range(mask.bit_length()) if mask >> v & 1])
+        return mask.bit_length() - 1
 
-    monkeypatch.setattr(backtracking, "_shuffled_values", record)
+    monkeypatch.setattr(backtracking, "_pick", record)
     return candidates
 
 
-def test_shuffled_values_draws_like_shuffle():
+def test_pick_draws_like_randbelow():
     rng = random.Random(11)
     for _ in range(500):
-        dom = rng.getrandbits(rng.randrange(1, 40))
+        mask = rng.getrandbits(rng.randrange(1, 40)) or 1
         seed = rng.getrandbits(32)
         ref_rng, new_rng = random.Random(seed), random.Random(seed)
-        want = [v for v in range(dom.bit_length()) if dom >> v & 1]
-        ref_rng.shuffle(want)
-        assert _shuffled_values(dom, new_rng.getrandbits) == want
+        values = [v for v in range(mask.bit_length()) if mask >> v & 1]
+        want = values[ref_rng._randbelow(len(values))] if len(values) > 1 \
+            else values[0]
+        assert _pick(mask, new_rng.getrandbits) == want
         assert new_rng.getstate() == ref_rng.getstate()
+
+
+def test_pick_single_candidate_draws_nothing():
+    for value in (0, 1, 7, 39):
+        rng = random.Random(value)
+        state = rng.getstate()
+        assert _pick(1 << value, rng.getrandbits) == value
+        assert rng.getstate() == state
 
 
 def test_valid_labels_fresh_node_gets_all(ascending):
@@ -164,7 +172,7 @@ def test_trivial_sizes_inside_restart_loop():
 
 
 def test_perturbation_keeps_soundness():
-    cfg = SolverConfig(perturb_rate=0.5)
+    cfg = SolverConfig()
     for seed in range(20):
         for seq in ((0, 1, 2, 1, 2, 1), (0, 1, 2, 3, 2, 1, 1)):
             tree = Tree.from_level_sequence(seq)

@@ -34,13 +34,11 @@ def test_pipeline_validation():
 def test_with_overrides_parses_strings():
     cfg = SolverConfig().with_overrides({
         "backtrack_limit": "10",
-        "perturb_rate": "0.25",
         "tabu_max_iters": "none",
         "pipeline": "tabu,twostage",
         "global_seed": "9",
     })
     assert cfg.backtrack_limit == 10
-    assert cfg.perturb_rate == 0.25
     assert cfg.tabu_max_iters is None
     assert cfg.pipeline == ("tabu", "twostage")
     assert cfg.global_seed == 9
@@ -49,6 +47,9 @@ def test_with_overrides_parses_strings():
 def test_with_overrides_rejects_unknown_key():
     with pytest.raises(ValueError):
         SolverConfig().with_overrides({"not_a_knob": "1"})
+    # removed with solver version 4
+    with pytest.raises(ValueError):
+        SolverConfig().with_overrides({"perturb_rate": "0.01"})
 
 
 def test_from_file(tmp_path):

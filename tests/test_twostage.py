@@ -4,12 +4,12 @@ forward checking, and the retry loop."""
 import math
 import random
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import or_
 
 import pytest
 
-from treeharmony import twostage
+from treeharmony import backtracking, twostage
 from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees, prufer_decode
@@ -151,6 +151,98 @@ def test_label_dfs_with_weights_complete_on_every_small_tree():
     assert verdicts == {True, False}
 
 
+class _AssignmentLog(list):
+    """A labels list that logs each assignment as (node, labels before
+    it), so a test can tell which node the search's last pick was for."""
+
+    def __init__(self, n):
+        super().__init__([-1] * n)
+        self.log = []
+
+    def __setitem__(self, node, value):
+        self.log.append((node, tuple(self)))
+        super().__setitem__(node, value)
+
+
+def _second_last_values(order, parents, labels, n_values, weights, m):
+    """Brute force over the second-last position, given the labels of the
+    earlier positions: the values x it may take (unused, and with a new
+    edge sum), and those of them that some value y of the last position
+    completes (injective, distinct sums on the edges to parents, and
+    sum(weights[k] * f(order[k])) = 0 (mod m))."""
+    last = len(order) - 1
+    label = {v: labels[v] for v in order[:last - 1]}
+    rest = sum(w * label[v] for w, v in zip(weights, order[:last - 1]))
+    used_sums = [(label[v] + label[p]) % m
+                 for v, p in zip(order[:last - 1], parents) if p >= 0]
+    unused = set(range(n_values)) - set(label.values())
+    p = parents[last - 1]
+    valid = {x for x in unused
+             if p < 0 or (x + label[p]) % m not in used_sums}
+    closable = set()
+    for x, y in permutations(unused, 2):
+        if (rest + weights[last - 1] * x + weights[last] * y) % m:
+            continue
+        full = {**label, order[last - 1]: x, order[last]: y}
+        sums = used_sums + [(full[v] + full[p]) % m
+                            for v, p in zip(order[last - 1:], parents[last - 1:])
+                            if p >= 0]
+        if len(set(sums)) == len(sums):
+            closable.add(x)
+    return valid, closable
+
+
+def test_congruence_lookahead_keeps_every_closable_value(monkeypatch):
+    # every time the weighted search enters its second-last position, the
+    # candidates it draws from include every value that a brute force
+    # can close; stage-1 and random weights on every tree n=3..8, with
+    # all n values or one spare value, as in
+    # test_label_dfs_with_weights_complete_on_every_small_tree
+    masks = []
+
+    def record(mask, getrandbits):
+        masks.append(mask)
+        return pick(mask, getrandbits)
+
+    pick = backtracking._pick
+    monkeypatch.setattr(backtracking, "_pick", record)
+    rng = random.Random(0x1A)
+    entries = narrowed = 0
+    for n in range(3, 9):
+        m = n - 1
+        for seq in free_trees(n):
+            tree = Tree.from_level_sequence(seq)
+            internal = internal_nodes(tree)
+            order = sorted(internal)
+            if len(order) < 2:
+                continue
+            parents = [tree.parents[v] if tree.parents[v] in internal else -1
+                       for v in order]
+            stage1 = [len(tree.adjacency[v]) - 1 for v in order]
+            for weights in (stage1, *([rng.randrange(m) for _ in order]
+                                      for _ in range(2))):
+                for n_values, seed in product({n, len(order) + 1}, range(3)):
+                    masks.clear()
+                    labels = _AssignmentLog(n)
+                    label_dfs(order, parents, labels, n_values, math.inf,
+                              random.Random(seed), weights=weights)
+                    depths = [order.index(node) for node, _ in labels.log]
+                    for d, (mask, (_, before)) in enumerate(zip(masks, labels.log)):
+                        # a pick for the second-last node right after one
+                        # for the node before it enters that position
+                        if depths[d] != len(order) - 2 or \
+                                d > 0 and depths[d - 1] != len(order) - 3:
+                            continue
+                        entries += 1
+                        offered = {w for w in range(n) if mask >> w & 1}
+                        valid, closable = _second_last_values(
+                            order, parents, before, n_values, weights, m)
+                        assert closable <= offered <= valid, \
+                            (seq, weights, n_values, before)
+                        narrowed += offered != valid
+    assert entries > 1000 and narrowed > 100, (entries, narrowed)
+
+
 # ------------------------------------------------------------------ #
 # Leaf CSP construction                                               #
 # ------------------------------------------------------------------ #
@@ -211,14 +303,13 @@ def test_leaf_csp_singleton_domains_assigned_without_branching():
 # Stage 2 against the set-based reference                             #
 # ------------------------------------------------------------------ #
 
-def _hall_holds(csp):
-    """Brute-force Hall condition: every set of leaves has, between them,
-    at least as many candidate values, and as many candidate edge sums,
-    as it has leaves."""
-    m = csp.n - 1
-    values = [set(d) for d in csp.domains]
-    sums = [{(w + pl) % m for w in d}
-            for d, pl in zip(csp.domains, csp.parent_labels)]
+def _hall_holds(domains, parent_labels, m):
+    """Brute-force Hall condition: every set of leaves, given by their
+    value *domains* and parent labels, has between them at least as many
+    candidate values, and as many candidate edge sums, as it has
+    leaves."""
+    values = [set(d) for d in domains]
+    sums = [{(w + pl) % m for w in d} for d, pl in zip(domains, parent_labels)]
     k = len(values)
     for size in range(1, k + 1):
         for subset in combinations(range(k), size):
@@ -229,28 +320,29 @@ def _hall_holds(csp):
     return True
 
 
-def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall):
+def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall_refuted):
     """A set-and-trail leaf search kept as a test-only oracle: the
     bitmask solver must match its variable order, value order, budget
-    accounting and RNG draws.  *hall* is the verdict of
-    :func:`_hall_holds` on *csp*, which the caller computes once per
-    CSP."""
+    accounting and RNG draws.  The root, and every level once the search
+    has backtracked, checks :func:`_hall_holds` on the free leaves'
+    domains; *hall_refuted* is a one-item list that counts the fixations
+    it refutes below the root."""
     k = len(csp.leaves)
     if k == 0:
         return {}
     if csp.has_empty_domain:
         return None
-    if not hall:
-        return None
     m = csp.n - 1
-    domains = [set(d) for d in csp.domains]
     parent_labels = csp.parent_labels
+    domains = [set(d) for d in csp.domains]
+    if not _hall_holds(domains, parent_labels, m):
+        return None
     siblings = [[j for j in range(k) if j != i and parent_labels[j] == pl]
                 for i, pl in enumerate(parent_labels)]
     assigned: dict[int, int] = {}
     done = [False] * k
     trail: list[list[tuple[int, int]]] = []
-    stacks: list = []
+    untried: list[set[int]] = []   # per level, the values not yet tried
     chosen: list[int] = []
     refuted: list[list[tuple[int, int]]] = []   # per level, undone with it
     backtracks = 0
@@ -292,16 +384,30 @@ def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall):
                 wipeout = True
         return not wipeout
 
+    def hall_check() -> bool:
+        free = [j for j in range(k) if not done[j]]
+        if _hall_holds([domains[j] for j in free],
+                       [parent_labels[j] for j in free], m):
+            return True
+        hall_refuted[0] += 1
+        return False
+
     def undo():
         for j, w in trail.pop():
             domains[j].add(w)
 
     def push_level(i):
-        values = sorted(domains[i])
-        rng.shuffle(values)
-        stacks.append(values)
+        untried.append(set(domains[i]))
         chosen.append(i)
         refuted.append([])
+
+    def draw(values):
+        # r as random.Random._randbelow draws it, then the r-th lowest
+        # value; a single value draws nothing
+        ordered = sorted(values)
+        r = rng._randbelow(len(ordered)) if len(ordered) > 1 else 0
+        values.discard(ordered[r])
+        return ordered[r]
 
     def refute(i, value):
         # leaf i cannot take value at this level, so no free sibling can
@@ -311,18 +417,17 @@ def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall):
             domains[j].discard(value)
             refuted[-1].append((j, value))
             if not domains[j]:
-                stacks[-1].clear()
+                untried[-1].clear()
 
     push_level(pick_variable())
     while True:
         i = chosen[-1]
-        stack = stacks[-1]
-        if not stack:
-            stacks.pop()
+        if not untried[-1]:
+            untried.pop()
             chosen.pop()
             for j, w in refuted.pop():
                 domains[j].add(w)
-            if not stacks:
+            if not untried:
                 return None
             if backtracks >= budget:
                 return None
@@ -333,13 +438,13 @@ def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall):
             undo()
             refute(i, value)
             continue
-        value = stack.pop()
+        value = draw(untried[-1])
         assigned[csp.leaves[i]] = value
         done[i] = True
         trail.append([])
         if len(assigned) == k:
             return dict(assigned)
-        if forward_check(i, value):
+        if forward_check(i, value) and (not backtracks or hall_check()):
             push_level(pick_variable())
         else:
             del assigned[csp.leaves[i]]
@@ -352,7 +457,8 @@ def test_bitmask_solver_matches_set_reference():
     # Stage-1 partials of random trees, plus arbitrary injective partials
     # of the same internal nodes, which often leave an empty domain.
     rng = random.Random(2024)
-    seen = {"empty": 0, "hall": 0, "solved": 0, "failed": 0}
+    seen = {"empty": 0, "hall": 0, "hall_below_root": 0, "solved": 0,
+            "failed": 0}
     for _ in range(1000):
         n = rng.randrange(4, 13)
         code = [rng.randrange(n) for _ in range(n - 2)]
@@ -366,15 +472,16 @@ def test_bitmask_solver_matches_set_reference():
                 continue
             csp = build_leaf_csp(tree, partial)
             seen["empty"] += csp.has_empty_domain
-            hall = _hall_holds(csp)
-            seen["hall"] += not (csp.has_empty_domain or hall)
+            seen["hall"] += not (csp.has_empty_domain or _hall_holds(
+                csp.domains, csp.parent_labels, n - 1))
             for budget in (0, 1, 150):
                 seed = rng.getrandbits(32)
                 ref_rng, new_rng = random.Random(seed), random.Random(seed)
                 ref_pruned, new_pruned = [], []
+                hall_refuted = [0]
                 want = _reference_solve_leaf_csp(
                     csp, ref_rng, budget,
-                    lambda *removal: ref_pruned.append(removal), hall)
+                    lambda *removal: ref_pruned.append(removal), hall_refuted)
                 got = solve_leaf_csp(
                     csp, new_rng, budget,
                     lambda *removal: new_pruned.append(removal))
@@ -385,6 +492,7 @@ def test_bitmask_solver_matches_set_reference():
                 # subsequence of the reference's removals
                 rest = iter(ref_pruned)
                 assert all(removal in rest for removal in new_pruned)
+                seen["hall_below_root"] += hall_refuted[0]
                 seen["solved" if got is not None else "failed"] += 1
     assert min(seen.values()) > 100, seen
 
@@ -462,7 +570,7 @@ def test_stage2_complete_relative_to_its_sample():
 
 
 def test_stage2_complete_on_every_small_tree():
-    # the Hall prefilter and sibling refutation cut no extension away:
+    # the Hall checks and sibling refutation cut no extension away:
     # every tree n=4..8 (stars and other sibling-heavy trees included),
     # three stage-1 partials each
     rng = random.Random(0x5EB)

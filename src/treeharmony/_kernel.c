@@ -1,0 +1,720 @@
+/*
+ * Compiled core of the two labelling searches.
+ *
+ * label_dfs is the bounded labelling DFS of backtracking.label_dfs, with
+ * its optional weights, the solve table of the last position and the
+ * lookahead of the second-last one.  solve_leaf_csp is the leaf search of
+ * twostage.solve_leaf_csp: forward checking, smallest domain first, the
+ * Hall check at the root and (once the search has backtracked) below it,
+ * and sibling refutation.  The Python modules document the searches;
+ * this file follows them step for step.
+ *
+ * Values, sums and leaf positions are bits of a uint64_t, so a tree has
+ * at most 64 nodes.  Every random draw is a call of the caller's own
+ * getrandbits(k): a level with c >= 2 untried values draws r as
+ * random.Random._randbelow(c) does (getrandbits of c's bit length until
+ * it is below c) and takes the r-th lowest untried value; a last untried
+ * value draws nothing.  Nothing else is drawn, so a search here leaves a
+ * random.Random in the state the Python search would leave it in.
+ */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
+#include <limits.h>
+#include <math.h>
+#include <stdint.h>
+#include <string.h>
+
+#define MAX_NODES 64
+
+/* getrandbits arguments: the bit lengths 1..7 of the counts 2..64 */
+static PyObject *bit_length_args[8];
+
+static inline int
+floor_mod(long long a, int m)
+{
+    long long r = a % m;
+    return (int)(r < 0 ? r + m : r);
+}
+
+static inline int
+popcount(uint64_t x)
+{
+    return __builtin_popcountll(x);
+}
+
+static inline int
+lowest_bit(uint64_t x)
+{
+    return __builtin_ctzll(x);
+}
+
+/* One value of the non-empty mask, drawn as described at the top. */
+static int
+pick(uint64_t mask, PyObject *getrandbits, int *value)
+{
+    int c = popcount(mask);
+    if (c > 1) {
+        PyObject *k = bit_length_args[32 - __builtin_clz((unsigned)c)];
+        unsigned long r;
+        do {
+            PyObject *drawn = PyObject_CallOneArg(getrandbits, k);
+            if (drawn == NULL)
+                return -1;
+            r = PyLong_AsUnsignedLong(drawn);
+            Py_DECREF(drawn);
+            if (r == (unsigned long)-1 && PyErr_Occurred())
+                return -1;
+        } while (r >= (unsigned long)c);
+        while (r--)
+            mask &= mask - 1;
+    }
+    *value = lowest_bit(mask);
+    return 0;
+}
+
+/* The values w in 0..m whose edge sum with parent label pl is a bit of
+ * open: open rotated right by pl % m within m bits, plus bit m when bit
+ * pl % m is open (value m has the sum of value 0). */
+static inline uint64_t
+open_values(uint64_t open, int pl, int m)
+{
+    int r = floor_mod(pl, m);
+    uint64_t low = (UINT64_C(1) << m) - 1;
+    uint64_t allowed = ((open >> r) | (open << (m - r))) & low;
+    if (open >> r & 1)
+        allowed |= UINT64_C(1) << m;
+    return allowed;
+}
+
+/* A budget as a count: an int, or a float such as math.inf. */
+static int
+read_budget(PyObject *obj, long long *out)
+{
+    if (PyFloat_Check(obj)) {
+        double d = PyFloat_AS_DOUBLE(obj);
+        if (isnan(d)) {
+            PyErr_SetString(PyExc_ValueError, "budget must not be NaN");
+            return -1;
+        }
+        d = ceil(d);
+        *out = d >= 0x1p62 ? LLONG_MAX : d <= -0x1p62 ? LLONG_MIN : (long long)d;
+        return 0;
+    }
+    int overflow;
+    long long b = PyLong_AsLongLongAndOverflow(obj, &overflow);
+    if (b == -1 && PyErr_Occurred())
+        return -1;
+    *out = overflow > 0 ? LLONG_MAX : overflow < 0 ? LLONG_MIN : b;
+    return 0;
+}
+
+/* Reads len ints of a sequence (a list or tuple from PySequence_Fast). */
+static int
+read_ints(PyObject *fast, Py_ssize_t len, long long *out)
+{
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (Py_ssize_t i = 0; i < len; i++) {
+        out[i] = PyLong_AsLongLong(items[i]);
+        if (out[i] == -1 && PyErr_Occurred())
+            return -1;
+    }
+    return 0;
+}
+
+static PyObject *
+too_large(Py_ssize_t n)
+{
+    PyErr_Format(PyExc_ValueError,
+                 "the search kernel handles trees of at most %d nodes, not %zd",
+                 MAX_NODES, n);
+    return NULL;
+}
+
+/* ------------------------------------------------------------------ */
+/* Hall's condition                                                    */
+/* ------------------------------------------------------------------ */
+
+struct matching {
+    uint64_t *masks;
+    int owner[64];     /* bit -> index of the mask holding it */
+    uint64_t taken;    /* the bits held */
+    uint64_t seen;     /* the bits visited by this augmentation */
+};
+
+static int
+augment(struct matching *mt, int i)
+{
+    uint64_t spare = mt->masks[i] & ~mt->taken;
+    if (spare) {
+        int bit = lowest_bit(spare);
+        mt->taken |= UINT64_C(1) << bit;
+        mt->owner[bit] = i;
+        return 1;
+    }
+    for (;;) {
+        uint64_t avail = mt->masks[i] & ~mt->seen;
+        if (!avail)
+            return 0;
+        int bit = lowest_bit(avail);
+        mt->seen |= UINT64_C(1) << bit;
+        if (augment(mt, mt->owner[bit])) {
+            mt->owner[bit] = i;
+            return 1;
+        }
+    }
+}
+
+/* True when every mask can keep a bit of its own that no other mask
+ * keeps: a greedy pass that takes each mask's lowest free bit, then
+ * Kuhn's augmenting paths for the masks it left without one. */
+static int
+matchable(uint64_t *masks, int count)
+{
+    struct matching mt;
+    int pending[64];
+    int n_pending = 0;
+    mt.masks = masks;
+    mt.taken = 0;
+    for (int i = 0; i < count; i++) {
+        uint64_t spare = masks[i] & ~mt.taken;
+        if (spare) {
+            int bit = lowest_bit(spare);
+            mt.taken |= UINT64_C(1) << bit;
+            mt.owner[bit] = i;
+        }
+        else {
+            pending[n_pending++] = i;
+        }
+    }
+    for (int p = 0; p < n_pending; p++) {
+        mt.seen = 0;
+        if (!augment(&mt, pending[p]))
+            return 0;
+    }
+    return 1;
+}
+
+/* True when the free leaves (the non-zero domains) can be matched to
+ * distinct values of their domains, and also to distinct edge sums.  The
+ * sums of a domain are its values rotated left by the parent label, the
+ * inverse of open_values. */
+static int
+hall_holds(uint64_t *doms, int *plm, int k, int m)
+{
+    uint64_t masks[64];
+    uint64_t low = (UINT64_C(1) << m) - 1;
+    int count = 0;
+    for (int j = 0; j < k; j++)
+        if (doms[j])
+            masks[count++] = doms[j];
+    if (!matchable(masks, count))
+        return 0;
+    count = 0;
+    for (int j = 0; j < k; j++) {
+        uint64_t dom = doms[j];
+        if (!dom)
+            continue;
+        int r = plm[j];
+        uint64_t d = dom & low;
+        uint64_t mask = ((d << r) | (d >> (m - r))) & low;
+        if (dom >> m & 1)
+            mask |= UINT64_C(1) << r;
+        masks[count++] = mask;
+    }
+    return matchable(masks, count);
+}
+
+/* ------------------------------------------------------------------ */
+/* label_dfs                                                           */
+/* ------------------------------------------------------------------ */
+
+struct dfs {
+    int m;                      /* edge sums are taken mod m */
+    int last;                   /* the last position */
+    int weighted;
+    uint64_t low;               /* the m sum bits */
+    uint64_t full;              /* the values 0..n_values-1 */
+    uint64_t used_values;
+    uint64_t used_sums;
+    int total;                  /* sum of weights[k] * value so far, mod m */
+    int w_last;                 /* weights[last] mod m */
+    int p_last;                 /* see label_dfs */
+    long long par[MAX_NODES];
+    int lab[MAX_NODES];
+    uint64_t solve[MAX_NODES];  /* values w with w_last * w = t (mod m) */
+    uint64_t pre[MAX_NODES];    /* values x with weights[last-1] * x = q (mod m) */
+};
+
+/* The candidates of depth k: unused values with a new edge sum, which at
+ * the last position close the weighted sum and at the second-last leave
+ * the last position a value that closes it. */
+static uint64_t
+candidates(const struct dfs *s, int k)
+{
+    int m = s->m;
+    uint64_t open = s->low & ~s->used_sums;
+    uint64_t free_ = s->full & ~s->used_values;
+    int p = (int)s->par[k];
+    if (p >= 0)
+        free_ &= open_values(open, s->lab[p], m);
+    if (s->weighted && k == s->last) {
+        free_ &= s->solve[(m - s->total) % m];
+    }
+    else if (s->weighted && k == s->last - 1) {
+        /* the values x that some candidate y of the last position can
+         * close: pre[(-total - w_last * y) % m] over those y */
+        uint64_t ys = s->full & ~s->used_values;
+        if (s->p_last >= 0)
+            ys &= open_values(open, s->lab[s->p_last], m);
+        uint64_t reach = 0;
+        for (; ys; ys &= ys - 1)
+            reach |= s->pre[floor_mod(-(long long)s->total
+                                      - (long long)s->w_last * lowest_bit(ys), m)];
+        free_ &= reach;
+    }
+    return free_;
+}
+
+PyDoc_STRVAR(label_dfs_doc,
+"label_dfs(order, parents, labels, n_values, budget, getrandbits, weights)\n"
+"--\n\n"
+"The search of treeharmony.backtracking.label_dfs; labels (a list) is\n"
+"written in place.  Returns (success, backtracks).");
+
+static PyObject *
+k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "label_dfs takes 7 arguments");
+        return NULL;
+    }
+    PyObject *labels = args[2];
+    PyObject *getrandbits = args[5];
+    PyObject *weights_arg = args[6];
+    if (!PyList_Check(labels)) {
+        PyErr_SetString(PyExc_TypeError, "labels must be a list");
+        return NULL;
+    }
+    Py_ssize_t n = PyList_GET_SIZE(labels);
+    long n_values = PyLong_AsLong(args[3]);
+    if (n_values == -1 && PyErr_Occurred())
+        return NULL;
+    long long budget;
+    if (read_budget(args[4], &budget) < 0)
+        return NULL;
+
+    PyObject *order_f = NULL, *parents_f = NULL, *weights_f = NULL;
+    PyObject *result = NULL;
+    struct dfs s;
+    long long ord[MAX_NODES], wts[MAX_NODES];
+    int wmod[MAX_NODES];        /* weights mod m */
+    uint64_t untried[MAX_NODES];   /* each depth's untried candidates */
+
+    order_f = PySequence_Fast(args[0], "order must be a sequence");
+    if (order_f == NULL)
+        goto done;
+    Py_ssize_t size = PySequence_Fast_GET_SIZE(order_f);
+    if (size == 0) {
+        result = Py_BuildValue("(Oi)", Py_True, 0);
+        goto done;
+    }
+    if (n > MAX_NODES || n_values > MAX_NODES || size > MAX_NODES) {
+        too_large(n > size ? n : size);
+        goto done;
+    }
+    if (n < 2 || n_values < 0) {
+        PyErr_SetString(PyExc_ValueError,
+                        "label_dfs needs at least two labels and n_values >= 0");
+        goto done;
+    }
+    parents_f = PySequence_Fast(args[1], "parents must be a sequence");
+    if (parents_f == NULL)
+        goto done;
+    if (PySequence_Fast_GET_SIZE(parents_f) < size) {
+        PyErr_SetString(PyExc_IndexError, "parents is shorter than order");
+        goto done;
+    }
+    if (read_ints(order_f, size, ord) < 0 || read_ints(parents_f, size, s.par) < 0)
+        goto done;
+    s.weighted = weights_arg != Py_None;
+    if (s.weighted) {
+        weights_f = PySequence_Fast(weights_arg, "weights must be a sequence");
+        if (weights_f == NULL)
+            goto done;
+        if (PySequence_Fast_GET_SIZE(weights_f) < size) {
+            PyErr_SetString(PyExc_IndexError, "weights is shorter than order");
+            goto done;
+        }
+        if (read_ints(weights_f, size, wts) < 0)
+            goto done;
+    }
+    for (Py_ssize_t v = 0; v < n; v++) {
+        long x = PyLong_AsLong(PyList_GET_ITEM(labels, v));
+        if (x == -1 && PyErr_Occurred())
+            goto done;
+        if (x < INT_MIN / 2 || x > INT_MAX / 2) {
+            PyErr_SetString(PyExc_OverflowError, "label out of range");
+            goto done;
+        }
+        s.lab[v] = (int)x;
+    }
+    for (Py_ssize_t k = 0; k < size; k++) {
+        if (ord[k] < 0 || ord[k] >= n || s.par[k] >= n) {
+            PyErr_SetString(PyExc_IndexError, "node index out of range");
+            goto done;
+        }
+    }
+
+    int m = s.m = (int)n - 1;
+    int last = s.last = (int)size - 1;
+    s.low = (UINT64_C(1) << m) - 1;
+    s.full = n_values == 64 ? ~UINT64_C(0) : (UINT64_C(1) << n_values) - 1;
+    s.used_values = s.used_sums = 0;
+    s.total = 0;
+    s.p_last = -1;
+    if (s.weighted) {
+        for (int k = 0; k <= last; k++)
+            wmod[k] = floor_mod(wts[k], m);
+        s.w_last = wmod[last];
+        memset(s.solve, 0, sizeof s.solve);
+        for (int w = 0; w < n_values; w++)
+            s.solve[s.w_last * w % m] |= UINT64_C(1) << w;
+        if (size >= 2) {
+            int w_pre = wmod[last - 1];
+            memset(s.pre, 0, sizeof s.pre);
+            for (int x = 0; x < n_values; x++)
+                s.pre[w_pre * x % m] |= UINT64_C(1) << x;
+            /* the last node's parent, when its label is known before the
+             * second-last position is chosen */
+            s.p_last = (int)s.par[last];
+            if (s.p_last == ord[last - 1])
+                s.p_last = -1;
+        }
+    }
+
+    long long backtracks = 0;
+    int ok;
+    int k = 0;
+    untried[0] = candidates(&s, 0);
+    for (;;) {
+        uint64_t mask = untried[k];
+        if (!mask) {
+            if (backtracks >= budget) {
+                ok = 0;
+                break;
+            }
+            backtracks++;
+            k--;
+            if (k < 0) {
+                ok = 0;
+                break;
+            }
+            int value = s.lab[ord[k]];
+            s.used_values ^= UINT64_C(1) << value;
+            int p = (int)s.par[k];
+            if (p >= 0)
+                s.used_sums ^= UINT64_C(1) << floor_mod((long long)value + s.lab[p], m);
+            if (s.weighted)
+                s.total = floor_mod((long long)s.total - (long long)wmod[k] * value, m);
+            continue;
+        }
+        int value;
+        if (pick(mask, getrandbits, &value) < 0)
+            goto done;
+        untried[k] = mask ^ (UINT64_C(1) << value);
+        s.lab[ord[k]] = value;
+        s.used_values |= UINT64_C(1) << value;
+        int p = (int)s.par[k];
+        if (p >= 0)
+            s.used_sums |= UINT64_C(1) << floor_mod((long long)value + s.lab[p], m);
+        if (s.weighted)
+            s.total = (s.total + wmod[k] * value) % m;
+        k++;
+        if (k == size) {
+            ok = 1;
+            break;
+        }
+        untried[k] = candidates(&s, k);
+    }
+    for (Py_ssize_t j = 0; j < size; j++) {
+        PyObject *x = PyLong_FromLong(s.lab[ord[j]]);
+        if (x == NULL || PyList_SetItem(labels, ord[j], x) < 0)   /* steals x */
+            goto done;
+    }
+    result = Py_BuildValue("(OL)", ok ? Py_True : Py_False, backtracks);
+
+done:
+    Py_XDECREF(order_f);
+    Py_XDECREF(parents_f);
+    Py_XDECREF(weights_f);
+    return result;
+}
+
+/* ------------------------------------------------------------------ */
+/* solve_leaf_csp                                                      */
+/* ------------------------------------------------------------------ */
+
+/* {leaves[chosen[d]]: values[d] for d < depth}, in search order. */
+static PyObject *
+assignment(PyObject **leaves, const int *chosen, const int *values, int depth)
+{
+    PyObject *out = PyDict_New();
+    if (out == NULL)
+        return NULL;
+    for (int d = 0; d < depth; d++) {
+        PyObject *x = PyLong_FromLong(values[d]);
+        if (x == NULL || PyDict_SetItem(out, leaves[chosen[d]], x) < 0) {
+            Py_XDECREF(x);
+            Py_DECREF(out);
+            return NULL;
+        }
+        Py_DECREF(x);
+    }
+    return out;
+}
+
+/* on_prune(leaf, value, dict(assigned)) */
+static int
+report_prune(PyObject *on_prune, PyObject *leaf, int value, PyObject *assigned)
+{
+    PyObject *copy = PyDict_Copy(assigned);
+    if (copy == NULL)
+        return -1;
+    PyObject *res = PyObject_CallFunction(on_prune, "OiO", leaf, value, copy);
+    Py_DECREF(copy);
+    if (res == NULL)
+        return -1;
+    Py_DECREF(res);
+    return 0;
+}
+
+PyDoc_STRVAR(solve_leaf_csp_doc,
+"solve_leaf_csp(leaves, parent_labels, domain_masks, m, budget, getrandbits, on_prune)\n"
+"--\n\n"
+"The search of treeharmony.twostage.solve_leaf_csp: a dict from leaf to\n"
+"value, or None.");
+
+static PyObject *
+k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "solve_leaf_csp takes 7 arguments");
+        return NULL;
+    }
+    PyObject *getrandbits = args[5];
+    PyObject *on_prune = args[6] == Py_None ? NULL : args[6];
+    long m_long = PyLong_AsLong(args[3]);
+    if (m_long == -1 && PyErr_Occurred())
+        return NULL;
+    if (m_long >= MAX_NODES)
+        return too_large(m_long + 1);
+    int m = (int)m_long;
+    long long budget;
+    if (read_budget(args[4], &budget) < 0)
+        return NULL;
+
+    PyObject *leaves_f = NULL, *labels_f = NULL, *doms_f = NULL;
+    PyObject *assigned = NULL;
+    PyObject *result = NULL;
+    int plm[MAX_NODES];            /* parent label of each leaf, mod m */
+    uint64_t sibs[MAX_NODES];      /* the other leaves with the same parent label */
+    uint64_t levels[MAX_NODES][MAX_NODES];   /* the domain list of each level */
+    int chosen[MAX_NODES];         /* the leaf of each level */
+    int values[MAX_NODES];         /* values[d] is the value of chosen[d] */
+
+    leaves_f = PySequence_Fast(args[0], "leaves must be a sequence");
+    if (leaves_f == NULL)
+        goto done;
+    Py_ssize_t k_size = PySequence_Fast_GET_SIZE(leaves_f);
+    if (k_size == 0) {
+        result = PyDict_New();
+        goto done;
+    }
+    if (k_size >= MAX_NODES) {
+        too_large(k_size + 1);
+        goto done;
+    }
+    if (m < 1) {
+        PyErr_SetString(PyExc_ValueError, "a leaf CSP with leaves needs m >= 1");
+        goto done;
+    }
+    int k = (int)k_size;
+    PyObject **leaves = PySequence_Fast_ITEMS(leaves_f);
+    labels_f = PySequence_Fast(args[1], "parent_labels must be a sequence");
+    if (labels_f == NULL)
+        goto done;
+    doms_f = PySequence_Fast(args[2], "domain_masks must be a sequence");
+    if (doms_f == NULL)
+        goto done;
+    if (PySequence_Fast_GET_SIZE(labels_f) != k || PySequence_Fast_GET_SIZE(doms_f) != k) {
+        PyErr_SetString(PyExc_ValueError,
+                        "leaves, parent_labels and domain_masks differ in length");
+        goto done;
+    }
+    long long pl[MAX_NODES];
+    if (read_ints(labels_f, k, pl) < 0)
+        goto done;
+    uint64_t *doms = levels[0];
+    int empty = 0;
+    for (int j = 0; j < k; j++) {
+        doms[j] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(doms_f, j));
+        if (doms[j] == (unsigned long long)-1 && PyErr_Occurred())
+            goto done;
+        if (doms[j] >> m >> 1) {
+            PyErr_SetString(PyExc_ValueError, "a domain holds a value above m");
+            goto done;
+        }
+        empty |= !doms[j];
+        plm[j] = floor_mod(pl[j], m);
+    }
+    if (empty || !hall_holds(doms, plm, k, m)) {
+        result = Py_NewRef(Py_None);
+        goto done;
+    }
+    for (int i = 0; i < k; i++) {
+        sibs[i] = 0;
+        for (int j = 0; j < k; j++)
+            if (j != i && pl[j] == pl[i])
+                sibs[i] |= UINT64_C(1) << j;
+    }
+    int best = 0;
+    for (int j = 1; j < k; j++)
+        if (popcount(doms[j]) < popcount(doms[best]))
+            best = j;
+    chosen[0] = best;
+    int depth = 1;   /* the levels in use; values holds depth - 1 entries */
+    long long backtracks = 0;
+    for (;;) {
+        uint64_t *level = levels[depth - 1];
+        int i = chosen[depth - 1];
+        uint64_t untried = level[i];
+        int value;
+        if (!untried) {
+            depth--;
+            if (depth == 0 || backtracks >= budget) {
+                result = Py_NewRef(Py_None);
+                goto done;
+            }
+            backtracks++;
+            /* the subtree of the enclosing level's value is exhausted */
+            i = chosen[depth - 1];
+            value = values[depth - 1];
+        }
+        else {
+            if (pick(untried, getrandbits, &value) < 0)
+                goto done;
+            uint64_t vbit = UINT64_C(1) << value;
+            level[i] = untried ^ vbit;
+            values[depth - 1] = value;
+            if (depth == k) {
+                result = assignment(leaves, chosen, values, depth);
+                goto done;
+            }
+            int s = (value + plm[i]) % m;
+            uint64_t *next = levels[depth];
+            memcpy(next, level, (size_t)k * sizeof(uint64_t));
+            next[i] = 0;
+            if (on_prune != NULL) {
+                Py_XDECREF(assigned);
+                assigned = assignment(leaves, chosen, values, depth);
+                if (assigned == NULL)
+                    goto done;
+            }
+            int best_size = m + 2;
+            int wiped = 0;
+            best = -1;
+            for (int j = 0; j < k; j++) {
+                uint64_t dom = next[j];
+                if (!dom)
+                    continue;
+                /* the values whose edge sum with leaf j's parent is s:
+                 * (s - pl) % m, and m when that is 0 */
+                int c = s - plm[j];
+                if (c < 0)
+                    c += m;
+                uint64_t kill = vbit | UINT64_C(1) << c;
+                if (c == 0)
+                    kill |= UINT64_C(1) << m;
+                uint64_t kept = dom & ~kill;
+                if (on_prune != NULL && kept != dom) {
+                    uint64_t removed = dom ^ kept;
+                    if (removed & vbit) {
+                        if (report_prune(on_prune, leaves[j], value, assigned) < 0)
+                            goto done;
+                        removed ^= vbit;
+                    }
+                    for (; removed; removed &= removed - 1)
+                        if (report_prune(on_prune, leaves[j], lowest_bit(removed),
+                                         assigned) < 0)
+                            goto done;
+                }
+                if (!kept) {
+                    wiped = 1;
+                    break;
+                }
+                next[j] = kept;
+                if (best_size > 1) {   /* no surviving domain is smaller than 1 */
+                    int size = popcount(kept);
+                    if (size < best_size) {
+                        best = j;
+                        best_size = size;
+                    }
+                }
+            }
+            /* below the root, Hall is checked once the search has
+             * backtracked: a search that has not yet failed seldom
+             * repays the matching */
+            if (!wiped && (!backtracks || hall_holds(next, plm, k, m))) {
+                if (best < 0) {
+                    PyErr_SetString(PyExc_SystemError,
+                                    "leaf search found no free leaf below a partial assignment");
+                    goto done;
+                }
+                chosen[depth++] = best;
+                continue;
+            }
+        }
+        /* value is refuted for leaf i under this level's assignment, and
+         * so for each free sibling of i (an assigned one's entry stays 0) */
+        uint64_t keep = ~(UINT64_C(1) << value);
+        level = levels[depth - 1];
+        for (uint64_t sib = sibs[i]; sib; sib &= sib - 1)
+            level[lowest_bit(sib)] &= keep;
+    }
+
+done:
+    Py_XDECREF(assigned);
+    Py_XDECREF(leaves_f);
+    Py_XDECREF(labels_f);
+    Py_XDECREF(doms_f);
+    return result;
+}
+
+static PyMethodDef kernel_methods[] = {
+    {"label_dfs", (PyCFunction)(void (*)(void))k_label_dfs, METH_FASTCALL, label_dfs_doc},
+    {"solve_leaf_csp", (PyCFunction)(void (*)(void))k_solve_leaf_csp, METH_FASTCALL,
+     solve_leaf_csp_doc},
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernel_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "treeharmony._kernel",
+    .m_doc = "Compiled labelling DFS and leaf search of treeharmony.",
+    .m_size = -1,
+    .m_methods = kernel_methods,
+};
+
+PyMODINIT_FUNC
+PyInit__kernel(void)
+{
+    for (int k = 0; k < 8; k++) {
+        if (bit_length_args[k] == NULL) {
+            bit_length_args[k] = PyLong_FromLong(k);
+            if (bit_length_args[k] == NULL)
+                return NULL;
+        }
+    }
+    return PyModule_Create(&kernel_module);
+}

@@ -30,6 +30,7 @@ root's value is the one value non-root nodes may still take.
 
 from .config import SolveOutcome, SolverConfig
 from .labelling import is_harmonious
+from .native import kernel
 from .trees import Tree
 
 
@@ -43,24 +44,6 @@ def _open_values(open_sums: int, pl: int, m: int) -> int:
     if open_sums >> r & 1:
         allowed |= 1 << m
     return allowed
-
-
-def _pick(mask: int, getrandbits) -> int:
-    """One value of the non-empty bitmask *mask*, drawn on demand: with
-    c >= 2 set bits, r is drawn as ``random.Random._randbelow(c)`` draws
-    it (``getrandbits(k)`` with k the bit length of c, repeated until it
-    is below c) and the r-th lowest set bit is taken; a single set bit
-    draws nothing."""
-    c = mask.bit_count()
-    if c == 1:
-        return mask.bit_length() - 1
-    k = c.bit_length()
-    r = getrandbits(k)
-    while r >= c:
-        r = getrandbits(k)
-    for _ in range(r):
-        mask &= mask - 1
-    return (mask & -mask).bit_length() - 1
 
 
 def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
@@ -78,100 +61,22 @@ def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
     node's parent is labelled and is not the second-last node) closes
     the sum, ``weights[-2] * x + weights[-1] * y + rest = 0 (mod m)``.
 
-    Labels are written into *labels* in place; labels of nodes outside
-    *order* are read but never reserved.  Each depth keeps its untried
-    candidates as a bitmask and draws one with :func:`_pick` whenever it
-    tries the next.  Returns (success, backtracks); the search fails
-    once *budget* backtracks are spent or every candidate is exhausted,
-    leaving the labels of *order* unspecified.
+    Labels are written into *labels* (a list) in place; labels of nodes
+    outside *order* are read but never reserved.  Each depth keeps its
+    untried candidates as a bitmask and draws one whenever it tries the
+    next: with c >= 2 untried values it draws r as
+    ``random.Random._randbelow(c)`` does (``rng.getrandbits(k)`` with k
+    the bit length of c, repeated until it is below c) and takes the
+    r-th lowest; a last untried value draws nothing.  Returns (success,
+    backtracks); the search fails once *budget* backtracks are spent or
+    every candidate is exhausted, leaving the labels of *order*
+    unspecified.
+
+    The search runs in the compiled kernel (:mod:`treeharmony.native`),
+    so *labels* has at most 64 entries; more raise ValueError.
     """
-    size = len(order)
-    if size == 0:
-        return True, 0
-    m = len(labels) - 1
-    low = (1 << m) - 1
-    full = (1 << n_values) - 1
-    getrandbits = rng.getrandbits
-    pick = _pick
-    used_values = used_sums = 0   # bit masks of the values and sums held
-    untried = [0] * size          # bit mask of each depth's untried values
-    backtracks = 0
-    last = size - 1
-    total = 0   # sum of weights[k] * value over the labelled positions
-    solve = pre = None
-    p_last = -1
-    if weights is not None:
-        # solve[t]: the values w with weights[last] * w = t (mod m)
-        solve = [0] * m
-        w_last = weights[last]
-        for w in range(n_values):
-            solve[w_last * w % m] |= 1 << w
-        if size >= 2:
-            # pre[q]: the values x with weights[last - 1] * x = q (mod m)
-            pre = [0] * m
-            w_pre = weights[last - 1]
-            for x in range(n_values):
-                pre[w_pre * x % m] |= 1 << x
-            # the last node's parent, when its label is known before the
-            # second-last position is chosen
-            p_last = parents[last]
-            if p_last == order[last - 1]:
-                p_last = -1
-
-    def candidates(k):
-        free = full & ~used_values
-        p = parents[k]
-        if p >= 0:
-            free &= _open_values(low & ~used_sums, labels[p], m)
-        if solve is not None:
-            if k == last:
-                free &= solve[-total % m]
-            elif k == last - 1:
-                # the values x that some candidate y of the last position
-                # can close: pre[(-total - w_last * y) % m] over those y
-                ys = full & ~used_values
-                if p_last >= 0:
-                    ys &= _open_values(low & ~used_sums, labels[p_last], m)
-                reach = 0
-                while ys:
-                    y = ys & -ys
-                    reach |= pre[(-total - w_last * (y.bit_length() - 1)) % m]
-                    ys ^= y
-                free &= reach
-        return free
-
-    k = 0
-    untried[0] = candidates(0)
-    while True:
-        mask = untried[k]
-        if not mask:
-            if backtracks >= budget:
-                return False, backtracks
-            backtracks += 1
-            k -= 1
-            if k < 0:
-                return False, backtracks
-            value = labels[order[k]]
-            used_values ^= 1 << value
-            p = parents[k]
-            if p >= 0:
-                used_sums ^= 1 << (value + labels[p]) % m
-            if solve is not None:
-                total -= weights[k] * value
-            continue
-        value = pick(mask, getrandbits)
-        untried[k] = mask ^ (1 << value)
-        labels[order[k]] = value
-        used_values |= 1 << value
-        p = parents[k]
-        if p >= 0:
-            used_sums |= 1 << (value + labels[p]) % m
-        if solve is not None:
-            total += weights[k] * value
-        k += 1
-        if k == size:
-            return True, backtracks
-        untried[k] = candidates(k)
+    return kernel().label_dfs(order, parents, labels, n_values, budget,
+                              rng.getrandbits, weights)
 
 
 def _run_once(tree: Tree, cfg: SolverConfig, rng) -> tuple[tuple[int, ...] | None, int]:

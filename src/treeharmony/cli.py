@@ -22,6 +22,7 @@ from .generate import count_free_trees_enumerated, free_trees, oracle_count_otte
 from .hybrid import (DEFAULT_BLOCK_SIZE, CheckpointError, SOLVERS,
                      _solver_rng_seed, make_certificate, solve_hybrid, sweep)
 from .labelling import Certificate, CertificateError, verify_certificate
+from .native import KernelBuildError
 from .trees import (LevelSequenceError, Tree, canonicalize,
                     format_level_sequence, parse_level_sequence)
 
@@ -238,8 +239,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except ValueError as exc:
-        # flag/config validation (e.g. bad pipeline tag, bad config file)
+    except (ValueError, KernelBuildError) as exc:
+        # flag/config validation (e.g. bad pipeline tag, bad config file),
+        # a tree too large for the search kernel, or no way to build it
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -27,10 +27,10 @@ siblings too.
 
 Both stages draw from the solver's RNG in a fixed pattern: a search
 level keeps its untried values as a bitmask and, each time it tries
-one, draws it with :func:`treeharmony.backtracking._pick` (r as
-``random.Random._randbelow(c)`` draws it over the c untried values, then
-the r-th lowest of them; a last untried value draws nothing).  Nothing
-else is drawn.  That pattern is a contract: a sweep is replayed from its
+one, draws it on demand (r as ``random.Random._randbelow(c)`` draws it
+over the c untried values, through ``rng.getrandbits``, then the r-th
+lowest of them; a last untried value draws nothing).  Nothing else is
+drawn.  That pattern is a contract: a sweep is replayed from its
 seeds alone, so a change in what is drawn changes the labels, and so the
 bytes, of a replayed certificate file, and must come with a new
 :data:`treeharmony.config.SOLVER_VERSION`.
@@ -48,14 +48,20 @@ value.
 A chosen stage-1 partial may admit no extension even when the tree is
 harmonious, so the pair of stages is retried several times before the
 solver reports failure.
+
+Both searches run in the compiled kernel (:mod:`treeharmony.native`),
+which limits trees to 64 nodes.  The Python functions here prepare their
+input and keep their names, signatures and draws.
 """
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .backtracking import _open_values, _pick, label_dfs
+from .backtracking import _open_values, label_dfs
 from .config import SolveOutcome, SolverConfig
 from .labelling import BIJECTIVE, is_harmonious, normalize_labelling
-from .trees import Tree, internal_nodes
+from .native import kernel
+from .trees import Tree
 
 
 def _bits(mask: int) -> frozenset[int]:
@@ -96,114 +102,75 @@ class LeafCSP:
         return not all(self.domain_masks)
 
 
+class _TreeConstants(NamedTuple):
+    order: tuple[int, ...]          # the internal nodes, ascending
+    parents: tuple[int, ...]        # each one's parent, -1 for the root
+    weights: tuple[int, ...]        # each one's degree - 1
+    internal_edges: tuple[tuple[int, int], ...]   # (node, parent), both internal
+    leaves: tuple[int, ...]
+    leaf_parents: tuple[int, ...]   # each leaf's one neighbour
+
+
+_cached_tree: Tree | None = None
+_cached: _TreeConstants | None = None
+
+
+def _constants(tree: Tree) -> _TreeConstants:
+    """What every two-stage run on *tree* needs of its shape.  A solver
+    runs the stages up to ``twostage_runs`` times on one tree before it
+    moves on, so one cached tree, held by identity, serves all of them."""
+    global _cached_tree, _cached
+    if tree is not _cached_tree:
+        adjacency = tree.adjacency
+        order = tuple(v for v in range(tree.n) if len(adjacency[v]) > 1)
+        # A parent precedes its children in level-sequence order, so each
+        # internal node's only earlier internal neighbour is its parent.
+        parents = tuple(p if p >= 0 and len(adjacency[p]) > 1 else -1
+                        for p in map(tree.parents.__getitem__, order))
+        leaves = tuple(v for v in range(tree.n) if len(adjacency[v]) <= 1)
+        _cached = _TreeConstants(
+            order, parents, tuple(len(adjacency[v]) - 1 for v in order),
+            tuple((v, p) for v, p in zip(order, parents) if p >= 0),
+            leaves, tuple(adjacency[leaf][0] for leaf in leaves if adjacency[leaf]))
+        _cached_tree = tree
+    return _cached
+
+
 def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None:
     """Randomized bounded backtracking over the internal nodes: injective
     values from {0..n-1} with pairwise-distinct internal-internal edge
     sums mod m = n-1, and sum((deg(v) - 1) * f(v)) = 0 (mod m) over the
     internal nodes v, which every harmonious labelling meets (see the
     module docstring).  None once the backtrack budget runs out."""
-    internal = internal_nodes(tree)
-    order = sorted(internal)
-    # A parent precedes its children in level-sequence order, so each
-    # internal node's only earlier internal neighbour is its parent.
-    parents = [tree.parents[v] if tree.parents[v] in internal else -1 for v in order]
-    weights = [len(tree.adjacency[v]) - 1 for v in order]
+    c = _constants(tree)
     labels = [-1] * tree.n
-    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, rng,
-                      weights=weights)
-    return {v: labels[v] for v in order} if ok else None
+    ok, _ = label_dfs(c.order, c.parents, labels, tree.n, cfg.stage1_budget, rng,
+                      weights=c.weights)
+    return dict(zip(c.order, map(labels.__getitem__, c.order))) if ok else None
 
 
 def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
-    """Reduce the remaining problem to a CSP over the leaves, the nodes
-    that *partial* (stage 1's labels of the internal nodes) leaves
-    unlabelled.  An empty initial domain is not an error here; it shows
-    up as an immediate stage-2 failure and triggers a stage-1 retry."""
+    """Reduce the remaining problem to a CSP over the leaves, given
+    *partial*, stage 1's labels of the internal nodes.  An empty initial
+    domain is not an error here; it shows up as an immediate stage-2
+    failure and triggers a stage-1 retry."""
+    c = _constants(tree)
     n = tree.n
     m = n - 1
-    low = (1 << m) - 1
-    adjacency = tree.adjacency
-    parents = tree.parents
     used_values = used_sums = 0
-    for v, value in partial.items():
+    for value in partial.values():
         used_values |= 1 << value
-        p = parents[v]
-        if p in partial:   # both ends internal
-            used_sums |= 1 << ((value + partial[p]) % m)
-    leaf_list = tuple(v for v in range(n) if v not in partial)
-    parent_labels = tuple(partial[adjacency[leaf][0]] for leaf in leaf_list)
+    for v, p in c.internal_edges:
+        used_sums |= 1 << ((partial[v] + partial[p]) % m)
+    parent_labels = tuple(map(partial.__getitem__, c.leaf_parents))
     free = ((1 << n) - 1) & ~used_values
-    open_sums = low & ~used_sums
+    open_sums = ((1 << m) - 1) & ~used_sums
     by_label: dict[int, int] = {}
     for pl in parent_labels:
         if pl not in by_label:
             by_label[pl] = free & _open_values(open_sums, pl, m)
-    domains = tuple(by_label[pl] for pl in parent_labels)
-    return LeafCSP(n, leaf_list, parent_labels, used_values, used_sums, domains)
-
-
-def _matchable(masks) -> bool:
-    """True when every mask can keep a bit of its own that no other mask
-    keeps (a system of distinct representatives): a greedy pass that
-    takes each mask's lowest free bit, then Kuhn's augmenting paths over
-    int masks for the masks it left without one."""
-    owner: dict[int, int] = {}   # bit -> index of the mask holding it
-    taken = 0                    # the bits held
-    pending = []
-    for i, mask in enumerate(masks):
-        spare = mask & ~taken
-        if spare:
-            bit = spare & -spare
-            taken |= bit
-            owner[bit] = i
-        else:
-            pending.append(i)
-    seen = 0                     # the bits visited by this augmentation
-
-    def augment(i: int) -> bool:
-        nonlocal taken, seen
-        spare = masks[i] & ~taken
-        if spare:
-            bit = spare & -spare
-            taken |= bit
-            owner[bit] = i
-            return True
-        while True:
-            avail = masks[i] & ~seen
-            if not avail:
-                return False
-            bit = avail & -avail
-            seen |= bit
-            if augment(owner[bit]):
-                owner[bit] = i
-                return True
-
-    for i in pending:
-        seen = 0
-        if not augment(i):
-            return False
-    return True
-
-
-def _hall_holds(doms, parent_labels, m: int) -> bool:
-    """True when the free leaves (the non-zero entries of *doms*) can be
-    matched to distinct values of their domains, and also to distinct
-    edge sums: Hall's condition for both all-different constraints.  The
-    sums of a domain are its values rotated left by the parent label,
-    the inverse of :func:`treeharmony.backtracking._open_values`."""
-    if not _matchable([d for d in doms if d]):
-        return False
-    low = (1 << m) - 1
-    sums = []
-    for dom, pl in zip(doms, parent_labels):
-        if dom:
-            r = pl % m
-            d = dom & low
-            mask = ((d << r) | (d >> (m - r))) & low
-            if dom >> m:   # value m has the sum of value 0
-                mask |= 1 << r
-            sums.append(mask)
-    return _matchable(sums)
+    domains = tuple(map(by_label.__getitem__, parent_labels))
+    return LeafCSP(n, c.leaves, parent_labels, used_values, used_sums, domains)
 
 
 def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
@@ -211,7 +178,7 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     """Search the leaf CSP, refuting what it can at every level.
 
     Backtracking with forward checking and a Hall check.  Domains are
-    int bitmasks: bit w of a leaf's domain means the leaf may still take
+    bitmasks: bit w of a leaf's domain means the leaf may still take
     value w.  After each fixation the assigned value is removed from
     every free leaf's domain, and so is every value that would repeat the
     new edge sum.  The next variable is the free leaf with the smallest
@@ -219,12 +186,13 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     forward checking; that pass stops at the first wipeout.  Once the
     search has backtracked, a fixation that forward checking survives
     must also leave the free leaves matchable to distinct values and to
-    distinct edge sums (:func:`_hall_holds`); if they are not, the
-    fixation fails as a wipeout does.  The same check on the initial
-    domains rejects a CSP before any search.  Each search level keeps
-    its own domain list, in which the entry of the level's leaf holds
-    the values it has not yet tried, so backtracking just drops the
-    level.
+    distinct edge sums (Hall's condition for both all-different
+    constraints, found by a greedy pass and then Kuhn's augmenting
+    paths); if they are not, the fixation fails as a wipeout does.  The
+    same check on the initial domains rejects a CSP before any search.
+    Each search level keeps its own domain list, in which the entry of
+    the level's leaf holds the values it has not yet tried, so
+    backtracking just drops the level.
 
     Sibling refutation: when value v of a level's leaf fails (a wipeout,
     a Hall violation or an exhausted subtree), v is cleared from every
@@ -234,115 +202,23 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     takes the same values from each, so a free sibling's domain is just
     the leaf's untried values: it runs dry exactly when the level does.
 
-    ``on_prune(leaf, value, assigned)`` is called on every forward-checking
-    removal (soundness instrumentation for tests); Hall violations and
-    sibling refutations are not reported, as a refuted value may still
-    extend to a labelling under another assignment.  None on failure or
-    budget exhaustion.
+    ``on_prune(leaf, value, assigned)``, when given, is called on every
+    forward-checking removal (soundness instrumentation for tests); Hall
+    violations and sibling refutations are not reported, as a refuted
+    value may still extend to a labelling under another assignment.
+    None on failure or budget exhaustion.
 
     The RNG consumption is a contract (see the module docstring): a CSP
     with an empty domain or one that fails the Hall check draws nothing;
-    otherwise each value a level tries is drawn when it is tried, with
-    :func:`treeharmony.backtracking._pick` on the level's untried values
-    (so a last untried value draws nothing), and nothing else is drawn.
+    otherwise each value a level tries is drawn when it is tried, on the
+    level's untried values (so a last untried value draws nothing), and
+    nothing else is drawn.
+
+    The search runs in the compiled kernel; a CSP of a tree with more
+    than 64 nodes raises ValueError.
     """
-    k = len(csp.leaves)
-    if k == 0:
-        return {}
-    if csp.has_empty_domain:
-        return None
-    doms = list(csp.domain_masks)
-    m = csp.n - 1
-    parent_labels = csp.parent_labels
-    if not _hall_holds(doms, parent_labels, m):
-        return None
-    leaves = csp.leaves
-    getrandbits = rng.getrandbits
-    pick = _pick
-    # kill[s][j]: the values whose edge sum with leaf j's parent label is
-    # s.  Labels run over {0..m}, so that is (s - pl) % m, plus m when
-    # (s - pl) % m == 0.  Rows are built on first use.
-    base = [1 << c for c in range(m)]
-    base[0] |= 1 << m
-    kill: list = [None] * m
-    # sibs[j]: the other leaves with leaf j's parent
-    groups: dict[int, list[int]] = {}
-    for j, pl in enumerate(parent_labels):
-        groups.setdefault(pl, []).append(j)
-    sibs = [[g for g in groups[pl] if g != j] for j, pl in enumerate(parent_labels)]
-    # the domain list of each level; an assigned leaf's entry is 0
-    levels = [doms]
-    chosen = [min(range(k), key=lambda j: doms[j].bit_count())]
-    values: list[int] = []   # values[d] is the value of chosen[d]
-    backtracks = 0
-    while True:
-        level = levels[-1]
-        i = chosen[-1]
-        untried = level[i]
-        if not untried:
-            chosen.pop()
-            levels.pop()
-            if not levels:
-                return None
-            if backtracks >= budget:
-                return None
-            backtracks += 1
-            # the subtree of the enclosing level's value is exhausted
-            i = chosen[-1]
-            value = values.pop()
-        else:
-            value = pick(untried, getrandbits)
-            vbit = 1 << value
-            level[i] = untried ^ vbit
-            if len(chosen) == k:
-                values.append(value)
-                return {leaves[j]: w for j, w in zip(chosen, values)}
-            pl = parent_labels[i]
-            s = (value + pl) % m
-            doms = level[:]
-            doms[i] = 0
-            if on_prune is not None:
-                assigned = {leaves[j]: w for j, w in zip(chosen, values)}
-                assigned[leaves[i]] = value
-            kill_s = kill[s]
-            if kill_s is None:
-                kill_s = kill[s] = [base[(s - p) % m] for p in parent_labels]
-            best, best_size = -1, m + 2
-            for j, dom in enumerate(doms):
-                if not dom:
-                    continue
-                kept = dom & ~(vbit | kill_s[j])
-                if on_prune is not None and kept != dom:
-                    removed = dom ^ kept
-                    if removed & vbit:
-                        on_prune(leaves[j], value, dict(assigned))
-                        removed ^= vbit
-                    while removed:
-                        low = removed & -removed
-                        on_prune(leaves[j], low.bit_length() - 1, dict(assigned))
-                        removed ^= low
-                if not kept:
-                    break
-                doms[j] = kept
-                if best_size > 1:   # no surviving domain is smaller than 1
-                    size = kept.bit_count()
-                    if size < best_size:
-                        best, best_size = j, size
-            else:
-                # below the root, Hall is checked once the search has
-                # backtracked: a search that has not yet failed seldom
-                # repays the matching
-                if not backtracks or _hall_holds(doms, parent_labels, m):
-                    values.append(value)
-                    levels.append(doms)
-                    chosen.append(best)
-                    continue
-        # value is refuted for leaf i under this level's assignment, and
-        # so for each free sibling of i (an assigned one's entry stays 0)
-        keep = ~(1 << value)
-        level = levels[-1]
-        for j in sibs[i]:
-            level[j] &= keep
+    return kernel().solve_leaf_csp(csp.leaves, csp.parent_labels, csp.domain_masks,
+                                   csp.n - 1, budget, rng.getrandbits, on_prune)
 
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:

@@ -1,0 +1,292 @@
+"""The Python labelling DFS and leaf search, kept as test-side references.
+
+These are the searches that ``treeharmony._kernel`` (``_kernel.c``) runs
+in C, as they stood in pure Python before the port: ``label_dfs`` of
+:mod:`treeharmony.backtracking` and ``solve_leaf_csp`` of
+:mod:`treeharmony.twostage`, with their helpers.  The equivalence tests
+hold the kernel to them call for call: the same result, the same
+backtracks, the same labels and the same RNG state afterwards.  Tests
+that need to see inside the search (a patched ``_pick``, a labels list
+that logs its assignments) run these.
+"""
+
+from treeharmony.backtracking import _open_values
+from treeharmony.twostage import LeafCSP
+
+
+def _pick(mask: int, getrandbits) -> int:
+    """One value of the non-empty bitmask *mask*, drawn on demand: with
+    c >= 2 set bits, r is drawn as ``random.Random._randbelow(c)`` draws
+    it (``getrandbits(k)`` with k the bit length of c, repeated until it
+    is below c) and the r-th lowest set bit is taken; a single set bit
+    draws nothing."""
+    c = mask.bit_count()
+    if c == 1:
+        return mask.bit_length() - 1
+    k = c.bit_length()
+    r = getrandbits(k)
+    while r >= c:
+        r = getrandbits(k)
+    for _ in range(r):
+        mask &= mask - 1
+    return (mask & -mask).bit_length() - 1
+
+
+def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
+              weights=None) -> tuple[bool, int]:
+    """The search that :func:`treeharmony.backtracking.label_dfs`
+    documents, in Python."""
+    size = len(order)
+    if size == 0:
+        return True, 0
+    m = len(labels) - 1
+    low = (1 << m) - 1
+    full = (1 << n_values) - 1
+    getrandbits = rng.getrandbits
+    pick = _pick
+    used_values = used_sums = 0   # bit masks of the values and sums held
+    untried = [0] * size          # bit mask of each depth's untried values
+    backtracks = 0
+    last = size - 1
+    total = 0   # sum of weights[k] * value over the labelled positions
+    solve = pre = None
+    p_last = -1
+    if weights is not None:
+        # solve[t]: the values w with weights[last] * w = t (mod m)
+        solve = [0] * m
+        w_last = weights[last]
+        for w in range(n_values):
+            solve[w_last * w % m] |= 1 << w
+        if size >= 2:
+            # pre[q]: the values x with weights[last - 1] * x = q (mod m)
+            pre = [0] * m
+            w_pre = weights[last - 1]
+            for x in range(n_values):
+                pre[w_pre * x % m] |= 1 << x
+            # the last node's parent, when its label is known before the
+            # second-last position is chosen
+            p_last = parents[last]
+            if p_last == order[last - 1]:
+                p_last = -1
+
+    def candidates(k):
+        free = full & ~used_values
+        p = parents[k]
+        if p >= 0:
+            free &= _open_values(low & ~used_sums, labels[p], m)
+        if solve is not None:
+            if k == last:
+                free &= solve[-total % m]
+            elif k == last - 1:
+                # the values x that some candidate y of the last position
+                # can close: pre[(-total - w_last * y) % m] over those y
+                ys = full & ~used_values
+                if p_last >= 0:
+                    ys &= _open_values(low & ~used_sums, labels[p_last], m)
+                reach = 0
+                while ys:
+                    y = ys & -ys
+                    reach |= pre[(-total - w_last * (y.bit_length() - 1)) % m]
+                    ys ^= y
+                free &= reach
+        return free
+
+    k = 0
+    untried[0] = candidates(0)
+    while True:
+        mask = untried[k]
+        if not mask:
+            if backtracks >= budget:
+                return False, backtracks
+            backtracks += 1
+            k -= 1
+            if k < 0:
+                return False, backtracks
+            value = labels[order[k]]
+            used_values ^= 1 << value
+            p = parents[k]
+            if p >= 0:
+                used_sums ^= 1 << (value + labels[p]) % m
+            if solve is not None:
+                total -= weights[k] * value
+            continue
+        value = pick(mask, getrandbits)
+        untried[k] = mask ^ (1 << value)
+        labels[order[k]] = value
+        used_values |= 1 << value
+        p = parents[k]
+        if p >= 0:
+            used_sums |= 1 << (value + labels[p]) % m
+        if solve is not None:
+            total += weights[k] * value
+        k += 1
+        if k == size:
+            return True, backtracks
+        untried[k] = candidates(k)
+
+
+def _matchable(masks) -> bool:
+    """True when every mask can keep a bit of its own that no other mask
+    keeps (a system of distinct representatives): a greedy pass that
+    takes each mask's lowest free bit, then Kuhn's augmenting paths over
+    int masks for the masks it left without one."""
+    owner: dict[int, int] = {}   # bit -> index of the mask holding it
+    taken = 0                    # the bits held
+    pending = []
+    for i, mask in enumerate(masks):
+        spare = mask & ~taken
+        if spare:
+            bit = spare & -spare
+            taken |= bit
+            owner[bit] = i
+        else:
+            pending.append(i)
+    seen = 0                     # the bits visited by this augmentation
+
+    def augment(i: int) -> bool:
+        nonlocal taken, seen
+        spare = masks[i] & ~taken
+        if spare:
+            bit = spare & -spare
+            taken |= bit
+            owner[bit] = i
+            return True
+        while True:
+            avail = masks[i] & ~seen
+            if not avail:
+                return False
+            bit = avail & -avail
+            seen |= bit
+            if augment(owner[bit]):
+                owner[bit] = i
+                return True
+
+    for i in pending:
+        seen = 0
+        if not augment(i):
+            return False
+    return True
+
+
+def _hall_holds(doms, parent_labels, m: int) -> bool:
+    """True when the free leaves (the non-zero entries of *doms*) can be
+    matched to distinct values of their domains, and also to distinct
+    edge sums: Hall's condition for both all-different constraints.  The
+    sums of a domain are its values rotated left by the parent label,
+    the inverse of :func:`treeharmony.backtracking._open_values`."""
+    if not _matchable([d for d in doms if d]):
+        return False
+    low = (1 << m) - 1
+    sums = []
+    for dom, pl in zip(doms, parent_labels):
+        if dom:
+            r = pl % m
+            d = dom & low
+            mask = ((d << r) | (d >> (m - r))) & low
+            if dom >> m:   # value m has the sum of value 0
+                mask |= 1 << r
+            sums.append(mask)
+    return _matchable(sums)
+
+
+def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
+                   on_prune=None) -> dict[int, int] | None:
+    """The search that :func:`treeharmony.twostage.solve_leaf_csp`
+    documents, in Python."""
+    k = len(csp.leaves)
+    if k == 0:
+        return {}
+    if csp.has_empty_domain:
+        return None
+    doms = list(csp.domain_masks)
+    m = csp.n - 1
+    parent_labels = csp.parent_labels
+    if not _hall_holds(doms, parent_labels, m):
+        return None
+    leaves = csp.leaves
+    getrandbits = rng.getrandbits
+    pick = _pick
+    # kill[s][j]: the values whose edge sum with leaf j's parent label is
+    # s.  Labels run over {0..m}, so that is (s - pl) % m, plus m when
+    # (s - pl) % m == 0.  Rows are built on first use.
+    base = [1 << c for c in range(m)]
+    base[0] |= 1 << m
+    kill: list = [None] * m
+    # sibs[j]: the other leaves with leaf j's parent
+    groups: dict[int, list[int]] = {}
+    for j, pl in enumerate(parent_labels):
+        groups.setdefault(pl, []).append(j)
+    sibs = [[g for g in groups[pl] if g != j] for j, pl in enumerate(parent_labels)]
+    # the domain list of each level; an assigned leaf's entry is 0
+    levels = [doms]
+    chosen = [min(range(k), key=lambda j: doms[j].bit_count())]
+    values: list[int] = []   # values[d] is the value of chosen[d]
+    backtracks = 0
+    while True:
+        level = levels[-1]
+        i = chosen[-1]
+        untried = level[i]
+        if not untried:
+            chosen.pop()
+            levels.pop()
+            if not levels:
+                return None
+            if backtracks >= budget:
+                return None
+            backtracks += 1
+            # the subtree of the enclosing level's value is exhausted
+            i = chosen[-1]
+            value = values.pop()
+        else:
+            value = pick(untried, getrandbits)
+            vbit = 1 << value
+            level[i] = untried ^ vbit
+            if len(chosen) == k:
+                values.append(value)
+                return {leaves[j]: w for j, w in zip(chosen, values)}
+            pl = parent_labels[i]
+            s = (value + pl) % m
+            doms = level[:]
+            doms[i] = 0
+            if on_prune is not None:
+                assigned = {leaves[j]: w for j, w in zip(chosen, values)}
+                assigned[leaves[i]] = value
+            kill_s = kill[s]
+            if kill_s is None:
+                kill_s = kill[s] = [base[(s - p) % m] for p in parent_labels]
+            best, best_size = -1, m + 2
+            for j, dom in enumerate(doms):
+                if not dom:
+                    continue
+                kept = dom & ~(vbit | kill_s[j])
+                if on_prune is not None and kept != dom:
+                    removed = dom ^ kept
+                    if removed & vbit:
+                        on_prune(leaves[j], value, dict(assigned))
+                        removed ^= vbit
+                    while removed:
+                        low = removed & -removed
+                        on_prune(leaves[j], low.bit_length() - 1, dict(assigned))
+                        removed ^= low
+                if not kept:
+                    break
+                doms[j] = kept
+                if best_size > 1:   # no surviving domain is smaller than 1
+                    size = kept.bit_count()
+                    if size < best_size:
+                        best, best_size = j, size
+            else:
+                # below the root, Hall is checked once the search has
+                # backtracked: a search that has not yet failed seldom
+                # repays the matching
+                if not backtracks or _hall_holds(doms, parent_labels, m):
+                    values.append(value)
+                    levels.append(doms)
+                    chosen.append(best)
+                    continue
+        # value is refuted for leaf i under this level's assignment, and
+        # so for each free sibling of i (an assigned one's entry stays 0)
+        keep = ~(1 << value)
+        level = levels[-1]
+        for j in sibs[i]:
+            level[j] &= keep

@@ -6,8 +6,9 @@ from itertools import permutations
 
 import pytest
 
-from treeharmony import backtracking
-from treeharmony.backtracking import _pick, label_dfs, solve_backtracking
+import search_reference
+from search_reference import _pick
+from treeharmony.backtracking import label_dfs, solve_backtracking
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import is_harmonious, normalize_labelling
@@ -25,15 +26,17 @@ CFG = SolverConfig()
 
 @pytest.fixture
 def ascending(monkeypatch):
-    """Makes label_dfs try the largest untried candidate first and
-    records the candidates of each pick, in ascending order."""
+    """Makes the reference label_dfs (``search_reference``, which the
+    compiled kernel matches draw for draw) try the largest untried
+    candidate first, and records the candidates of each pick, in
+    ascending order."""
     candidates = []
 
     def record(mask, getrandbits):
         candidates.append([v for v in range(mask.bit_length()) if mask >> v & 1])
         return mask.bit_length() - 1
 
-    monkeypatch.setattr(backtracking, "_pick", record)
+    monkeypatch.setattr(search_reference, "_pick", record)
     return candidates
 
 
@@ -61,8 +64,8 @@ def test_pick_single_candidate_draws_nothing():
 def test_valid_labels_fresh_node_gets_all(ascending):
     # the preset root label is not reserved: node1 may take every value
     labels = [1, -1, -1, -1]
-    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, math.inf,
-                     random.Random(0))[0]
+    assert search_reference.label_dfs(range(1, 4), P4.parents[1:], labels, 3,
+                                      math.inf, random.Random(0))[0]
     assert set(ascending[0]) == {0, 1, 2}
     assert is_harmonious(P4, labels)
 
@@ -72,8 +75,8 @@ def test_valid_labels_p4_walkthrough(ascending):
     # allowed root duplicate, edge sum 1); node2's candidates must avoid
     # value 2 and sum 1, and node3 (sums 1,0 used) is left with 0
     labels = [2, -1, -1, -1]
-    assert label_dfs(range(1, 4), P4.parents[1:], labels, 3, 0,
-                     random.Random(0)) == (True, 0)
+    assert search_reference.label_dfs(range(1, 4), P4.parents[1:], labels, 3, 0,
+                                      random.Random(0)) == (True, 0)
     assert ascending == [[0, 1, 2], [0, 1], [0]]
     assert labels == [2, 2, 1, 0]
     assert is_harmonious(P4, labels)
@@ -81,8 +84,8 @@ def test_valid_labels_p4_walkthrough(ascending):
 
 def test_label_dfs_star_third_leaf_forced(ascending):
     labels = [0, -1, -1, -1]
-    assert label_dfs(range(1, 4), STAR4.parents[1:], labels, 3, 0,
-                     random.Random(0)) == (True, 0)
+    assert search_reference.label_dfs(range(1, 4), STAR4.parents[1:], labels, 3,
+                                      0, random.Random(0)) == (True, 0)
     assert ascending[2] == [0]  # sums 2,1 used; 0 gives sum 0
     assert labels == [0, 2, 1, 0]
 

@@ -1,0 +1,241 @@
+"""The compiled search kernel: the same draws as the Python reference,
+the 64-node limit, and how it is built and loaded."""
+
+import math
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import search_reference
+from treeharmony import native
+from treeharmony.backtracking import label_dfs
+from treeharmony.config import SolverConfig
+from treeharmony.generate import prufer_decode
+from treeharmony.hybrid import sweep
+from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
+from treeharmony.twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
+                                  stage1_internal)
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+CFG = SolverConfig()
+BUDGETS = (0, 1, 150, math.inf)
+
+
+def _random_tree(n, rng):
+    code = [rng.randrange(n) for _ in range(n - 2)]
+    return Tree.from_level_sequence(canonical_from_edges(n, prufer_decode(n, code)))
+
+
+def _stage1_shape(tree):
+    internal = internal_nodes(tree)
+    order = sorted(internal)
+    parents = [tree.parents[v] if tree.parents[v] in internal else -1 for v in order]
+    return order, parents, [len(tree.adjacency[v]) - 1 for v in order]
+
+
+def _both_dfs(order, parents, labels, n_values, budget, seed, weights=None):
+    """Runs the kernel and the reference on copies of the same input;
+    returns both (result, labels, RNG state)."""
+    out = []
+    for search in (label_dfs, search_reference.label_dfs):
+        rng = random.Random(seed)
+        own = list(labels)
+        result = search(order, parents, own, n_values, budget, rng, weights=weights)
+        out.append((result, own, rng.getstate()))
+    return out
+
+
+# ------------------------------------------------------------------ #
+# label_dfs against the reference                                     #
+# ------------------------------------------------------------------ #
+
+def test_label_dfs_matches_reference():
+    # stage-1 orders with the stage-1 weights, random weights and none,
+    # and backtracking orders (nodes 1..n-1 under a preset root), at
+    # budgets 0, 1, 150 and unbounded; unbounded runs stay on small
+    # trees, where a search that fails exhausts quickly
+    rng = random.Random(0x4B)
+    calls = 0
+    seen = set()
+    for _ in range(300):
+        n = rng.randrange(3, 15)
+        tree = _random_tree(n, rng)
+        order, parents, stage1 = _stage1_shape(tree)
+        random_weights = [rng.randrange(n - 1) for _ in order]
+        for budget in BUDGETS:
+            if budget == math.inf and n > 9:
+                continue
+            cases = [(order, parents, [-1] * n, n, w)
+                     for w in (stage1, random_weights, None)]
+            root = [rng.randrange(n - 1)] + [-1] * (n - 1)
+            cases.append((range(1, n), tree.parents[1:], root, n - 1, None))
+            for order_, parents_, labels, n_values, weights in cases:
+                got, want = _both_dfs(order_, parents_, labels, n_values, budget,
+                                      rng.getrandbits(32), weights)
+                assert got == want, (tree.levels, budget, weights)
+                calls += 1
+                seen.add((want[0][0], want[0][1] > 0))
+    assert calls > 3000 and seen == {(True, False), (True, True),
+                                     (False, False), (False, True)}, (calls, seen)
+
+
+def test_label_dfs_matches_reference_at_64_nodes():
+    # the widest masks: 64 labels, 64 values in stage 1 (bit 63 set)
+    rng = random.Random(0x40)
+    for _ in range(20):
+        tree = _random_tree(64, rng)
+        order, parents, weights = _stage1_shape(tree)
+        for budget in (0, 1, 20):
+            got, want = _both_dfs(order, parents, [-1] * 64, 64, budget,
+                                  rng.getrandbits(32), weights)
+            assert got == want, (tree.levels, budget)
+            root = [rng.randrange(63)] + [-1] * 63
+            got, want = _both_dfs(range(1, 64), tree.parents[1:], root, 63, budget,
+                                  rng.getrandbits(32))
+            assert got == want, (tree.levels, budget)
+
+
+# ------------------------------------------------------------------ #
+# solve_leaf_csp against the reference                                #
+# ------------------------------------------------------------------ #
+
+def _both_leaf_searches(csp, budget, seed):
+    out = []
+    for search in (solve_leaf_csp, search_reference.solve_leaf_csp):
+        rng = random.Random(seed)
+        pruned = []
+        result = search(csp, rng, budget, lambda *removal: pruned.append(removal))
+        out.append((result, pruned, rng.getstate()))
+    return out
+
+
+def test_solve_leaf_csp_matches_reference():
+    # CSPs of stage-1 partials and of arbitrary injective partials (which
+    # often leave an empty domain or fail Hall at the root); the kernel
+    # reports the same removals, in the same order, through on_prune
+    rng = random.Random(0x1EAF)
+    seen = {"solved": 0, "failed": 0, "pruned": 0}
+    for _ in range(400):
+        n = rng.randrange(4, 15)
+        tree = _random_tree(n, rng)
+        internal = sorted(internal_nodes(tree))
+        partials = [stage1_internal(tree, CFG, rng),
+                    dict(zip(internal, rng.sample(range(n), len(internal))))]
+        for partial in partials:
+            if partial is None:
+                continue
+            csp = build_leaf_csp(tree, partial)
+            for budget in BUDGETS:
+                got, want = _both_leaf_searches(csp, budget, rng.getrandbits(32))
+                assert got == want, (tree.levels, partial, budget)
+                seen["solved" if want[0] is not None else "failed"] += 1
+                seen["pruned"] += bool(want[1])
+    assert min(seen.values()) > 300, seen
+
+
+def test_solve_leaf_csp_matches_reference_at_64_nodes():
+    rng = random.Random(0x64)
+    searched = 0
+    for _ in range(30):
+        tree = _random_tree(64, rng)
+        partial = stage1_internal(tree, CFG, rng)
+        if partial is None:
+            continue
+        csp = build_leaf_csp(tree, partial)
+        for budget in (0, 1, 20):
+            got, want = _both_leaf_searches(csp, budget, rng.getrandbits(32))
+            assert got == want, (tree.levels, budget)
+            searched += 1
+    assert searched >= 30
+
+
+def test_more_than_64_nodes_is_a_value_error():
+    rng = random.Random(65)
+    tree = _random_tree(65, rng)
+    with pytest.raises(ValueError, match="at most 64 nodes"):
+        stage1_internal(tree, CFG, rng)
+    with pytest.raises(ValueError, match="at most 64 nodes"):
+        label_dfs(range(1, 65), tree.parents[1:], [0] + [-1] * 64, 64, 10, rng)
+    csp = LeafCSP(65, (1, 2), (0, 0), 1, 0, (6, 6))
+    with pytest.raises(ValueError, match="at most 64 nodes"):
+        solve_leaf_csp(csp, rng)
+
+
+def test_a_failing_rng_stops_the_search():
+    class Broken(random.Random):
+        def getrandbits(self, k):
+            raise RuntimeError("no more bits")
+
+    star = Tree.from_level_sequence((0, 1, 1, 1, 1))
+    with pytest.raises(RuntimeError, match="no more bits"):
+        stage1_internal(star, CFG, Broken(1))
+    with pytest.raises(RuntimeError, match="no more bits"):
+        solve_leaf_csp(build_leaf_csp(star, {0: 0}), Broken(1))
+
+
+# ------------------------------------------------------------------ #
+# Building and loading                                                #
+# ------------------------------------------------------------------ #
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    native.build(str(tmp_path / "kernel.so"), ("-Wall", "-Wextra", "-Werror"))
+    assert (tmp_path / "kernel.so").stat().st_size > 0
+
+
+def test_failed_build_names_the_command_and_its_output(tmp_path):
+    # a missing header, as on a machine without the Python headers
+    with pytest.raises(native.KernelBuildError) as info:
+        native.build(str(tmp_path / "kernel.so"),
+                     ("-include", str(tmp_path / "missing.h")))
+    message = str(info.value)
+    assert native.COMPILER in message and "missing.h" in message
+    assert os.listdir(tmp_path) == []   # no partial output is left
+
+
+def _env(**extra):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    env.update(extra)
+    return env
+
+
+def test_concurrent_first_builds_leave_one_intact_file(tmp_path):
+    code = ("from treeharmony.native import kernel; "
+            "print(kernel().__file__)")
+    procs = [subprocess.Popen([sys.executable, "-c", code], stdout=subprocess.PIPE,
+                              text=True, env=_env(XDG_CACHE_HOME=str(tmp_path)))
+             for _ in range(2)]
+    paths = [proc.communicate()[0].strip() for proc in procs]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    built = list((tmp_path / "treeharmony").iterdir())
+    assert [str(p) for p in built] == paths[:1] == paths[1:]
+
+
+def test_verify_gen_and_count_need_no_compiler(tmp_path):
+    # with no compiler on PATH and an empty cache, the commands that do
+    # not solve run as usual and never load the kernel; a solve fails
+    # with exit 2 and names the compiler command
+    certs = tmp_path / "certs.jsonl"
+    sweep(2, 7, CFG, out_path=str(certs), checkpoint_path=str(tmp_path / "ck"))
+    code = (
+        "import sys\n"
+        "from treeharmony import native\n"
+        "from treeharmony.cli import main\n"
+        f"codes = [main(['verify', {str(certs)!r}]), main(['gen', '--nodes', '7']),\n"
+        "         main(['count', '--nodes', '9'])]\n"
+        "assert native._kernel is None, 'kernel loaded'\n"
+        "codes.append(main(['solve', '--levels', '0,1,2,1']))\n"
+        "print(codes)\n")
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_env(PATH=str(empty), XDG_CACHE_HOME=str(tmp_path / "cache")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "[0, 0, 0, 2]"
+    lines = len(certs.read_text().splitlines())
+    assert f"verify: {lines} certificates ok" in proc.stderr
+    assert "cannot build the search kernel: gcc" in proc.stderr

@@ -9,13 +9,14 @@ from operator import or_
 
 import pytest
 
-from treeharmony import backtracking, twostage
+import search_reference
+from treeharmony import twostage
 from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees, prufer_decode
 from treeharmony.labelling import is_harmonious, iter_harmonious_bijective
 from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
-from treeharmony.twostage import (_matchable, build_leaf_csp, solve_leaf_csp,
+from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
 P4 = Tree.from_level_sequence((0, 1, 2, 1))
@@ -197,15 +198,17 @@ def test_congruence_lookahead_keeps_every_closable_value(monkeypatch):
     # candidates it draws from include every value that a brute force
     # can close; stage-1 and random weights on every tree n=3..8, with
     # all n values or one spare value, as in
-    # test_label_dfs_with_weights_complete_on_every_small_tree
+    # test_label_dfs_with_weights_complete_on_every_small_tree.  The
+    # search is the Python reference, whose picks a test can watch; the
+    # kernel matches it draw for draw (tests/test_kernel.py)
     masks = []
 
     def record(mask, getrandbits):
         masks.append(mask)
         return pick(mask, getrandbits)
 
-    pick = backtracking._pick
-    monkeypatch.setattr(backtracking, "_pick", record)
+    pick = search_reference._pick
+    monkeypatch.setattr(search_reference, "_pick", record)
     rng = random.Random(0x1A)
     entries = narrowed = 0
     for n in range(3, 9):
@@ -224,8 +227,9 @@ def test_congruence_lookahead_keeps_every_closable_value(monkeypatch):
                 for n_values, seed in product({n, len(order) + 1}, range(3)):
                     masks.clear()
                     labels = _AssignmentLog(n)
-                    label_dfs(order, parents, labels, n_values, math.inf,
-                              random.Random(seed), weights=weights)
+                    search_reference.label_dfs(order, parents, labels, n_values,
+                                               math.inf, random.Random(seed),
+                                               weights=weights)
                     depths = [order.index(node) for node, _ in labels.log]
                     for d, (mask, (_, before)) in enumerate(zip(masks, labels.log)):
                         # a pick for the second-last node right after one
@@ -604,7 +608,7 @@ def test_matchable_agrees_with_brute_force_hall():
             bin(reduce(or_, (masks[i] for i in subset), 0)).count("1") >= size
             for size in range(1, k + 1)
             for subset in combinations(range(k), size))
-        assert _matchable(masks) == hall, masks
+        assert search_reference._matchable(masks) == hall, masks
         verdicts.add(hall)
     assert verdicts == {True, False}
 

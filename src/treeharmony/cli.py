@@ -192,10 +192,15 @@ def _cmd_sweep(args) -> int:
 def _cmd_verify(args) -> int:
     try:
         with open(args.path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            return _verify_lines(fh)
     except OSError as exc:
         print(f"verify: cannot read {args.path}: {exc}", file=sys.stderr)
         return 2
+
+
+def _verify_lines(lines) -> int:
+    """Check certificate *lines* one at a time, so a file is never held
+    in memory whole."""
     count = 0
     # Sweeps emit the trees of each n in strictly decreasing level-sequence
     # order, and a resumed sweep appends in that same order, so a sequence

@@ -18,7 +18,9 @@ import json
 import os
 import random
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -203,91 +205,44 @@ def _solve_block(n: int, start_index: int, seqs: list, cfg: SolverConfig):
     return out, time.process_time() - cpu0
 
 
-class _Sweeper:
-    """One sweep invocation: owns the writer, the checkpoint state, and
-    the (optional) worker pool."""
+def _blocks(stream, block_size: int):
+    """(first index, level sequences) of each block of up to *block_size*
+    trees of *stream*, in enumeration order.  Reads the stream only
+    through ``index`` and ``next()``: the stream that perfbench's layer
+    trace hands in has no other way to be read."""
+    while True:
+        start = stream.index
+        seqs = []
+        while len(seqs) < block_size:
+            seq = stream.next()
+            if seq is None:
+                break
+            seqs.append(seq)
+        if not seqs:
+            return
+        yield start, seqs
 
-    def __init__(self, cfg, workers, sink, checkpoint_path, completed,
-                 block_size, progress):
-        self.cfg = cfg
-        self.workers = workers
-        self.sink = sink
-        self.checkpoint_path = checkpoint_path
-        self.completed = completed
-        self.block_size = block_size
-        self.progress = progress
-        self.fingerprint = cfg.fingerprint()
-        self.pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
 
-    def close(self):
-        if self.pool is not None:
-            self.pool.shutdown()
+def _pool(workers: int):
+    """Context giving a pool of *workers* processes, or None for one worker."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
 
-    def run_n(self, n: int) -> SweepReport:
-        wall0 = time.perf_counter()
-        resumed_from = self.completed.get(n, 0)
-        stream = free_trees(n).skip(resumed_from)
-        report = SweepReport(n, resumed_from=resumed_from)
 
-        def read_block():
-            start = stream.index
-            seqs = []
-            while len(seqs) < self.block_size:
-                seq = stream.next()
-                if seq is None:
-                    break
-                seqs.append(seq)
-            return start, seqs
-
-        if self.pool is None:
-            while True:
-                start, seqs = read_block()
-                if not seqs:
-                    break
-                self._finish_block(n, report, *_solve_block(n, start, seqs, self.cfg))
-        else:
-            # Bounded, ordered window of in-flight blocks: results are
-            # consumed in submission order, so certificates land in
-            # enumeration order no matter which worker finishes first.
-            window: list = []
-            exhausted = False
-            while not exhausted or window:
-                while not exhausted and len(window) < 2 * self.workers:
-                    start, seqs = read_block()
-                    if not seqs:
-                        exhausted = True
-                        break
-                    window.append(
-                        self.pool.submit(_solve_block, n, start, seqs, self.cfg))
-                if window:
-                    results, cpu = window.pop(0).result()
-                    self._finish_block(n, report, results, cpu)
-
-        report.wall_time = time.perf_counter() - wall0
-        return report
-
-    def _finish_block(self, n, report, results, cpu):
-        report.cpu_time += cpu
-        last_index = 0
-        for index, cert_line, info in results:
-            report.trees_total += 1
-            last_index = index
-            if cert_line is not None:
-                self.sink.write(cert_line + "\n")
-                report.trees_solved += 1
-                report.solver_counts[info] = report.solver_counts.get(info, 0) + 1
-            else:
-                report.failures.append(info)
-        self.sink.flush()
-        self.completed[n] = last_index + 1
-        # The checkpoint names the output size, so a resume after a stop
-        # between the flush and the rename cuts the block's lines away
-        # and writes them again.
-        _write_checkpoint(self.checkpoint_path, self.completed,
-                          self.cfg.global_seed, GENERATOR_VERSION,
-                          self.fingerprint, os.fstat(self.sink.fileno()).st_size)
-        if self.progress is not None:
-            self.progress(n, self.completed[n])
+def _in_order(pool, window: int, fn, calls):
+    """Yield ``fn(*args)`` for each *args* of *calls*, in order: inline
+    without a pool, else with at most *window* calls in flight, so results
+    come back in submission order whichever worker finishes first."""
+    if pool is None:
+        for args in calls:
+            yield fn(*args)
+        return
+    pending = deque()
+    for args in calls:
+        pending.append(pool.submit(fn, *args))
+        if len(pending) >= window:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
@@ -315,6 +270,7 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
 
+    fingerprint = cfg.fingerprint()
     if fresh or not os.path.exists(checkpoint_path):
         completed: dict[int, int] = {}
         out_mode = "w"
@@ -329,7 +285,6 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
             raise CheckpointError(
                 f"checkpoint generator {ck.gen!r} != {GENERATOR_VERSION!r}; "
                 "pass fresh=True to restart")
-        fingerprint = cfg.fingerprint()
         if ck.cfg is not None and ck.cfg != fingerprint:
             raise CheckpointError(
                 f"checkpoint config cfg={ck.cfg} != configured cfg={fingerprint} "
@@ -350,18 +305,37 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
         out_mode = "a"
 
     reports = []
-    with open(out_path, out_mode, encoding="utf-8") as sink:
-        sweeper = _Sweeper(cfg, workers, sink, checkpoint_path, completed,
-                           block_size, progress)
-        try:
-            for n in range(n_min, n_max + 1):
-                report = sweeper.run_n(n)
-                reports.append(report)
-                if report_path is not None:
-                    with open(report_path, "a", encoding="utf-8") as rf:
-                        rf.write(report.to_json() + "\n")
-        finally:
-            sweeper.close()
+    with open(out_path, out_mode, encoding="utf-8") as sink, _pool(workers) as pool:
+        for n in range(n_min, n_max + 1):
+            wall0 = time.perf_counter()
+            report = SweepReport(n, resumed_from=completed.get(n, 0))
+            calls = ((n, start, seqs, cfg) for start, seqs in
+                     _blocks(free_trees(n).skip(report.resumed_from), block_size))
+            for results, cpu in _in_order(pool, 2 * workers, _solve_block, calls):
+                report.cpu_time += cpu
+                for _, cert_line, info in results:
+                    report.trees_total += 1
+                    if cert_line is not None:
+                        sink.write(cert_line + "\n")
+                        report.trees_solved += 1
+                        report.solver_counts[info] = report.solver_counts.get(info, 0) + 1
+                    else:
+                        report.failures.append(info)
+                sink.flush()
+                completed[n] = report.resumed_from + report.trees_total
+                # The checkpoint names the output size, so a resume after a
+                # stop between the flush and the rename cuts the block's
+                # lines away and writes them again.
+                _write_checkpoint(checkpoint_path, completed, cfg.global_seed,
+                                  GENERATOR_VERSION, fingerprint,
+                                  os.fstat(sink.fileno()).st_size)
+                if progress is not None:
+                    progress(n, completed[n])
+            report.wall_time = time.perf_counter() - wall0
+            reports.append(report)
+            if report_path is not None:
+                with open(report_path, "a", encoding="utf-8") as rf:
+                    rf.write(report.to_json() + "\n")
     return reports
 
 
@@ -389,20 +363,12 @@ def benchmark_solvers(n: int, cfg: SolverConfig, workers: int = 1) -> dict:
     seqs = list(free_trees(n))
     per_solver = {tag: {"successes": 0, "total_time": 0.0} for tag in SOLVERS}
 
-    def absorb(row):
-        for tag, (success, elapsed) in row.items():
-            per_solver[tag]["successes"] += int(success)
-            per_solver[tag]["total_time"] += elapsed
-
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_bench_tree, n, i, seq, cfg)
-                       for i, seq in enumerate(seqs)]
-            for fut in futures:
-                absorb(fut.result())
-    else:
-        for i, seq in enumerate(seqs):
-            absorb(_bench_tree(n, i, seq, cfg))
+    calls = ((n, i, seq, cfg) for i, seq in enumerate(seqs))
+    with _pool(workers) as pool:
+        for row in _in_order(pool, 2 * workers, _bench_tree, calls):
+            for tag, (success, elapsed) in row.items():
+                per_solver[tag]["successes"] += int(success)
+                per_solver[tag]["total_time"] += elapsed
 
     total = len(seqs)
     return {

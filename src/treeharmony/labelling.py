@@ -294,11 +294,13 @@ class Certificate:
                 raise CertificateError(f"missing field {field!r}")
         n, levels, labels, solver, seed = (
             rec["n"], rec["levels"], rec["labels"], rec["solver"], rec["seed"])
-        if not isinstance(n, int) or not isinstance(seed, int):
+        # type(x) is int, not isinstance: JSON true and false load as
+        # bool, a subclass of int
+        if type(n) is not int or type(seed) is not int:
             raise CertificateError("n and seed must be integers")
-        if not isinstance(levels, list) or not all(isinstance(x, int) for x in levels):
+        if not isinstance(levels, list) or not all(type(x) is int for x in levels):
             raise CertificateError("levels must be a list of integers")
-        if not isinstance(labels, list) or not all(isinstance(x, int) for x in labels):
+        if not isinstance(labels, list) or not all(type(x) is int for x in labels):
             raise CertificateError("labels must be a list of integers")
         if not isinstance(solver, str) or solver not in SOLVER_TAGS:
             raise CertificateError(f"unknown solver tag {solver!r}")

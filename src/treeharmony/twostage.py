@@ -54,52 +54,27 @@ which limits trees to 64 nodes.  The Python functions here prepare their
 input and keep their names, signatures and draws.
 """
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .backtracking import _open_values, label_dfs
 from .config import SolveOutcome, SolverConfig
-from .labelling import BIJECTIVE, is_harmonious, normalize_labelling
+from .labelling import is_harmonious
 from .native import kernel
 from .trees import Tree
 
 
-def _bits(mask: int) -> frozenset[int]:
-    return frozenset(w for w in range(mask.bit_length()) if mask >> w & 1)
-
-
-@dataclass(frozen=True)
-class LeafCSP:
+class LeafCSP(NamedTuple):
     """Residual leaf-assignment problem after stage 1, as bitmasks.
 
     Bit w of ``domain_masks[i]`` means ``leaves[i]`` may take value w:
     w is unused and its edge sum with the leaf's neighbor label avoids
-    the used sums.  ``domains``, ``used_values`` and ``used_sums`` give
-    the same facts as frozensets.
+    the used sums.
     """
 
     n: int
     leaves: tuple[int, ...]
     parent_labels: tuple[int, ...]   # label of each leaf's unique neighbor
-    used_value_mask: int             # bit w: an internal node has value w
-    used_sum_mask: int               # bit s: an internal edge has sum s
     domain_masks: tuple[int, ...]
-
-    @property
-    def used_values(self) -> frozenset[int]:
-        return _bits(self.used_value_mask)
-
-    @property
-    def used_sums(self) -> frozenset[int]:
-        return _bits(self.used_sum_mask)
-
-    @property
-    def domains(self) -> tuple[frozenset[int], ...]:
-        return tuple(_bits(d) for d in self.domain_masks)
-
-    @property
-    def has_empty_domain(self) -> bool:
-        return not all(self.domain_masks)
 
 
 class _TreeConstants(NamedTuple):
@@ -170,7 +145,7 @@ def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
         if pl not in by_label:
             by_label[pl] = free & _open_values(open_sums, pl, m)
     domains = tuple(map(by_label.__getitem__, parent_labels))
-    return LeafCSP(n, c.leaves, parent_labels, used_values, used_sums, domains)
+    return LeafCSP(n, c.leaves, parent_labels, domains)
 
 
 def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
@@ -223,8 +198,8 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     """Retry (stage 1 -> leaf CSP) up to cfg.twostage_runs times; any
-    success extends the partial labelling, normalizes it to the onto
-    model, verifies, and returns."""
+    success extends the partial labelling, reduces it to the normal onto
+    form (the duplicated value is 0), verifies, and returns."""
     n = tree.n
     stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
     for run in range(cfg.twostage_runs):
@@ -246,7 +221,9 @@ def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
             full[v] = value
         for v, value in assignment.items():
             full[v] = value
-        labels = normalize_labelling(tree, tuple(full), BIJECTIVE)
+        # Reducing the permutation mod n-1 merges 0 and n-1 on 0, which is
+        # the normal form make_certificate asks for.
+        labels = tuple(v % (n - 1) for v in full)
         assert is_harmonious(tree, labels), "twostage produced a bad labelling"
         return SolveOutcome(True, labels, "twostage", stats)
     return SolveOutcome(False, None, "twostage", stats)

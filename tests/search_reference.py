@@ -196,7 +196,7 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     k = len(csp.leaves)
     if k == 0:
         return {}
-    if csp.has_empty_domain:
+    if not all(csp.domain_masks):
         return None
     doms = list(csp.domain_masks)
     m = csp.n - 1

@@ -197,6 +197,22 @@ def test_verify_malformed_line_exits_2(capsys, tmp_path):
     assert code == 2 and "line 2" in err
 
 
+# one JSON boolean where an integer belongs: Python loads true and false
+# as bool, a subclass of int, yet the record is malformed
+@pytest.mark.parametrize("record", [
+    '{"n":true,"levels":[0],"labels":[0],"solver":"twostage","seed":1}',
+    '{"n":3,"levels":[0,true,true],"labels":[0,0,1],"solver":"twostage","seed":1}',
+    '{"n":3,"levels":[0,1,1],"labels":[false,false,true],"solver":"twostage","seed":1}',
+    '{"n":3,"levels":[0,1,1],"labels":[0,0,1],"solver":"twostage","seed":false}',
+], ids=["n", "levels", "labels", "seed"])
+def test_verify_rejects_booleans_as_integers(capsys, tmp_path, record):
+    f = tmp_path / "b.jsonl"
+    f.write_text('{"n":2,"levels":[0,1],"labels":[0,0],"solver":"twostage","seed":1}\n'
+                 + record + "\n")
+    code, _, err = run(capsys, "verify", str(f))
+    assert code == 2 and "line 2: malformed record" in err
+
+
 def test_verify_missing_file_exits_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", str(tmp_path / "nope.jsonl"))
     assert code == 2

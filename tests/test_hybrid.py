@@ -181,6 +181,53 @@ def test_sweep_deterministic_across_worker_counts(tmp_path):
     assert _read_lines(a) == _read_lines(b)
 
 
+class _NarrowStream:
+    """A tree stream with only the members a sweep may use: the
+    benchmark's layer trace hands the sweep such a stream."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    @property
+    def index(self):
+        return self._stream.index
+
+    def skip(self, k):
+        self._stream.skip(k)
+        return self
+
+    def next(self):
+        return self._stream.next()
+
+
+def test_sweep_calls_its_helpers_as_module_globals(tmp_path, monkeypatch):
+    # the benchmark's layer trace wraps these names in place
+    ref = tmp_path / "ref.jsonl"
+    sweep(8, 9, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck",
+          block_size=10)
+    calls = {"block": 0, "trees": 0, "certify": 0}
+
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    free_trees = hybrid.free_trees
+    monkeypatch.setattr(hybrid, "_solve_block",
+                        counting("block", hybrid._solve_block))
+    monkeypatch.setattr(hybrid, "free_trees",
+                        counting("trees", lambda n: _NarrowStream(free_trees(n))))
+    monkeypatch.setattr(hybrid, "make_certificate",
+                        counting("certify", hybrid.make_certificate))
+    out = tmp_path / "r.jsonl"
+    sweep(8, 9, CFG, out_path=out, checkpoint_path=tmp_path / "c.ck",
+          block_size=10)
+    # 23 trees on 8 nodes and 47 on 9, in blocks of at most 10
+    assert calls == {"block": 3 + 5, "trees": 2, "certify": 23 + 47}
+    assert out.read_bytes() == ref.read_bytes()
+
+
 class _Stop(Exception):
     pass
 

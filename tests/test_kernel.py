@@ -160,7 +160,7 @@ def test_more_than_64_nodes_is_a_value_error():
         stage1_internal(tree, CFG, rng)
     with pytest.raises(ValueError, match="at most 64 nodes"):
         label_dfs(range(1, 65), tree.parents[1:], [0] + [-1] * 64, 64, 10, rng)
-    csp = LeafCSP(65, (1, 2), (0, 0), 1, 0, (6, 6))
+    csp = LeafCSP(65, (1, 2), (0, 0), (6, 6))
     with pytest.raises(ValueError, match="at most 64 nodes"):
         solve_leaf_csp(csp, rng)
 

@@ -14,7 +14,8 @@ from treeharmony import twostage
 from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees, prufer_decode
-from treeharmony.labelling import is_harmonious, iter_harmonious_bijective
+from treeharmony.labelling import (is_harmonious, iter_harmonious_bijective,
+                                   normalize_labelling)
 from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
 from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
@@ -251,22 +252,26 @@ def test_congruence_lookahead_keeps_every_closable_value(monkeypatch):
 # Leaf CSP construction                                               #
 # ------------------------------------------------------------------ #
 
+def _domains(csp):
+    """The leaf CSP's domain bitmasks as frozensets of values."""
+    return tuple(frozenset(w for w in range(csp.n) if mask >> w & 1)
+                 for mask in csp.domain_masks)
+
+
 def test_build_leaf_csp_star_all_open():
     csp = build_leaf_csp(STAR4, {0: 3})
     assert csp.leaves == (1, 2, 3)
-    assert csp.used_sums == frozenset()
-    assert csp.domains == (frozenset({0, 1, 2}),) * 3
+    assert _domains(csp) == (frozenset({0, 1, 2}),) * 3
 
 
 def test_build_leaf_csp_p4_hand_construction():
     # internal labels f0=0, f1=1, internal edge sum G={1}
     csp = build_leaf_csp(P4, {0: 0, 1: 1})
     assert csp.leaves == (2, 3)
-    assert csp.used_sums == frozenset({1})
     # leaf 2 hangs under node 1 (label 1): {2,3} minus w with (w+1)%3=1
-    assert csp.domains[0] == frozenset({2})
+    assert _domains(csp)[0] == frozenset({2})
     # leaf 3 hangs under node 0 (label 0): {2,3} minus w with w%3=1
-    assert csp.domains[1] == frozenset({2, 3})
+    assert _domains(csp)[1] == frozenset({2, 3})
 
 
 def test_build_leaf_csp_empty_domain_is_failure_not_error():
@@ -274,7 +279,7 @@ def test_build_leaf_csp_empty_domain_is_failure_not_error():
     # on the 5-star, give the hub 0 and pretend 1..4 are used up
     star5 = Tree.from_level_sequence((0, 1, 1, 1, 1))
     csp = build_leaf_csp(star5, {0: 0})
-    assert not csp.has_empty_domain
+    assert all(csp.domain_masks)
     # stage-2 failure shows up as None from the solver, not an exception
     bad = build_leaf_csp(P4, {0: 0, 1: 1})
     assert solve_leaf_csp(bad, random.Random(0), budget=100) is None
@@ -334,11 +339,11 @@ def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall_refuted):
     k = len(csp.leaves)
     if k == 0:
         return {}
-    if csp.has_empty_domain:
+    if not all(csp.domain_masks):
         return None
     m = csp.n - 1
     parent_labels = csp.parent_labels
-    domains = [set(d) for d in csp.domains]
+    domains = [set(d) for d in _domains(csp)]
     if not _hall_holds(domains, parent_labels, m):
         return None
     siblings = [[j for j in range(k) if j != i and parent_labels[j] == pl]
@@ -475,9 +480,10 @@ def test_bitmask_solver_matches_set_reference():
             if partial is None:
                 continue
             csp = build_leaf_csp(tree, partial)
-            seen["empty"] += csp.has_empty_domain
-            seen["hall"] += not (csp.has_empty_domain or _hall_holds(
-                csp.domains, csp.parent_labels, n - 1))
+            empty = not all(csp.domain_masks)
+            seen["empty"] += empty
+            seen["hall"] += not (empty or _hall_holds(
+                _domains(csp), csp.parent_labels, n - 1))
             for budget in (0, 1, 150):
                 seed = rng.getrandbits(32)
                 ref_rng, new_rng = random.Random(seed), random.Random(seed)
@@ -686,11 +692,14 @@ def test_deterministic_under_seed():
 
 
 def test_output_is_normalized_and_verified():
+    # every tree with n <= 10, and the first few with n = 11
     rng = random.Random(8)
-    for n in (5, 7, 9, 11):
-        for seq in list(free_trees(n))[:4]:
-            tree = Tree.from_level_sequence(seq)
-            out = solve_twostage(tree, CFG, rng)
-            assert out.success
-            assert is_harmonious(tree, out.labels)
-            assert sorted(out.labels).count(0) == 2
+    small = [seq for n in range(1, 11) for seq in free_trees(n)]
+    for seq in small + list(free_trees(11))[:4]:
+        tree = Tree.from_level_sequence(seq)
+        out = solve_twostage(tree, CFG, rng)
+        assert out.success
+        assert is_harmonious(tree, out.labels)
+        # already the normal form that make_certificate writes
+        assert normalize_labelling(tree, out.labels) == out.labels
+        assert tree.n == 1 or sorted(out.labels).count(0) == 2

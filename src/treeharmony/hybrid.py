@@ -21,11 +21,11 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from .backtracking import solve_backtracking
-from .config import SOLVER_VERSION, SolveOutcome, SolverConfig
+from .config import PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome, SolverConfig
 from .generate import GENERATOR_VERSION, free_trees
 from .labelling import Certificate, normalize_labelling
 from .tabu import solve_tabu
@@ -347,21 +347,21 @@ def _bench_tree(n, index, seq, cfg):
     tree = Tree.from_level_sequence(seq)
     seed = derive_seed(cfg.global_seed, n, index)
     row = {}
-    for tag in SOLVERS:
-        rng = random.Random(_solver_rng_seed(seed, tag))
+    for tag in PIPELINE_TAGS:
         t0 = time.perf_counter()
-        outcome = SOLVERS[tag](tree, cfg, rng)
+        outcome = solve_hybrid(tree, replace(cfg, pipeline=(tag,)), seed)
         row[tag] = (outcome.success, time.perf_counter() - t0)
     return row
 
 
 def benchmark_solvers(n: int, cfg: SolverConfig, workers: int = 1) -> dict:
-    """Run each solver independently on every free tree with n nodes and
-    report per-solver mean time and success rate.  The pipeline-order
-    trend (earlier solvers faster, later solvers likelier to succeed) is
-    read off the report by eye, not asserted by machine."""
+    """Run each solver alone, as the one-solver pipeline ``(tag,)``, on
+    every free tree with n nodes and report per-solver mean time and
+    success rate.  The pipeline-order trend (earlier solvers faster,
+    later solvers likelier to succeed) is read off the report by eye,
+    not asserted by machine."""
     seqs = list(free_trees(n))
-    per_solver = {tag: {"successes": 0, "total_time": 0.0} for tag in SOLVERS}
+    per_solver = {tag: {"successes": 0, "total_time": 0.0} for tag in PIPELINE_TAGS}
 
     calls = ((n, i, seq, cfg) for i, seq in enumerate(seqs))
     with _pool(workers) as pool:
@@ -380,6 +380,6 @@ def benchmark_solvers(n: int, cfg: SolverConfig, workers: int = 1) -> dict:
                 "mean_time": round(per_solver[tag]["total_time"] / total, 9),
                 "successes": per_solver[tag]["successes"],
             }
-            for tag in SOLVERS
+            for tag in PIPELINE_TAGS
         },
     }

@@ -25,12 +25,13 @@ from collections import namedtuple
 from dataclasses import dataclass
 from itertools import permutations
 
+from .config import PIPELINE_TAGS
 from .trees import Tree
 
 ONTO = "onto"
 BIJECTIVE = "bijective"
 
-SOLVER_TAGS = ("twostage", "backtrack", "tabu", "exhaustive")
+SOLVER_TAGS = PIPELINE_TAGS + ("exhaustive",)
 
 
 def induced_edge_labels(tree: Tree, labels) -> tuple[int, ...]:

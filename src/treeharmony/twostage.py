@@ -54,6 +54,7 @@ which limits trees to 64 nodes.  The Python functions here prepare their
 input and keep their names, signatures and draws.
 """
 
+from functools import lru_cache
 from typing import NamedTuple
 
 from .backtracking import _open_values, label_dfs
@@ -86,29 +87,23 @@ class _TreeConstants(NamedTuple):
     leaf_parents: tuple[int, ...]   # each leaf's one neighbour
 
 
-_cached_tree: Tree | None = None
-_cached: _TreeConstants | None = None
-
-
+@lru_cache(maxsize=1)
 def _constants(tree: Tree) -> _TreeConstants:
     """What every two-stage run on *tree* needs of its shape.  A solver
     runs the stages up to ``twostage_runs`` times on one tree before it
-    moves on, so one cached tree, held by identity, serves all of them."""
-    global _cached_tree, _cached
-    if tree is not _cached_tree:
-        adjacency = tree.adjacency
-        order = tuple(v for v in range(tree.n) if len(adjacency[v]) > 1)
-        # A parent precedes its children in level-sequence order, so each
-        # internal node's only earlier internal neighbour is its parent.
-        parents = tuple(p if p >= 0 and len(adjacency[p]) > 1 else -1
-                        for p in map(tree.parents.__getitem__, order))
-        leaves = tuple(v for v in range(tree.n) if len(adjacency[v]) <= 1)
-        _cached = _TreeConstants(
-            order, parents, tuple(len(adjacency[v]) - 1 for v in order),
-            tuple((v, p) for v, p in zip(order, parents) if p >= 0),
-            leaves, tuple(adjacency[leaf][0] for leaf in leaves if adjacency[leaf]))
-        _cached_tree = tree
-    return _cached
+    moves on, so one cached tree serves all of them.  Tree defines no
+    ``__eq__``, so the cache holds it by identity."""
+    adjacency = tree.adjacency
+    order = tuple(v for v in range(tree.n) if len(adjacency[v]) > 1)
+    # A parent precedes its children in level-sequence order, so each
+    # internal node's only earlier internal neighbour is its parent.
+    parents = tuple(p if p >= 0 and len(adjacency[p]) > 1 else -1
+                    for p in map(tree.parents.__getitem__, order))
+    leaves = tuple(v for v in range(tree.n) if len(adjacency[v]) <= 1)
+    return _TreeConstants(
+        order, parents, tuple(len(adjacency[v]) - 1 for v in order),
+        tuple((v, p) for v, p in zip(order, parents) if p >= 0),
+        leaves, tuple(adjacency[leaf][0] for leaf in leaves if adjacency[leaf]))
 
 
 def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None:

@@ -1,11 +1,17 @@
 """CLI surface: formats, exit codes, flag plumbing."""
 
+import contextlib
+import hashlib
+import io
 import json
 
 import pytest
 
-from treeharmony.cli import main
+from treeharmony.cli import _config_from_args, build_parser, main
+from treeharmony.config import SolverConfig
+from treeharmony.generate import free_trees
 from treeharmony.labelling import Certificate, verify_certificate
+from treeharmony.trees import format_level_sequence
 
 
 def run(capsys, *argv):
@@ -39,6 +45,22 @@ def test_gen_invalid_n(capsys):
     assert code == 2 and "at least 1" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["count", "--nodes", "0"],
+    ["gen", "--nodes", "-3", "--count-only"],
+    ["sweep", "--min", "3", "--max", "2", "--out", "o", "--checkpoint", "c"],
+    ["sweep", "--min", "2", "--max", "2", "--jobs", "0", "--out", "o", "--checkpoint", "c"],
+    ["sweep", "--min", "2", "--max", "2", "--block-size", "0", "--out", "o",
+     "--checkpoint", "c"],
+], ids=["count-nodes", "gen-count-only", "sweep-range", "sweep-jobs", "sweep-block-size"])
+def test_library_argument_checks_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "at least 1" in err or "1 <= n_min <= n_max" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_count_matches(capsys):
     code, out, _ = run(capsys, "count", "--nodes", "10")
     assert code == 0
@@ -69,6 +91,40 @@ def test_solve_single_solver_tag(capsys):
     assert Certificate.from_json_line(out.strip()).solver == "twostage"
 
 
+# SHA-256 of the `solve --levels L --solver TAG --seed 7` output lines,
+# concatenated, for every tree L with 2 <= n <= 9 in enumeration order.
+# Measured before `--solver TAG` became the one-solver pipeline (TAG,):
+# the hybrid and twostage values are that output byte for byte; for
+# backtrack (8 failures) and tabu (50) it is that output with each
+# failure record's stats nested as {"attempts": [{"solver": TAG, ...}]},
+# the shape the pipeline gives them.
+SOLVE_SOLVER_DIGESTS = {
+    "hybrid": "7b933dd54880de9c685cbfc28e401e9a22f5eee1d3e45e835855e295c8cf63fd",
+    "twostage": "7b933dd54880de9c685cbfc28e401e9a22f5eee1d3e45e835855e295c8cf63fd",
+    "backtrack": "ce4fde55a71eb0a956fa5e5fa722e99e3e0f22885bb3251d26ad7ed391ee8e55",
+    "tabu": "47bd883ee6cf4ba33335fccdbc7c9b295e872391617307d4c08a222a059c1a58",
+}
+
+
+@pytest.mark.parametrize("tag", sorted(SOLVE_SOLVER_DIGESTS))
+def test_solve_solver_output_is_pinned(tag):
+    digest = hashlib.sha256()
+    for n in range(2, 10):
+        for seq in free_trees(n):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                main(["solve", "--levels", format_level_sequence(seq),
+                      "--solver", tag, "--seed", "7"])
+            digest.update(buf.getvalue().encode())
+    assert digest.hexdigest() == SOLVE_SOLVER_DIGESTS[tag]
+
+
+def test_solve_single_node_succeeds_with_zero_runs(capsys):
+    code, out, _ = run(capsys, "solve", "--levels", "0", "--solver", "backtrack",
+                       "--backtrack-restarts", "0")
+    assert code == 0 and Certificate.from_json_line(out.strip()).solver == "backtrack"
+
+
 def test_solve_malformed_levels(capsys):
     code, _, err = run(capsys, "solve", "--levels", "0,2,1")
     assert code == 2 and "index 1" in err
@@ -88,6 +144,12 @@ def test_solve_failure_record(capsys):
     assert code == 1
     rec = json.loads(out.strip())
     assert rec["failed"] and len(rec["stats"]["attempts"]) == 3
+    # one solver alone fails with the pipeline's record shape
+    code, out, _ = run(capsys, "solve", "--levels", "0,1,2,1", "--solver", "tabu",
+                       "--tabu-max-iters", "0")
+    assert code == 1
+    [attempt] = json.loads(out.strip())["stats"]["attempts"]
+    assert attempt["solver"] == "tabu" and attempt["iterations"] == 0
 
 
 def test_solve_unknown_pipeline_tag(capsys):
@@ -110,6 +172,44 @@ def test_config_file_bulk_settings(capsys, tmp_path):
     code, out, _ = run(capsys, "solve", "--levels", "0,1,2,1",
                        "--config", str(cfgfile), "--twostage-runs", "50")
     assert code == 0
+
+
+def test_config_file_seed_used_unless_seed_flag(capsys, tmp_path):
+    cfgfile = tmp_path / "solver.cfg"
+    cfgfile.write_text("global_seed = 5\n")
+    code, out, _ = run(capsys, "solve", "--levels", "0,1,2,1", "--config", str(cfgfile))
+    assert code == 0 and Certificate.from_json_line(out.strip()).seed == 5
+    code, out, _ = run(capsys, "solve", "--levels", "0,1,2,1", "--config", str(cfgfile),
+                       "--seed", "11")
+    assert code == 0 and Certificate.from_json_line(out.strip()).seed == 11
+
+
+def test_flags_parse_like_config_file_lines(tmp_path):
+    settings = {
+        "backtrack_limit": "7", "backtrack_restarts": "3", "tabu_sample_pairs": "4",
+        "tabu_tenure": "2", "tabu_max_iters": "none", "twostage_runs": "9",
+        "stage1_budget": "11", "stage2_budget": "13", "pipeline": "tabu,twostage",
+        "global_seed": "17",
+    }
+    cfgfile = tmp_path / "solver.cfg"
+    cfgfile.write_text("".join(f"{key} = {value}\n" for key, value in settings.items()))
+    flags = []
+    for key, value in settings.items():
+        flags += ["--seed" if key == "global_seed" else "--" + key.replace("_", "-"), value]
+    parser = build_parser()
+    common = ["solve", "--levels", "0,1,1"]
+    from_flags = _config_from_args(parser.parse_args(common + flags))
+    from_file = _config_from_args(parser.parse_args(common + ["--config", str(cfgfile)]))
+    assert from_flags == from_file == SolverConfig().with_overrides(settings)
+    assert from_flags.fingerprint() == from_file.fingerprint()
+    assert from_flags.tabu_max_iters is None and from_flags.global_seed == 17
+
+
+def test_bad_integer_flag_names_its_key(capsys):
+    code, _, err = run(capsys, "solve", "--levels", "0,1,1", "--twostage-runs", "ten")
+    assert code == 2 and "twostage_runs" in err and "'ten'" in err
+    code, _, err = run(capsys, "solve", "--levels", "0,1,1", "--seed", "1.5")
+    assert code == 2 and "global_seed" in err
 
 
 # ------------------------------------------------------------------ #

@@ -7,11 +7,12 @@ import pytest
 
 from treeharmony import hybrid
 from treeharmony.cli import main as cli_main
-from treeharmony.config import SOLVER_VERSION, SolverConfig
+from treeharmony.config import PIPELINE_TAGS, SOLVER_VERSION, SolverConfig
 from treeharmony.generate import GENERATOR_VERSION, free_trees
 from treeharmony.hybrid import (CheckpointError, _read_checkpoint, derive_seed,
                                 make_certificate, solve_hybrid, sweep)
-from treeharmony.labelling import Certificate, is_harmonious, verify_certificate
+from treeharmony.labelling import (SOLVER_TAGS, Certificate, is_harmonious,
+                                   verify_certificate)
 from treeharmony.trees import Tree
 
 CFG = SolverConfig()
@@ -80,6 +81,26 @@ def test_single_node_trivial_certificate():
     assert out.solver == SABOTAGE.pipeline[0]
     cert = make_certificate(one, (0,), out, seed=1)
     assert verify_certificate(cert) is None
+
+
+def test_solver_tags_are_defined_once():
+    assert tuple(hybrid.SOLVERS) == PIPELINE_TAGS
+    assert SOLVER_TAGS == PIPELINE_TAGS + ("exhaustive",)
+
+
+def test_benchmark_runs_each_solver_on_its_salted_seed():
+    # each tag's row is that solver alone, drawing from the stream the
+    # pipeline would give it
+    report = hybrid.benchmark_solvers(8, CFG)
+    for tag in PIPELINE_TAGS:
+        successes = 0
+        for index, seq in enumerate(free_trees(8)):
+            seed = derive_seed(CFG.global_seed, 8, index)
+            rng = random.Random(hybrid._solver_rng_seed(seed, tag))
+            successes += hybrid.SOLVERS[tag](Tree.from_level_sequence(seq), CFG, rng).success
+        assert report["solvers"][tag]["successes"] == successes
+    assert report["trees"] == 23
+    assert [report["solvers"][tag]["successes"] for tag in PIPELINE_TAGS] == [23, 20, 11]
 
 
 def test_hybrid_deterministic():

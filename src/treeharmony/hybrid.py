@@ -21,7 +21,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 from .backtracking import solve_backtracking
@@ -39,12 +39,9 @@ SOLVERS = {
 }
 
 # Fixed per-solver salts so one work-unit seed yields independent,
-# scheduling-invariant RNG streams per solver.
-_SOLVER_SALT = {
-    "twostage": 0x74776F73,
-    "backtrack": 0x6261636B,
-    "tabu": 0x74616275,
-}
+# scheduling-invariant RNG streams per solver: the first four ASCII bytes
+# of the tag, so "twostage" salts with 0x74776F73.
+_SOLVER_SALT = {tag: int.from_bytes(tag.encode()[:4], "big") for tag in SOLVERS}
 
 _MASK64 = (1 << 64) - 1
 
@@ -123,16 +120,8 @@ class SweepReport:
     resumed_from: int = 0
 
     def to_json(self) -> str:
-        return json.dumps({
-            "n": self.n,
-            "trees_total": self.trees_total,
-            "trees_solved": self.trees_solved,
-            "solver_counts": self.solver_counts,
-            "failures": self.failures,
-            "wall_time": round(self.wall_time, 6),
-            "cpu_time": round(self.cpu_time, 6),
-            "resumed_from": self.resumed_from,
-        }, separators=(",", ":"))
+        return json.dumps({**asdict(self), "wall_time": round(self.wall_time, 6),
+                           "cpu_time": round(self.cpu_time, 6)}, separators=(",", ":"))
 
 
 class Checkpoint(NamedTuple):
@@ -343,43 +332,27 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
 # Per-solver benchmark (pipeline-order trend report)
 # ---------------------------------------------------------------------------
 
-def _bench_tree(n, index, seq, cfg):
-    tree = Tree.from_level_sequence(seq)
-    seed = derive_seed(cfg.global_seed, n, index)
-    row = {}
-    for tag in PIPELINE_TAGS:
-        t0 = time.perf_counter()
-        outcome = solve_hybrid(tree, replace(cfg, pipeline=(tag,)), seed)
-        row[tag] = (outcome.success, time.perf_counter() - t0)
-    return row
-
-
 def benchmark_solvers(n: int, cfg: SolverConfig, workers: int = 1) -> dict:
     """Run each solver alone, as the one-solver pipeline ``(tag,)``, on
-    every free tree with n nodes and report per-solver mean time and
-    success rate.  The pipeline-order trend (earlier solvers faster,
-    later solvers likelier to succeed) is read off the report by eye,
-    not asserted by machine."""
-    seqs = list(free_trees(n))
-    per_solver = {tag: {"successes": 0, "total_time": 0.0} for tag in PIPELINE_TAGS}
-
-    calls = ((n, i, seq, cfg) for i, seq in enumerate(seqs))
+    every free tree with n nodes, in the blocks a sweep solves, and
+    report per-solver success rate and mean CPU time per tree.  The
+    pipeline-order trend (earlier solvers faster, later solvers likelier
+    to succeed) is read off the report by eye, not asserted by machine."""
+    solvers = {}
     with _pool(workers) as pool:
-        for row in _in_order(pool, 2 * workers, _bench_tree, calls):
-            for tag, (success, elapsed) in row.items():
-                per_solver[tag]["successes"] += int(success)
-                per_solver[tag]["total_time"] += elapsed
-
-    total = len(seqs)
-    return {
-        "n": n,
-        "trees": total,
-        "solvers": {
-            tag: {
-                "success_rate": round(per_solver[tag]["successes"] / total, 6),
-                "mean_time": round(per_solver[tag]["total_time"] / total, 9),
-                "successes": per_solver[tag]["successes"],
+        for tag in PIPELINE_TAGS:
+            one = replace(cfg, pipeline=(tag,))
+            calls = ((n, start, seqs, one) for start, seqs in
+                     _blocks(free_trees(n), DEFAULT_BLOCK_SIZE))
+            trees = successes = 0
+            cpu_time = 0.0
+            for results, cpu in _in_order(pool, 2 * workers, _solve_block, calls):
+                trees += len(results)
+                successes += sum(cert_line is not None for _, cert_line, _ in results)
+                cpu_time += cpu
+            solvers[tag] = {
+                "success_rate": round(successes / trees, 6),
+                "mean_time": round(cpu_time / trees, 9),
+                "successes": successes,
             }
-            for tag in PIPELINE_TAGS
-        },
-    }
+    return {"n": n, "trees": trees, "solvers": solvers}

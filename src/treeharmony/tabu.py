@@ -50,8 +50,6 @@ class TabuState:
     def mark_tabu(self, u: int, v: int, tenure: int) -> None:
         pair = (u, v) if u < v else (v, u)
         self.tabu[pair] = self.iter + tenure
-        if len(self.tabu) > 8 * (tenure + 2):
-            self.tabu = {p: e for p, e in self.tabu.items() if e > self.iter}
 
     def _sum_changes(self, u: int, v: int):
         lu, lv = self.labels[u], self.labels[v]
@@ -138,13 +136,14 @@ def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     Only strictly improving swaps are ever accepted, so once no swap at
     all improves Eval the state can never change again; when a long
     no-swap stretch confirms that, the remaining iterations are skipped.
-    The outcome is exactly what running them out would produce.
+    The outcome is exactly what running them out would produce.  Eval
+    starts at n-2 or less and each swap lowers it, so a solve makes at
+    most n-2 swaps, and a failure's ``best_eval`` is its final Eval.
     """
     n = tree.n
     state = TabuState(tree, random_onto_labelling(n, rng))
     max_iters = cfg.tabu_iteration_limit(n)
     swaps = 0
-    best_eval = state.eval
     idle = 0
     stall_scanned = False
     while state.iter < max_iters:
@@ -162,8 +161,6 @@ def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
                 swaps += 1
                 idle = 0
                 stall_scanned = False
-                if state.eval < best_eval:
-                    best_eval = state.eval
             else:
                 idle += 1
         if state.eval == 0:
@@ -181,7 +178,7 @@ def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     return SolveOutcome(False, None, "tabu", {
         "iterations": max_iters,
         "swaps": swaps,
-        "best_eval": best_eval,
+        "best_eval": state.eval,
         "final_eval": state.eval,
         "stalled": state.iter < max_iters,
     })

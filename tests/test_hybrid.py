@@ -88,6 +88,15 @@ def test_solver_tags_are_defined_once():
     assert SOLVER_TAGS == PIPELINE_TAGS + ("exhaustive",)
 
 
+def test_solver_salts_are_pinned_and_distinct():
+    # a salt feeds every seed a solver draws from, so a changed salt
+    # changes certificates; distinct salts give distinct solver seeds
+    # because _mix64 is a bijection
+    assert hybrid._SOLVER_SALT == {
+        "twostage": 0x74776F73, "backtrack": 0x6261636B, "tabu": 0x74616275}
+    assert len({hybrid._SOLVER_SALT[tag] for tag in hybrid.SOLVERS}) == len(hybrid.SOLVERS)
+
+
 def test_benchmark_runs_each_solver_on_its_salted_seed():
     # each tag's row is that solver alone, drawing from the stream the
     # pipeline would give it
@@ -151,6 +160,19 @@ def test_sweep_small_range(tmp_path):
     # checkpoint reflects completion
     checkpoint = _read_checkpoint(ck)
     assert checkpoint.completed[8] == 23 and checkpoint.seed == CFG.global_seed
+
+
+def test_sweep_report_json_is_pinned():
+    # the report file's bytes: key order, compact separators, and times
+    # rounded to the microsecond
+    report = hybrid.SweepReport(
+        7, trees_total=11, trees_solved=10, solver_counts={"twostage": 9, "tabu": 1},
+        failures=["0,1,2,3,2,1,1"], wall_time=1.23456789, cpu_time=2.5e-7,
+        resumed_from=4)
+    assert report.to_json() == (
+        '{"n":7,"trees_total":11,"trees_solved":10,'
+        '"solver_counts":{"twostage":9,"tabu":1},"failures":["0,1,2,3,2,1,1"],'
+        '"wall_time":1.234568,"cpu_time":0.0,"resumed_from":4}')
 
 
 # SHA-256 of the certificate file of sweep(2, 10, ...) under solver

@@ -127,7 +127,7 @@ def _cmd_solve(args) -> int:
     seed = cfg.global_seed
     outcome = solve_hybrid(tree, cfg, seed)
     if outcome.success:
-        print(make_certificate(tree, levels, outcome, seed).to_json_line())
+        print(make_certificate(tree, outcome, seed).to_json_line())
         return 0
     print(json.dumps({
         "n": tree.n,

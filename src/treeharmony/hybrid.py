@@ -92,9 +92,9 @@ def solve_hybrid(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
     return SolveOutcome(False, None, "", {"attempts": attempts})
 
 
-def make_certificate(tree: Tree, levels, outcome: SolveOutcome, seed: int) -> Certificate:
+def make_certificate(tree: Tree, outcome: SolveOutcome, seed: int) -> Certificate:
     labels = normalize_labelling(tree, outcome.labels)
-    return Certificate(tree.n, tuple(levels), labels, outcome.solver, seed)
+    return Certificate(tree.n, tree.levels, labels, outcome.solver, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +187,7 @@ def _solve_block(n: int, start_index: int, seqs: list, cfg: SolverConfig):
         tree = Tree.from_level_sequence(seq)
         outcome = solve_hybrid(tree, cfg, seed)
         if outcome.success:
-            cert = make_certificate(tree, seq, outcome, seed)
+            cert = make_certificate(tree, outcome, seed)
             out.append((index, cert.to_json_line(), outcome.solver))
         else:
             out.append((index, None, format_level_sequence(seq)))

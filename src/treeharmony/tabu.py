@@ -7,7 +7,8 @@ strictly Eval-lowering label swap among them if one exists, and forbids
 that pair for the next `tenure` iterations.  Swapping labels preserves
 the label multiset, so surjectivity survives every move.  Success is
 declared the moment Eval reaches 0; the iteration limit turns failure
-into a value rather than a hang.
+into a value rather than a hang; a state with no improving swap at all
+is stuck for good, so the search ends there with the limit's outcome.
 
 Eval is maintained incrementally through a per-sum multiplicity table:
 a swap touches only edges incident to the two nodes, so its Eval delta
@@ -119,12 +120,6 @@ def _any_improving_swap(state: TabuState) -> bool:
     return False
 
 
-# Iterations without an accepted swap before checking whether any
-# improving swap exists at all; comfortably above the default tenure so
-# a tabu'd improving pair normally gets applied first.
-_STALL_SCAN_AFTER = 50
-
-
 def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     """Tabu search; failure is a value once the iteration limit passes.
 
@@ -134,35 +129,32 @@ def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     with 0 swaps.
 
     Only strictly improving swaps are ever accepted, so once no swap at
-    all improves Eval the state can never change again; when a long
-    no-swap stretch confirms that, the remaining iterations are skipped.
-    The outcome is exactly what running them out would produce.  Eval
-    starts at n-2 or less and each swap lowers it, so a solve makes at
-    most n-2 swaps, and a failure's ``best_eval`` is its final Eval.
+    all improves Eval the state can never change again.  The first
+    iteration that accepts no swap after a start or a swap scans the
+    state once (drawing nothing); if no swap improves, the remaining
+    iterations are skipped and ``stalled`` is set.  The outcome is
+    exactly what running them out would produce.  Eval starts at n-2 or
+    less and each swap lowers it, so a solve makes at most n-2 swaps,
+    and a failure's ``best_eval`` is its final Eval.
     """
     n = tree.n
     state = TabuState(tree, random_onto_labelling(n, rng))
     max_iters = cfg.tabu_iteration_limit(n)
     swaps = 0
-    idle = 0
-    stall_scanned = False
+    scanned = False
     while state.iter < max_iters:
-        if n > 1:
-            best_pair = None
-            best_delta = 0
-            for u, v in _sample_pairs(state, cfg, rng):
-                d = state.delta_eval(u, v)
-                if d < best_delta:
-                    best_delta = d
-                    best_pair = (u, v)
-            if best_pair is not None:
-                state.apply_swap(*best_pair)
-                state.mark_tabu(*best_pair, cfg.tabu_tenure)
-                swaps += 1
-                idle = 0
-                stall_scanned = False
-            else:
-                idle += 1
+        best_pair = None
+        best_delta = 0
+        for u, v in _sample_pairs(state, cfg, rng):
+            d = state.delta_eval(u, v)
+            if d < best_delta:
+                best_delta = d
+                best_pair = (u, v)
+        if best_pair is not None:
+            state.apply_swap(*best_pair)
+            state.mark_tabu(*best_pair, cfg.tabu_tenure)
+            swaps += 1
+            scanned = False
         if state.eval == 0:
             labels = tuple(state.labels)
             assert is_harmonious(tree, labels), "tabu produced a bad labelling"
@@ -171,8 +163,8 @@ def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
                 "swaps": swaps,
             })
         state.iter += 1
-        if (n > 1 and idle >= _STALL_SCAN_AFTER and not stall_scanned):
-            stall_scanned = True
+        if best_pair is None and not scanned:
+            scanned = True
             if not _any_improving_swap(state):
                 break  # permanently stuck: fast-forward to the limit
     return SolveOutcome(False, None, "tabu", {

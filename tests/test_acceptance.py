@@ -118,7 +118,7 @@ def test_criterion_03_exhaustive_oracle_agreement():
                 assert result.exists, seq
                 out = solve_hybrid(tree, CFG, derive_seed(CFG.global_seed, n, index))
                 assert out.success, seq
-                cert = make_certificate(tree, seq, out, 0)
+                cert = make_certificate(tree, out, 0)
                 assert any(
                     normalize_labelling(tree, sol, BIJECTIVE) == cert.labels
                     for sol in iter_harmonious_bijective(tree)), seq

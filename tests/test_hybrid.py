@@ -79,7 +79,7 @@ def test_single_node_trivial_certificate():
     out = solve_hybrid(one, SABOTAGE, seed=1)
     assert out.success and out.labels == (0,)
     assert out.solver == SABOTAGE.pipeline[0]
-    cert = make_certificate(one, (0,), out, seed=1)
+    cert = make_certificate(one, out, seed=1)
     assert verify_certificate(cert) is None
 
 
@@ -125,7 +125,7 @@ def test_certificates_normalized():
         for seq in list(free_trees(n))[:3]:
             tree = Tree.from_level_sequence(seq)
             out = solve_hybrid(tree, CFG, seed=rng.randrange(1 << 40))
-            cert = make_certificate(tree, seq, out, seed=0)
+            cert = make_certificate(tree, out, seed=0)
             assert verify_certificate(cert) is None
             if n >= 3:
                 assert sorted(cert.labels).count(0) == 2

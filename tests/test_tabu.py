@@ -2,6 +2,7 @@
 
 import random
 
+from treeharmony import tabu
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees, prufer_decode
 from treeharmony.labelling import (eval_labelling, is_harmonious,
@@ -160,3 +161,54 @@ def test_stall_fast_forward_reports_full_iteration_budget():
             assert out.stats["best_eval"] > 0
             return
     raise AssertionError("no stalled run found in 40 seeds")
+
+
+# ------------------------------------------------------------------ #
+# stop rule                                                           #
+# ------------------------------------------------------------------ #
+
+def test_stuck_exit_matches_running_out_the_limit(monkeypatch):
+    # the early exit must give what running every iteration gives; with
+    # the stuck-state scan forced to report an improving swap, a run
+    # never leaves before its limit
+    cfg = SolverConfig(tabu_max_iters=200)
+    real = []
+    for n in range(2, 8):
+        for seq in free_trees(n):
+            tree = Tree.from_level_sequence(seq)
+            for seed in range(3):
+                real.append((tree, seed, solve_tabu(tree, cfg, random.Random(seed))))
+    monkeypatch.setattr(tabu, "_any_improving_swap", lambda state: True)
+
+    def strip(stats):
+        return {k: v for k, v in stats.items() if k != "stalled"}
+
+    early = 0
+    for tree, seed, out in real:
+        full = solve_tabu(tree, cfg, random.Random(seed))
+        assert (out.success, out.labels) == (full.success, full.labels), tree
+        assert strip(out.stats) == strip(full.stats), tree
+        assert not full.stats.get("stalled"), tree
+        early += bool(out.stats.get("stalled"))
+    assert early > 0
+
+
+def test_stuck_start_stops_after_one_iteration(monkeypatch):
+    # a random start with no improving swap anywhere is found stuck by
+    # the scan after the first swapless iteration
+    tree = Tree.from_level_sequence(list(free_trees(9))[0])
+    for seed in range(200):
+        start = TabuState(tree, random_onto_labelling(9, random.Random(seed)))
+        if start.eval > 0 and not tabu._any_improving_swap(start):
+            break
+    else:
+        raise AssertionError("no stuck random start in 200 seeds")
+    calls = []
+    sample = tabu._sample_pairs
+    monkeypatch.setattr(tabu, "_sample_pairs",
+                        lambda *args: calls.append(1) or sample(*args))
+    out = solve_tabu(tree, CFG, random.Random(seed))
+    assert not out.success and out.stats["stalled"]
+    assert out.stats["swaps"] == 0
+    assert out.stats["best_eval"] == start.eval
+    assert len(calls) == 1

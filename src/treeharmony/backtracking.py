@@ -29,7 +29,6 @@ root's value is the one value non-root nodes may still take.
 """
 
 from .config import SolveOutcome, SolverConfig
-from .labelling import is_harmonious
 from .native import kernel
 from .trees import Tree
 
@@ -101,7 +100,6 @@ def solve_backtracking(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
         labels, used = _run_once(tree, cfg, rng)
         total_backtracks += used
         if labels is not None:
-            assert is_harmonious(tree, labels), "backtracking produced a bad labelling"
             return SolveOutcome(True, labels, "backtrack", {
                 "backtracks": total_backtracks,
                 "restarts_used": restart + 1,

@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append one SweepReport JSON object per n "
                               "(default: <out>.report.jsonl)")
     p_sweep.add_argument("--fresh", action="store_true",
-                         help="ignore an existing checkpoint and restart")
+                         help="delete an existing checkpoint, then restart")
     p_sweep.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                          help="trees per work unit (default: %(default)s); the "
                               "costly trees of each n come last, so small "

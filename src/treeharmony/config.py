@@ -121,8 +121,8 @@ class SolverConfig:
 
 @dataclass
 class SolveOutcome:
-    """Result of one solve call: a labelling (raw solver output, not yet
-    normalized) or a failure, plus per-solver search statistics."""
+    """Result of one solve call: raw solver labels (make_certificate checks
+    and normalizes them) or a failure, plus per-solver search statistics."""
 
     success: bool
     labels: tuple[int, ...] | None

@@ -93,6 +93,8 @@ def solve_hybrid(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
 
 
 def make_certificate(tree: Tree, outcome: SolveOutcome, seed: int) -> Certificate:
+    """The one check between a solver and a certificate: normalize_labelling
+    raises ValueError unless the outcome's labels are harmonious."""
     labels = normalize_labelling(tree, outcome.labels)
     return Certificate(tree.n, tree.levels, labels, outcome.solver, seed)
 
@@ -245,7 +247,7 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     and cutting the output back to the size it records) and is refused
     if its seed, generator version or config fingerprint disagrees, if
     the output is shorter than it records, or if it is corrupt - pass
-    ``fresh=True`` to discard it and start over.
+    ``fresh=True`` to delete it and start over.
     Failures never abort the sweep; they are accumulated per n in the
     returned reports (and appended to *report_path* when given).
     ``progress(n, completed)`` runs after each block's checkpoint is
@@ -260,7 +262,9 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
         raise ValueError("block_size must be at least 1")
 
     fingerprint = cfg.fingerprint()
-    if fresh or not os.path.exists(checkpoint_path):
+    if fresh and os.path.exists(checkpoint_path):
+        os.remove(checkpoint_path)  # before the output it names is truncated
+    if not os.path.exists(checkpoint_path):
         completed: dict[int, int] = {}
         out_mode = "w"
     else:

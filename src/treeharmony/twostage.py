@@ -59,7 +59,6 @@ from typing import NamedTuple
 
 from .backtracking import _open_values, label_dfs
 from .config import SolveOutcome, SolverConfig
-from .labelling import is_harmonious
 from .native import kernel
 from .trees import Tree
 
@@ -194,7 +193,7 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     """Retry (stage 1 -> leaf CSP) up to cfg.twostage_runs times; any
     success extends the partial labelling, reduces it to the normal onto
-    form (the duplicated value is 0), verifies, and returns."""
+    form (the duplicated value is 0) and returns it unchecked."""
     n = tree.n
     stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
     for run in range(cfg.twostage_runs):
@@ -219,6 +218,5 @@ def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
         # Reducing the permutation mod n-1 merges 0 and n-1 on 0, which is
         # the normal form make_certificate asks for.
         labels = tuple(v % (n - 1) for v in full)
-        assert is_harmonious(tree, labels), "twostage produced a bad labelling"
         return SolveOutcome(True, labels, "twostage", stats)
     return SolveOutcome(False, None, "twostage", stats)

@@ -7,8 +7,9 @@ import json
 
 import pytest
 
+from treeharmony import hybrid
 from treeharmony.cli import _config_from_args, build_parser, main
-from treeharmony.config import SolverConfig
+from treeharmony.config import SolveOutcome, SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import Certificate, verify_certificate
 from treeharmony.trees import format_level_sequence
@@ -150,6 +151,15 @@ def test_solve_failure_record(capsys):
     assert code == 1
     [attempt] = json.loads(out.strip())["stats"]["attempts"]
     assert attempt["solver"] == "tabu" and attempt["iterations"] == 0
+
+
+def test_solve_refuses_a_bad_labelling(capsys, monkeypatch):
+    # make_certificate is the one check between a solver and the output
+    monkeypatch.setitem(hybrid.SOLVERS, "twostage",
+                        lambda tree, cfg, rng: SolveOutcome(
+                            True, (0,) * tree.n, "twostage", {}))
+    code, out, err = run(capsys, "solve", "--levels", "0,1,2,1")
+    assert code == 2 and out == "" and "cannot normalize" in err
 
 
 def test_solve_unknown_pipeline_tag(capsys):

@@ -2,12 +2,14 @@
 
 import hashlib
 import random
+from dataclasses import replace
 
 import pytest
 
-from treeharmony import hybrid
+from treeharmony import hybrid, labelling
 from treeharmony.cli import main as cli_main
-from treeharmony.config import PIPELINE_TAGS, SOLVER_VERSION, SolverConfig
+from treeharmony.config import (PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome,
+                                SolverConfig)
 from treeharmony.generate import GENERATOR_VERSION, free_trees
 from treeharmony.hybrid import (CheckpointError, _read_checkpoint, derive_seed,
                                 make_certificate, solve_hybrid, sweep)
@@ -354,7 +356,14 @@ def test_sweep_resumes_old_form_checkpoint_byte_identically(tmp_path):
     assert out.read_text() == tail
 
 
-def test_sweep_resume_after_stop_before_checkpoint_rename(tmp_path, monkeypatch, capsys):
+# blocks of 40 over n=9..10: 40 + 7 trees on 9 nodes, 40 + 40 + 26 on 10
+_LINES_AFTER_WRITE = [40, 47, 87, 127, 153]
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers{w}")
+@pytest.mark.parametrize("stop_at", range(1, 6), ids=lambda k: f"write{k}")
+def test_sweep_resume_after_stop_before_checkpoint_rename(tmp_path, monkeypatch,
+                                                          capsys, stop_at, workers):
     # A stop after a block's lines are flushed but before its checkpoint
     # is written: the resume cuts those lines and writes them once.
     ref = tmp_path / "ref.jsonl"
@@ -365,22 +374,79 @@ def test_sweep_resume_after_stop_before_checkpoint_rename(tmp_path, monkeypatch,
     write_checkpoint = hybrid._write_checkpoint
     calls = []
 
-    def stop_on_third(*args):
+    def stop_on_write(*args):
         calls.append(args)
-        if len(calls) == 3:
+        if len(calls) == stop_at:
             raise _Stop
         write_checkpoint(*args)
 
-    monkeypatch.setattr(hybrid, "_write_checkpoint", stop_on_third)
+    monkeypatch.setattr(hybrid, "_write_checkpoint", stop_on_write)
     with pytest.raises(_Stop):
-        sweep(9, 10, CFG, out_path=out, checkpoint_path=ck, block_size=40)
+        sweep(9, 10, CFG, workers, out_path=out, checkpoint_path=ck, block_size=40)
     monkeypatch.undo()
-    # all 47 trees on 9 nodes, then the first block on 10 nodes
-    assert len(_read_lines(out).splitlines()) == 47 + 40
-    sweep(9, 10, CFG, out_path=out, checkpoint_path=ck, block_size=40)
+    assert len(_read_lines(out).splitlines()) == _LINES_AFTER_WRITE[stop_at - 1]
+    sweep(9, 10, CFG, workers, out_path=out, checkpoint_path=ck, block_size=40)
     assert out.read_bytes() == ref.read_bytes()
     assert cli_main(["verify", str(out)]) == 0
     assert "153 certificates ok" in capsys.readouterr().err
+
+
+def test_fresh_sweep_stopped_before_its_first_checkpoint_resumes_cleanly(
+        tmp_path, monkeypatch, capsys):
+    # fresh=True truncates the output, so the checkpoint of the run it
+    # replaces must not outlive it: here that checkpoint matches the
+    # config of the re-run and names a size the fresh run has overwritten.
+    ref = tmp_path / "ref.jsonl"
+    sweep(2, 6, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck")
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.ck"
+    with pytest.raises(_Stop):
+        sweep(2, 6, CFG, out_path=out, checkpoint_path=ck,
+              progress=stop_after_blocks(1))
+    assert _read_checkpoint(ck).out == len(_read_lines(out))
+
+    def stop(*args):
+        raise _Stop
+
+    monkeypatch.setattr(hybrid, "_write_checkpoint", stop)
+    with pytest.raises(_Stop):
+        sweep(2, 6, replace(CFG, pipeline=("backtrack",)), out_path=out,
+              checkpoint_path=ck, fresh=True)
+    monkeypatch.undo()
+    sweep(2, 6, CFG, out_path=out, checkpoint_path=ck)
+    assert out.read_bytes() == ref.read_bytes()
+    assert cli_main(["verify", str(out)]) == 0
+    assert "13 certificates ok" in capsys.readouterr().err
+
+
+def _twostage_returns_all_zero(tree, cfg, rng):
+    return SolveOutcome(True, (0,) * tree.n, "twostage", {})
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_refuses_a_bad_labelling(tmp_path, monkeypatch, workers):
+    # make_certificate is the one check between a solver and the file; the
+    # pool's workers fork after the patch, so they solve with it too
+    monkeypatch.setitem(hybrid.SOLVERS, "twostage", _twostage_returns_all_zero)
+    out = tmp_path / "r.jsonl"
+    with pytest.raises(ValueError, match="cannot normalize"):
+        sweep(3, 5, CFG, workers, out_path=out, checkpoint_path=tmp_path / "c.ck",
+              block_size=2)
+    assert out.read_bytes() == b""
+
+
+def test_sweep_checks_each_labelling_once(tmp_path, monkeypatch):
+    calls = []
+    check = labelling.check_labelling
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return check(*args, **kwargs)
+
+    monkeypatch.setattr(labelling, "check_labelling", counting)
+    sweep(8, 9, CFG, out_path=tmp_path / "r.jsonl", checkpoint_path=tmp_path / "c.ck")
+    # 23 trees on 8 nodes and 47 on 9, each certified
+    assert len(calls) == 23 + 47
 
 
 def test_sweep_refuses_output_shorter_than_checkpoint(tmp_path):

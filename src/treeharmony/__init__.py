@@ -16,8 +16,8 @@ from .generate import (FreeTreeStream, GENERATOR_VERSION,
                        prufer_decode)
 from .hybrid import (CheckpointError, SweepReport, benchmark_solvers,
                      derive_seed, make_certificate, solve_hybrid, sweep)
-from .labelling import (BIJECTIVE, Certificate, CertificateError, ONTO,
-                        check_labelling, eval_labelling, exhaustive_search,
+from .labelling import (Certificate, CertificateError, check_labelling,
+                        eval_labelling, exhaustive_search,
                         induced_edge_labels, is_harmonious,
                         iter_harmonious_bijective, normalize_labelling,
                         random_onto_labelling, shift_labelling,

@@ -14,9 +14,9 @@ error.  All formats are line-oriented and append-safe.
 import argparse
 import json
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 
-from .config import PIPELINE_TAGS, SolverConfig
+from .config import SolverConfig
 from .generate import count_free_trees_enumerated, free_trees, oracle_count_otter
 from .hybrid import (DEFAULT_BLOCK_SIZE, CheckpointError, make_certificate,
                      solve_hybrid, sweep)
@@ -65,9 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--levels", required=True,
                          help="comma-separated depths, e.g. 0,1,2,1 "
                               "(canonicalized before solving)")
-    p_solve.add_argument("--solver", default="hybrid",
-                         choices=["hybrid", *PIPELINE_TAGS],
-                         help="a solver tag runs the one-solver pipeline (tag,)")
     _add_solver_flags(p_solve)
 
     p_sweep = sub.add_parser(
@@ -120,8 +117,6 @@ def _cmd_solve(args) -> int:
         print(f"solve: invalid level sequence: {exc}", file=sys.stderr)
         return 2
     cfg = _config_from_args(args)
-    if args.solver != "hybrid":
-        cfg = replace(cfg, pipeline=(args.solver,))
     levels = canonicalize(Tree.from_level_sequence(seq))
     tree = Tree.from_level_sequence(levels)
     seed = cfg.global_seed

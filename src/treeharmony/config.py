@@ -98,7 +98,7 @@ class SolverConfig:
     def with_overrides(self, overrides: dict[str, Any]) -> "SolverConfig":
         """Apply string or typed overrides keyed by field name.  A string
         parses as in a config file: comma-separated tags for ``pipeline``,
-        ``none`` or ``auto`` for ``tabu_max_iters``, else an integer."""
+        ``none`` (20000 * n) for ``tabu_max_iters``, else an integer."""
         known = {f.name: f for f in fields(self)}
         parsed = {}
         for key, value in overrides.items():
@@ -109,7 +109,7 @@ class SolverConfig:
                 continue
             if key == "pipeline":
                 parsed[key] = tuple(t.strip() for t in value.split(",") if t.strip())
-            elif key == "tabu_max_iters" and value.lower() in ("none", "auto"):
+            elif key == "tabu_max_iters" and value.lower() == "none":
                 parsed[key] = None
             else:
                 try:

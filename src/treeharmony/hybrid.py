@@ -11,7 +11,8 @@ from (global seed, n, enumeration index) alone, certificates are written
 in enumeration order through a single writer regardless of worker count,
 and the checkpoint records enough (seed, generator version, config
 fingerprint, completed counts, output size) for a resumed run to produce
-byte-identical remaining output.
+byte-identical remaining output, and the failures so far, so that a
+resumed run reports them too.
 """
 
 import json
@@ -110,7 +111,9 @@ class CheckpointError(RuntimeError):
 @dataclass
 class SweepReport:
     """Per-n summary: totals, per-solver attribution, and the level
-    sequences (if any) that failed every solver."""
+    sequences (if any) that failed every solver.  A resumed report's
+    totals count the trees after ``resumed_from``; its failures include
+    those the checkpoint records from before."""
 
     n: int
     trees_total: int = 0
@@ -131,6 +134,7 @@ class Checkpoint(NamedTuple):
     line written without them (the older form)."""
 
     completed: dict[int, int]   # trees done per n, an enumeration prefix
+    failed: dict[int, list[str]]  # level sequences of that prefix no solver solved
     seed: int
     gen: str                    # GENERATOR_VERSION
     cfg: str | None             # SolverConfig.fingerprint()
@@ -139,6 +143,7 @@ class Checkpoint(NamedTuple):
 
 def _read_checkpoint(path) -> Checkpoint:
     completed: dict[int, int] = {}
+    failed: dict[int, list[str]] = {}
     header = None
     try:
         with open(path, encoding="utf-8") as fh:
@@ -150,11 +155,13 @@ def _read_checkpoint(path) -> Checkpoint:
             continue
         try:
             parts = dict(item.split("=", 1) for item in line.split())
-            n = int(parts["n"])
-            completed[n] = int(parts["completed"])
-            out = parts.get("out")
-            line_header = (int(parts["seed"]), parts["gen"], parts.get("cfg"),
-                           None if out is None else int(out))
+            n, done = int(parts["n"]), int(parts["completed"])
+            out = int(parts["out"]) if "out" in parts else None
+            if n < 1 or done < 0 or (out is not None and out < 0):
+                raise ValueError("n below 1, or a negative count or size")
+            completed[n] = done
+            failed[n] = [seq for seq in parts.get("failed", "").split(";") if seq]
+            line_header = (int(parts["seed"]), parts["gen"], parts.get("cfg"), out)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(
                 f"corrupt checkpoint {path} line {lineno}: {exc}") from None
@@ -164,17 +171,18 @@ def _read_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"inconsistent checkpoint {path} line {lineno}")
     if header is None:
         raise CheckpointError(f"empty checkpoint {path}")
-    return Checkpoint(completed, *header)
+    return Checkpoint(completed, failed, *header)
 
 
-def _write_checkpoint(path, completed: dict[int, int], seed: int, gen: str,
-                      cfg: str, out: int) -> None:
+def _write_checkpoint(path, completed: dict[int, int], failed: dict[int, list[str]],
+                      seed: int, gen: str, cfg: str, out: int) -> None:
     # write-temp-then-rename so a crash can never leave a torn file
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for n in sorted(completed):
+            token = f" failed={';'.join(failed[n])}" if failed[n] else ""
             fh.write(f"n={n} completed={completed[n]} seed={seed} gen={gen} "
-                     f"cfg={cfg} out={out}\n")
+                     f"cfg={cfg} out={out}{token}\n")
     os.replace(tmp, path)
 
 
@@ -249,7 +257,8 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     the output is shorter than it records, or if it is corrupt - pass
     ``fresh=True`` to delete it and start over.
     Failures never abort the sweep; they are accumulated per n in the
-    returned reports (and appended to *report_path* when given).
+    checkpoint and the returned reports (and appended to *report_path*
+    when given).
     ``progress(n, completed)`` runs after each block's checkpoint is
     written; an exception it raises stops the sweep at that point, and a
     later call resumes from there.
@@ -266,10 +275,11 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
         os.remove(checkpoint_path)  # before the output it names is truncated
     if not os.path.exists(checkpoint_path):
         completed: dict[int, int] = {}
+        failed: dict[int, list[str]] = {}
         out_mode = "w"
     else:
         ck = _read_checkpoint(checkpoint_path)
-        completed = ck.completed
+        completed, failed = ck.completed, ck.failed
         if ck.seed != cfg.global_seed:
             raise CheckpointError(
                 f"checkpoint seed {ck.seed} != configured seed {cfg.global_seed}; "
@@ -302,6 +312,7 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
         for n in range(n_min, n_max + 1):
             wall0 = time.perf_counter()
             report = SweepReport(n, resumed_from=completed.get(n, 0))
+            report.failures = failed.setdefault(n, [])
             calls = ((n, start, seqs, cfg) for start, seqs in
                      _blocks(free_trees(n).skip(report.resumed_from), block_size))
             for results, cpu in _in_order(pool, 2 * workers, _solve_block, calls):
@@ -319,7 +330,7 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
                 # The checkpoint names the output size, so a resume after a
                 # stop between the flush and the rename cuts the block's
                 # lines away and writes them again.
-                _write_checkpoint(checkpoint_path, completed, cfg.global_seed,
+                _write_checkpoint(checkpoint_path, completed, failed, cfg.global_seed,
                                   GENERATOR_VERSION, fingerprint,
                                   os.fstat(sink.fileno()).st_size)
                 if progress is not None:

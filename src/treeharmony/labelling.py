@@ -1,19 +1,18 @@
 """Labellings, the induced edge labelling, the Eval objective, and the
 independent harmonious verifier.
 
-A labelling assigns one value per node under one of two models:
+A labelling assigns one value per node, and the model is Graham and
+Sloane's: n values onto Z_{n-1}, so exactly one value is used twice
+(the backtracking solver puts the duplicate on the root, but the model
+allows it anywhere - see :func:`normalize_labelling`).  A labelling is
+harmonious when all n-1 edge sums mod (n-1) are pairwise distinct.  n=1
+is harmonious by convention (no labels constrained, no edges) and n=2
+always is (Z_1 has a single value).
 
-* ``"onto"``: n values onto Z_{n-1}, so exactly one value is duplicated
-  (the solvers search here; the backtracking solver additionally puts the
-  duplicate on the root, but the model itself allows it anywhere - see
-  :func:`normalize_labelling`, which can land the merged value on any two
-  nodes).
-* ``"bijective"``: a permutation of {0, ..., n-1}; edge sums are still
-  taken mod n-1.
-
-A labelling is harmonious when all n-1 edge sums mod (n-1) are pairwise
-distinct.  n=1 is harmonious by convention (no labels constrained, no
-edges) and n=2 always is (Z_1 has a single value).
+The exhaustive oracle enumerates bijective labellings, permutations of
+{0, ..., n-1}; ``shift_labelling(f, 0)`` reduces one mod (n-1), merging
+labels 0 and n-1, to the onto form checked here.  A permutation is
+harmonious exactly when its reduction is.
 
 Certificates persist one solved tree per JSON line and are re-verified
 from scratch by :func:`verify_certificate`, which shares no edge
@@ -27,9 +26,6 @@ from itertools import permutations
 
 from .config import PIPELINE_TAGS
 from .trees import Tree
-
-ONTO = "onto"
-BIJECTIVE = "bijective"
 
 SOLVER_TAGS = PIPELINE_TAGS + ("exhaustive",)
 
@@ -55,8 +51,8 @@ def eval_labelling(tree: Tree, labels) -> int:
     return tree.n - 1 - len(set(induced_edge_labels(tree, labels)))
 
 
-def check_labelling(tree: Tree, labels, model: str = ONTO) -> str | None:
-    """None if harmonious under *model*, else a short reason.
+def check_labelling(tree: Tree, labels) -> str | None:
+    """None if harmonious, else a short reason.
 
     Deliberately does not share its duplicate detection with
     eval_labelling: edge sums are bucket-counted here, not set-deduped.
@@ -67,26 +63,14 @@ def check_labelling(tree: Tree, labels, model: str = ONTO) -> str | None:
     if n == 1:
         return None
     m = n - 1
-    if model == ONTO:
-        counts = [0] * m
-        for v in labels:
-            if not 0 <= v < m:
-                return "label out of range"
-            counts[v] += 1
-        for c in counts:
-            if c == 0:
-                return "label multiset not onto"
-    elif model == BIJECTIVE:
-        counts = [0] * n
-        for v in labels:
-            if not 0 <= v < n:
-                return "label out of range"
-            counts[v] += 1
-        for c in counts:
-            if c != 1:
-                return "label multiset not a permutation"
-    else:
-        raise ValueError(f"unknown model {model!r}")
+    counts = [0] * m
+    for v in labels:
+        if not 0 <= v < m:
+            return "label out of range"
+        counts[v] += 1
+    for c in counts:
+        if c == 0:
+            return "label multiset not onto"
     sum_counts = [0] * m
     parents = tree.parents
     for i in range(1, n):
@@ -97,8 +81,8 @@ def check_labelling(tree: Tree, labels, model: str = ONTO) -> str | None:
     return None
 
 
-def is_harmonious(tree: Tree, labels, model: str = ONTO) -> bool:
-    return check_labelling(tree, labels, model) is None
+def is_harmonious(tree: Tree, labels) -> bool:
+    return check_labelling(tree, labels) is None
 
 
 def shift_labelling(labels, c: int) -> tuple[int, ...]:
@@ -111,23 +95,18 @@ def shift_labelling(labels, c: int) -> tuple[int, ...]:
     return tuple((v + c) % m for v in labels)
 
 
-def normalize_labelling(tree: Tree, labels, model: str = ONTO) -> tuple[int, ...]:
-    """Canonical onto form of a harmonious labelling: the duplicated
-    value is 0.
-
-    Bijective input is first reduced mod (n-1), merging labels 0 and n-1
-    (duplicate already 0); onto input is shifted so its duplicated value
-    becomes 0.  Idempotent.  Raises ValueError on non-harmonious input.
+def normalize_labelling(tree: Tree, labels) -> tuple[int, ...]:
+    """Canonical form of a harmonious labelling: shifted so that its
+    duplicated value is 0.  Idempotent.  Raises ValueError on
+    non-harmonious input.
     """
-    reason = check_labelling(tree, labels, model)
+    reason = check_labelling(tree, labels)
     if reason is not None:
         raise ValueError(f"cannot normalize: {reason}")
     n = tree.n
     if n == 1:
         return (0,)
     m = n - 1
-    if model == BIJECTIVE:
-        return tuple(v % m for v in labels)
     counts = [0] * m
     for v in labels:
         counts[v] += 1

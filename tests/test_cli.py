@@ -87,18 +87,24 @@ def test_solve_p3(capsys):
 
 def test_solve_single_solver_tag(capsys):
     code, out, _ = run(capsys, "solve", "--levels", "0,1,1,1",
-                       "--solver", "twostage")
+                       "--pipeline", "twostage")
     assert code == 0
     assert Certificate.from_json_line(out.strip()).solver == "twostage"
+    # --pipeline is the one way to name the solvers
+    with pytest.raises(SystemExit) as usage:
+        main(["solve", "--levels", "0,1,1,1", "--solver", "twostage"])
+    assert usage.value.code == 2
+    assert "unrecognized arguments: --solver" in capsys.readouterr().err
 
 
-# SHA-256 of the `solve --levels L --solver TAG --seed 7` output lines,
-# concatenated, for every tree L with 2 <= n <= 9 in enumeration order.
-# Measured before `--solver TAG` became the one-solver pipeline (TAG,):
-# the hybrid and twostage values are that output byte for byte; for
-# backtrack (8 failures) and tabu (50) it is that output with each
-# failure record's stats nested as {"attempts": [{"solver": TAG, ...}]},
-# the shape the pipeline gives them.
+# SHA-256 of the `solve --levels L --pipeline TAG --seed 7` output lines
+# (no --pipeline for "hybrid", the full pipeline), concatenated, for every
+# tree L with 2 <= n <= 9 in enumeration order.  Measured with the since
+# removed `--solver TAG` flag, before it ran the one-solver pipeline (TAG,):
+# the hybrid and twostage values are that output byte for byte; for backtrack
+# (8 failures) and tabu (50) it is that output with each failure record's
+# stats nested as {"attempts": [{"solver": TAG, ...}]}, the shape the
+# pipeline gives them.
 SOLVE_SOLVER_DIGESTS = {
     "hybrid": "7b933dd54880de9c685cbfc28e401e9a22f5eee1d3e45e835855e295c8cf63fd",
     "twostage": "7b933dd54880de9c685cbfc28e401e9a22f5eee1d3e45e835855e295c8cf63fd",
@@ -113,15 +119,16 @@ def test_solve_solver_output_is_pinned(tag):
     for n in range(2, 10):
         for seq in free_trees(n):
             buf = io.StringIO()
+            pipeline = [] if tag == "hybrid" else ["--pipeline", tag]
             with contextlib.redirect_stdout(buf):
                 main(["solve", "--levels", format_level_sequence(seq),
-                      "--solver", tag, "--seed", "7"])
+                      *pipeline, "--seed", "7"])
             digest.update(buf.getvalue().encode())
     assert digest.hexdigest() == SOLVE_SOLVER_DIGESTS[tag]
 
 
 def test_solve_single_node_succeeds_with_zero_runs(capsys):
-    code, out, _ = run(capsys, "solve", "--levels", "0", "--solver", "backtrack",
+    code, out, _ = run(capsys, "solve", "--levels", "0", "--pipeline", "backtrack",
                        "--backtrack-restarts", "0")
     assert code == 0 and Certificate.from_json_line(out.strip()).solver == "backtrack"
 
@@ -146,7 +153,7 @@ def test_solve_failure_record(capsys):
     rec = json.loads(out.strip())
     assert rec["failed"] and len(rec["stats"]["attempts"]) == 3
     # one solver alone fails with the pipeline's record shape
-    code, out, _ = run(capsys, "solve", "--levels", "0,1,2,1", "--solver", "tabu",
+    code, out, _ = run(capsys, "solve", "--levels", "0,1,2,1", "--pipeline", "tabu",
                        "--tabu-max-iters", "0")
     assert code == 1
     [attempt] = json.loads(out.strip())["stats"]["attempts"]
@@ -220,6 +227,9 @@ def test_bad_integer_flag_names_its_key(capsys):
     assert code == 2 and "twostage_runs" in err and "'ten'" in err
     code, _, err = run(capsys, "solve", "--levels", "0,1,1", "--seed", "1.5")
     assert code == 2 and "global_seed" in err
+    # "none" is the one spelling of no tabu_max_iters of its own
+    code, _, err = run(capsys, "solve", "--levels", "0,1,1", "--tabu-max-iters", "auto")
+    assert code == 2 and "tabu_max_iters: not an integer: 'auto'" in err
 
 
 # ------------------------------------------------------------------ #

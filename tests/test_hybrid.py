@@ -302,6 +302,55 @@ def test_sweep_interrupt_and_resume_matches_uninterrupted(tmp_path):
     assert _read_lines(out) == _read_lines(ref)
 
 
+# The one tree on 7 nodes that fails below, index 3 of 11: sweeps of
+# n=5..8 in blocks of 3 solve it in the block that ends at completed=6.
+_FAILING_TREE = "0,1,2,2,2,2,1"
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers{w}")
+@pytest.mark.parametrize("stop_at", [(7, 6), (7, 11), (8, 3)],
+                         ids=["failing-block", "last-block-of-n", "later-n"])
+def test_sweep_resume_keeps_candidate_counterexamples(tmp_path, monkeypatch,
+                                                      capsys, stop_at, workers):
+    # the checkpoint counts a failed tree as completed, so it must also
+    # name it: a resumed sweep does not solve that tree again
+    for tag, solve in hybrid.SOLVERS.items():
+        def failing(tree, cfg, rng, solve=solve):
+            if ",".join(map(str, tree.levels)) == _FAILING_TREE:
+                return SolveOutcome(False, None, "", {})
+            return solve(tree, cfg, rng)
+        monkeypatch.setitem(hybrid.SOLVERS, tag, failing)
+    ref = tmp_path / "ref.jsonl"
+    reports = sweep(5, 8, CFG, workers, out_path=ref,
+                    checkpoint_path=tmp_path / "ref.ck", block_size=3)
+    expected = [(r.n, r.failures) for r in reports if r.failures]
+    assert expected == [(7, [_FAILING_TREE])]
+
+    out = tmp_path / "cut.jsonl"
+    ck = tmp_path / "cut.ck"
+
+    def stop(n, completed):
+        if (n, completed) == stop_at:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        sweep(5, 8, CFG, workers, out_path=out, checkpoint_path=ck,
+              block_size=3, progress=stop)
+    reports = sweep(5, 8, CFG, workers, out_path=out, checkpoint_path=ck,
+                    block_size=3)
+    assert [(r.n, r.failures) for r in reports if r.failures] == expected
+    assert out.read_bytes() == ref.read_bytes()
+    # a finished sweep run again still reports the tree, and exits 1
+    argv = ["sweep", "--min", "5", "--max", "8", "--jobs", str(workers),
+            "--block-size", "3", "--out", str(out), "--checkpoint", str(ck)]
+    capsys.readouterr()
+    assert cli_main(argv) == 1
+    err = capsys.readouterr().err
+    assert "n=7 total=0 solved=0 failures=1" in err
+    assert f"candidate counterexample: {_FAILING_TREE}" in err
+    assert out.read_bytes() == ref.read_bytes()
+
+
 def test_sweep_refuses_mismatched_seed(tmp_path):
     out = tmp_path / "r.jsonl"
     ck = tmp_path / "c.txt"
@@ -461,11 +510,18 @@ def test_sweep_refuses_output_shorter_than_checkpoint(tmp_path):
         sweep(2, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5)
 
 
-def test_sweep_refuses_corrupt_checkpoint(tmp_path):
+@pytest.mark.parametrize("fields", [
+    "n=notanint completed=0", "n=0 completed=0", "n=3 completed=-2",
+    "n=3 completed=0 out=-1",
+], ids=["n-not-an-int", "n-0", "completed-negative", "out-negative"])
+def test_sweep_refuses_corrupt_checkpoint(tmp_path, fields):
     out = tmp_path / "r.jsonl"
     ck = tmp_path / "c.txt"
-    ck.write_text("n=notanint completed=0\n")
-    with pytest.raises(CheckpointError):
+    out.write_text("")
+    # a later token wins, so *fields* override the valid out=0
+    ck.write_text(f"seed={CFG.global_seed} gen={GENERATOR_VERSION} "
+                  f"cfg={CFG.fingerprint()} out=0 {fields}\n")
+    with pytest.raises(CheckpointError, match="corrupt checkpoint .* line 1:"):
         sweep(2, 4, CFG, out_path=out, checkpoint_path=ck)
 
 

@@ -7,11 +7,12 @@ being frozen here; the larger checks compare two independent routes.
 """
 
 import random
+from itertools import permutations
 
 import pytest
 
 from treeharmony.generate import free_trees, prufer_decode
-from treeharmony.labelling import (BIJECTIVE, Certificate, CertificateError,
+from treeharmony.labelling import (Certificate, CertificateError,
                                    _count_by_permutations,
                                    check_labelling, eval_labelling,
                                    exhaustive_search, induced_edge_labels,
@@ -88,10 +89,10 @@ def test_check_labelling_reasons():
     assert check_labelling(P4, (0, 1, 2, 3)) == "label out of range"
     assert check_labelling(P4, (0, 1, 1, 0)) == "label multiset not onto"
     assert check_labelling(P4, (1, 0, 2, 0)) == "duplicate edge label"
-    assert check_labelling(P4, (0, 3, 1, 2), BIJECTIVE) is None
-    assert check_labelling(P4, (0, 3, 3, 2), BIJECTIVE) == "label multiset not a permutation"
-    with pytest.raises(ValueError):
-        check_labelling(P4, (0, 1, 2, 2), "nonsense")
+    # a permutation of 0..n-1 is checked in its reduced form
+    assert check_labelling(P4, shift_labelling((0, 3, 1, 2), 0)) is None
+    with pytest.raises(TypeError):  # one model, so no model argument
+        check_labelling(P4, (0, 3, 1, 2), "bijective")
 
 
 def test_eval_iff_harmonious():
@@ -131,7 +132,7 @@ def test_shift_invariance():
 
 def test_normalize_examples():
     # bijective star labelling: 3 = 0 mod 3
-    assert normalize_labelling(STAR4, (3, 0, 1, 2), BIJECTIVE) == (0, 0, 1, 2)
+    assert normalize_labelling(STAR4, shift_labelling((3, 0, 1, 2), 0)) == (0, 0, 1, 2)
     # onto labelling with duplicated value 2: shift by +1 mod 3
     assert normalize_labelling(P4, (2, 2, 0, 1)) == (0, 0, 1, 2)
     assert normalize_labelling(P4, (0, 0, 1, 2)) == (0, 0, 1, 2)  # idempotent
@@ -144,9 +145,9 @@ def test_normalize_not_harmonious():
 
 def test_normalize_can_place_duplicate_off_root():
     # reducing a bijective labelling merges 0 and n-1 wherever they sit
-    f = (1, 2, 0, 3)
-    assert is_harmonious(P4, f, BIJECTIVE)
-    norm = normalize_labelling(P4, f, BIJECTIVE)
+    f = shift_labelling((1, 2, 0, 3), 0)
+    assert is_harmonious(P4, f)
+    norm = normalize_labelling(P4, f)
     assert norm == (1, 2, 0, 0)
     assert is_harmonious(P4, norm)
 
@@ -186,7 +187,7 @@ def test_exhaustive_p3():
     # hand enumeration of the 6 permutations leaves 4 harmonious ones
     result = exhaustive_search(P3)
     assert result.exists and result.count == 4
-    assert is_harmonious(P3, result.witness, BIJECTIVE)
+    assert is_harmonious(P3, shift_labelling(result.witness, 0))
 
 
 def test_exhaustive_n2():
@@ -217,12 +218,29 @@ def test_all_small_trees_harmonious():
             assert exhaustive_search(Tree.from_level_sequence(seq)).exists
 
 
+def test_reduced_permutation_is_harmonious_iff_oracle_yields_it():
+    # the one labelling model covers the oracle's bijective one: reducing
+    # a permutation mod n-1 keeps its edge sums, so it passes the onto
+    # check exactly when the oracle enumerates it
+    for n in range(2, 8):
+        for seq in free_trees(n):
+            t = Tree.from_level_sequence(seq)
+            solutions = set(iter_harmonious_bijective(t))
+            for f in permutations(range(n)):
+                g = shift_labelling(f, 0)
+                assert is_harmonious(t, g) == (f in solutions), (seq, f)
+                if f in solutions:
+                    norm = normalize_labelling(t, g)
+                    assert norm == g and norm.count(0) == 2, (seq, f)
+
+
 def test_iter_solutions_are_harmonious_and_sorted():
     sols = list(iter_harmonious_bijective(P4))
     assert sols == sorted(sols)
     assert len(sols) == len(set(sols)) == 8
     for f in sols:
-        assert is_harmonious(P4, f, BIJECTIVE)
+        assert sorted(f) == [0, 1, 2, 3]
+        assert is_harmonious(P4, shift_labelling(f, 0))
 
 
 # ------------------------------------------------------------------ #

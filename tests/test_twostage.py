@@ -15,7 +15,7 @@ from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees, prufer_decode
 from treeharmony.labelling import (is_harmonious, iter_harmonious_bijective,
-                                   normalize_labelling)
+                                   normalize_labelling, shift_labelling)
 from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
 from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
@@ -299,7 +299,8 @@ def test_leaf_csp_p4_dead_partial_fails_good_partial_extends():
     assert got is not None
     full = {0: 0, 1: 3, **got}
     labels = tuple(full[i] for i in range(4))
-    assert is_harmonious(P4, labels, model="bijective")
+    assert sorted(labels) == [0, 1, 2, 3]
+    assert is_harmonious(P4, shift_labelling(labels, 0))
 
 
 def test_leaf_csp_singleton_domains_assigned_without_branching():

@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_gen = sub.add_parser("gen", help="stream canonical level sequences")
     p_gen.add_argument("--nodes", type=int, required=True)
-    p_gen.add_argument("--count-only", action="store_true",
-                       help="print only the number of trees")
 
     p_count = sub.add_parser(
         "count", help="enumerated and formula-based free-tree counts")
@@ -92,9 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args) -> int:
-    if args.count_only:
-        print(count_free_trees_enumerated(args.nodes))
-        return 0
     for seq in free_trees(args.nodes):
         print(format_level_sequence(seq))
     return 0

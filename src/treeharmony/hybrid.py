@@ -10,9 +10,10 @@ Sweeps are reproducible by construction: each tree's RNG seed derives
 from (global seed, n, enumeration index) alone, certificates are written
 in enumeration order through a single writer regardless of worker count,
 and the checkpoint records enough (seed, generator version, config
-fingerprint, completed counts, output size) for a resumed run to produce
-byte-identical remaining output, and the failures so far, so that a
-resumed run reports them too.
+fingerprint, output size) for a resumed run to produce byte-identical
+remaining output.  Each checkpoint line is the persisted form of one n's
+SweepReport counts, so a resumed run reports what an uninterrupted one
+would.
 """
 
 import json
@@ -30,7 +31,7 @@ from .config import PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome, SolverConfig
 from .generate import GENERATOR_VERSION, free_trees
 from .labelling import Certificate, normalize_labelling
 from .tabu import solve_tabu
-from .trees import Tree, format_level_sequence
+from .trees import Tree, format_level_sequence, parse_level_sequence
 from .twostage import solve_twostage
 
 SOLVERS = {
@@ -111,9 +112,10 @@ class CheckpointError(RuntimeError):
 @dataclass
 class SweepReport:
     """Per-n summary: totals, per-solver attribution, and the level
-    sequences (if any) that failed every solver.  A resumed report's
-    totals count the trees after ``resumed_from``; its failures include
-    those the checkpoint records from before."""
+    sequences (if any) that failed every solver.  The counts cover every
+    tree of n done so far, in this run and the runs it resumes; the
+    times cover this run only, and ``resumed_from`` is how many trees
+    were done before it."""
 
     n: int
     trees_total: int = 0
@@ -130,11 +132,14 @@ class SweepReport:
 
 
 class Checkpoint(NamedTuple):
-    """A checkpoint as read back.  ``cfg`` and ``out`` are None for a
-    line written without them (the older form)."""
+    """A checkpoint as read back: one report per line, counting the
+    enumeration prefix of its n done so far (``completed=``, ``solved=``
+    and ``failed=``), with zero times.  ``cfg`` and ``out`` are None for
+    a line written without them (the older form); a line without
+    ``solved=`` counts its trees that did not fail as solved, by no
+    named solver."""
 
-    completed: dict[int, int]   # trees done per n, an enumeration prefix
-    failed: dict[int, list[str]]  # level sequences of that prefix no solver solved
+    reports: dict[int, SweepReport]
     seed: int
     gen: str                    # GENERATOR_VERSION
     cfg: str | None             # SolverConfig.fingerprint()
@@ -142,8 +147,7 @@ class Checkpoint(NamedTuple):
 
 
 def _read_checkpoint(path) -> Checkpoint:
-    completed: dict[int, int] = {}
-    failed: dict[int, list[str]] = {}
+    reports: dict[int, SweepReport] = {}
     header = None
     try:
         with open(path, encoding="utf-8") as fh:
@@ -159,8 +163,23 @@ def _read_checkpoint(path) -> Checkpoint:
             out = int(parts["out"]) if "out" in parts else None
             if n < 1 or done < 0 or (out is not None and out < 0):
                 raise ValueError("n below 1, or a negative count or size")
-            completed[n] = done
-            failed[n] = [seq for seq in parts.get("failed", "").split(";") if seq]
+            if n in reports:
+                raise ValueError(f"n={n} on two lines")
+            failures = [parse_level_sequence(seq)
+                        for seq in parts.get("failed", "").split(";") if seq]
+            if len(failures) > done or any(len(seq) != n for seq in failures):
+                raise ValueError(f"failed= must name at most {done} trees of {n} nodes")
+            report = reports[n] = SweepReport(
+                n, done, done - len(failures),
+                failures=[format_level_sequence(seq) for seq in failures])
+            counts = report.solver_counts
+            for item in filter(None, parts.get("solved", "").split(",")):
+                tag, count = item.split(":")
+                if tag not in PIPELINE_TAGS or tag in counts or int(count) < 0:
+                    raise ValueError(f"solved= entry {item!r}")
+                counts[tag] = int(count)
+            if "solved" in parts and sum(counts.values()) != report.trees_solved:
+                raise ValueError("solved= and failed= do not add up to completed=")
             line_header = (int(parts["seed"]), parts["gen"], parts.get("cfg"), out)
         except (KeyError, ValueError) as exc:
             raise CheckpointError(
@@ -171,18 +190,25 @@ def _read_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"inconsistent checkpoint {path} line {lineno}")
     if header is None:
         raise CheckpointError(f"empty checkpoint {path}")
-    return Checkpoint(completed, failed, *header)
+    return Checkpoint(reports, *header)
 
 
-def _write_checkpoint(path, completed: dict[int, int], failed: dict[int, list[str]],
-                      seed: int, gen: str, cfg: str, out: int) -> None:
+def _write_checkpoint(path, reports: dict[int, SweepReport], seed: int, gen: str,
+                      cfg: str, out: int) -> None:
     # write-temp-then-rename so a crash can never leave a torn file
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for n in sorted(completed):
-            token = f" failed={';'.join(failed[n])}" if failed[n] else ""
-            fh.write(f"n={n} completed={completed[n]} seed={seed} gen={gen} "
-                     f"cfg={cfg} out={out}{token}\n")
+        for n, report in sorted(reports.items()):
+            line = (f"n={n} completed={report.trees_total} seed={seed} gen={gen} "
+                    f"cfg={cfg} out={out}")
+            # an n resumed from a line without solved= has no tags for its
+            # earlier trees, so its lines go on without the token
+            if sum(report.solver_counts.values()) == report.trees_solved:
+                line += " solved=" + ",".join(
+                    f"{tag}:{count}" for tag, count in report.solver_counts.items())
+            if report.failures:
+                line += " failed=" + ";".join(report.failures)
+            fh.write(line + "\n")
     os.replace(tmp, path)
 
 
@@ -258,7 +284,8 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     ``fresh=True`` to delete it and start over.
     Failures never abort the sweep; they are accumulated per n in the
     checkpoint and the returned reports (and appended to *report_path*
-    when given).
+    when given).  Each n's report resumes from its checkpoint line, so
+    its counts cover every tree of n done so far.
     ``progress(n, completed)`` runs after each block's checkpoint is
     written; an exception it raises stops the sweep at that point, and a
     later call resumes from there.
@@ -274,12 +301,11 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     if fresh and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)  # before the output it names is truncated
     if not os.path.exists(checkpoint_path):
-        completed: dict[int, int] = {}
-        failed: dict[int, list[str]] = {}
+        reports: dict[int, SweepReport] = {}
         out_mode = "w"
     else:
         ck = _read_checkpoint(checkpoint_path)
-        completed, failed = ck.completed, ck.failed
+        reports = ck.reports
         if ck.seed != cfg.global_seed:
             raise CheckpointError(
                 f"checkpoint seed {ck.seed} != configured seed {cfg.global_seed}; "
@@ -307,12 +333,11 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
             os.truncate(out_path, ck.out)
         out_mode = "a"
 
-    reports = []
     with open(out_path, out_mode, encoding="utf-8") as sink, _pool(workers) as pool:
         for n in range(n_min, n_max + 1):
             wall0 = time.perf_counter()
-            report = SweepReport(n, resumed_from=completed.get(n, 0))
-            report.failures = failed.setdefault(n, [])
+            report = reports.setdefault(n, SweepReport(n))
+            report.resumed_from = report.trees_total
             calls = ((n, start, seqs, cfg) for start, seqs in
                      _blocks(free_trees(n).skip(report.resumed_from), block_size))
             for results, cpu in _in_order(pool, 2 * workers, _solve_block, calls):
@@ -326,21 +351,19 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
                     else:
                         report.failures.append(info)
                 sink.flush()
-                completed[n] = report.resumed_from + report.trees_total
                 # The checkpoint names the output size, so a resume after a
                 # stop between the flush and the rename cuts the block's
                 # lines away and writes them again.
-                _write_checkpoint(checkpoint_path, completed, failed, cfg.global_seed,
+                _write_checkpoint(checkpoint_path, reports, cfg.global_seed,
                                   GENERATOR_VERSION, fingerprint,
                                   os.fstat(sink.fileno()).st_size)
                 if progress is not None:
-                    progress(n, completed[n])
+                    progress(n, report.trees_total)
             report.wall_time = time.perf_counter() - wall0
-            reports.append(report)
             if report_path is not None:
                 with open(report_path, "a", encoding="utf-8") as rf:
                     rf.write(report.to_json() + "\n")
-    return reports
+    return [reports[n] for n in range(n_min, n_max + 1)]
 
 
 # ---------------------------------------------------------------------------

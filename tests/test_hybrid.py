@@ -1,7 +1,9 @@
 """Hybrid pipeline, seed derivation, and the checkpointed sweep."""
 
 import hashlib
+import json
 import random
+import re
 from dataclasses import replace
 
 import pytest
@@ -10,7 +12,7 @@ from treeharmony import hybrid, labelling
 from treeharmony.cli import main as cli_main
 from treeharmony.config import (PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome,
                                 SolverConfig)
-from treeharmony.generate import GENERATOR_VERSION, free_trees
+from treeharmony.generate import GENERATOR_VERSION, free_trees, oracle_count_otter
 from treeharmony.hybrid import (CheckpointError, _read_checkpoint, derive_seed,
                                 make_certificate, solve_hybrid, sweep)
 from treeharmony.labelling import (SOLVER_TAGS, Certificate, is_harmonious,
@@ -161,7 +163,7 @@ def test_sweep_small_range(tmp_path):
     assert len(_read_lines(rep).splitlines()) == 7
     # checkpoint reflects completion
     checkpoint = _read_checkpoint(ck)
-    assert checkpoint.completed[8] == 23 and checkpoint.seed == CFG.global_seed
+    assert checkpoint.reports[8].trees_total == 23 and checkpoint.seed == CFG.global_seed
 
 
 def test_sweep_report_json_is_pinned():
@@ -307,6 +309,17 @@ def test_sweep_interrupt_and_resume_matches_uninterrupted(tmp_path):
 _FAILING_TREE = "0,1,2,2,2,2,1"
 
 
+def _fail_tree(monkeypatch):
+    """Make every solver fail _FAILING_TREE; the pool's workers fork
+    after the patch, so they fail it too."""
+    for tag, solve in hybrid.SOLVERS.items():
+        def failing(tree, cfg, rng, solve=solve):
+            if ",".join(map(str, tree.levels)) == _FAILING_TREE:
+                return SolveOutcome(False, None, "", {})
+            return solve(tree, cfg, rng)
+        monkeypatch.setitem(hybrid.SOLVERS, tag, failing)
+
+
 @pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers{w}")
 @pytest.mark.parametrize("stop_at", [(7, 6), (7, 11), (8, 3)],
                          ids=["failing-block", "last-block-of-n", "later-n"])
@@ -314,12 +327,7 @@ def test_sweep_resume_keeps_candidate_counterexamples(tmp_path, monkeypatch,
                                                       capsys, stop_at, workers):
     # the checkpoint counts a failed tree as completed, so it must also
     # name it: a resumed sweep does not solve that tree again
-    for tag, solve in hybrid.SOLVERS.items():
-        def failing(tree, cfg, rng, solve=solve):
-            if ",".join(map(str, tree.levels)) == _FAILING_TREE:
-                return SolveOutcome(False, None, "", {})
-            return solve(tree, cfg, rng)
-        monkeypatch.setitem(hybrid.SOLVERS, tag, failing)
+    _fail_tree(monkeypatch)
     ref = tmp_path / "ref.jsonl"
     reports = sweep(5, 8, CFG, workers, out_path=ref,
                     checkpoint_path=tmp_path / "ref.ck", block_size=3)
@@ -346,9 +354,79 @@ def test_sweep_resume_keeps_candidate_counterexamples(tmp_path, monkeypatch,
     capsys.readouterr()
     assert cli_main(argv) == 1
     err = capsys.readouterr().err
-    assert "n=7 total=0 solved=0 failures=1" in err
+    assert "n=7 total=11 solved=10 failures=1" in err
     assert f"candidate counterexample: {_FAILING_TREE}" in err
     assert out.read_bytes() == ref.read_bytes()
+
+
+_COUNTS = ["n", "trees_total", "trees_solved", "solver_counts", "failures"]
+
+
+def _last_report_per_n(path):
+    last = {}
+    for line in path.read_text(encoding="utf-8").splitlines():
+        record = json.loads(line)
+        last[record["n"]] = [record[key] for key in _COUNTS]
+    return list(last.values())
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers{w}")
+def test_resumed_reports_equal_uninterrupted(tmp_path, monkeypatch, workers):
+    # a report's counts cover every tree of its n done so far, so a sweep
+    # stopped at any block and resumed reports what an unstopped one does
+    _fail_tree(monkeypatch)
+
+    def run(name, **kwargs):
+        return sweep(5, 8, CFG, workers, out_path=tmp_path / f"{name}.jsonl",
+                     checkpoint_path=tmp_path / f"{name}.ck",
+                     report_path=tmp_path / f"{name}.rep.jsonl", block_size=3,
+                     **kwargs)
+
+    reports = run("ref")
+    for r in reports:
+        assert r.trees_total == oracle_count_otter(r.n)
+        assert r.trees_solved + len(r.failures) == r.trees_total
+        assert sum(r.solver_counts.values()) == r.trees_solved
+    assert [r.failures for r in reports] == [[], [], [_FAILING_TREE], []]
+    ref = [[getattr(r, key) for key in _COUNTS] for r in reports]
+    # blocks of 3 over n=5..8: 1 + 2 + 4 + 8
+    for k in range(1, 16):
+        with pytest.raises(_Stop):
+            run(f"cut{k}", progress=stop_after_blocks(k))
+        reports = run(f"cut{k}")
+        assert [[getattr(r, key) for key in _COUNTS] for r in reports] == ref
+        assert _last_report_per_n(tmp_path / f"cut{k}.rep.jsonl") == ref
+        assert (tmp_path / f"cut{k}.jsonl").read_bytes() == \
+            (tmp_path / "ref.jsonl").read_bytes()
+
+
+def test_sweep_resumes_checkpoint_without_solved_token(tmp_path, monkeypatch):
+    # a line without solved=, as sweeps wrote before the token existed:
+    # its trees count as solved but name no solver, so the n's later
+    # lines go on without the token, and the certificates do not change
+    _fail_tree(monkeypatch)
+    ref = tmp_path / "ref.jsonl"
+    sweep(7, 7, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck", block_size=3)
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.ck"
+    with pytest.raises(_Stop):
+        sweep(7, 7, CFG, out_path=out, checkpoint_path=ck, block_size=3,
+              progress=stop_after_blocks(2))
+    head = (f"n=7 completed=6 seed={CFG.global_seed} gen={GENERATOR_VERSION} "
+            f"cfg={CFG.fingerprint()} out={out.stat().st_size}")
+    assert ck.read_text() == f"{head} solved=twostage:5 failed={_FAILING_TREE}\n"
+    ck.write_text(f"{head} failed={_FAILING_TREE}\n")
+    with pytest.raises(_Stop):
+        sweep(7, 7, CFG, out_path=out, checkpoint_path=ck, block_size=3,
+              progress=stop_after_blocks(1))
+    assert re.fullmatch(f"n=7 completed=9 .* out=[0-9]+ failed={_FAILING_TREE}\n",
+                        ck.read_text())
+    [report] = sweep(7, 7, CFG, out_path=out, checkpoint_path=ck, block_size=3)
+    assert out.read_bytes() == ref.read_bytes()
+    assert (report.trees_total, report.trees_solved, report.failures,
+            report.resumed_from) == (11, 10, [_FAILING_TREE], 9)
+    # only the trees solved since the last resume name their solver
+    assert report.solver_counts == {"twostage": 2}
 
 
 def test_sweep_refuses_mismatched_seed(tmp_path):
@@ -513,15 +591,29 @@ def test_sweep_refuses_output_shorter_than_checkpoint(tmp_path):
 @pytest.mark.parametrize("fields", [
     "n=notanint completed=0", "n=0 completed=0", "n=3 completed=-2",
     "n=3 completed=0 out=-1",
-], ids=["n-not-an-int", "n-0", "completed-negative", "out-negative"])
+    "n=3 completed=1 failed=abc", "n=3 completed=1 failed=0,2,1",
+    "n=7 completed=0 failed=0,1,2", "n=3 completed=0 failed=0,1,1",
+    "n=3 completed=1 solved=twostage:1\nn=3 completed=0 solved=",
+    "n=3 completed=1 solved=exhaustive:1", "n=3 completed=1 solved=twostage:-1",
+    "n=3 completed=1 solved=twostage:x", "n=3 completed=1 solved=twostage",
+    "n=3 completed=1 solved=twostage:1,twostage:0",
+    "n=3 completed=1 solved=twostage:2", "n=3 completed=1 solved=",
+    "n=4 completed=2 solved=twostage:1 failed=0,1,2,1;0,1,1,1",
+], ids=["n-not-an-int", "n-0", "completed-negative", "out-negative",
+        "failed-not-a-sequence", "failed-depth-jump", "failed-wrong-n",
+        "failed-beyond-completed", "n-on-two-lines", "solved-unknown-tag",
+        "solved-negative", "solved-not-an-int", "solved-no-count", "solved-tag-twice",
+        "solved-too-many", "solved-too-few", "solved-and-failed-too-many"])
 def test_sweep_refuses_corrupt_checkpoint(tmp_path, fields):
     out = tmp_path / "r.jsonl"
     ck = tmp_path / "c.txt"
     out.write_text("")
-    # a later token wins, so *fields* override the valid out=0
-    ck.write_text(f"seed={CFG.global_seed} gen={GENERATOR_VERSION} "
-                  f"cfg={CFG.fingerprint()} out=0 {fields}\n")
-    with pytest.raises(CheckpointError, match="corrupt checkpoint .* line 1:"):
+    # a later token wins, so *fields* override the valid out=0; the last
+    # of its lines is the corrupt one
+    lines = fields.split("\n")
+    ck.write_text("".join(f"seed={CFG.global_seed} gen={GENERATOR_VERSION} "
+                          f"cfg={CFG.fingerprint()} out=0 {line}\n" for line in lines))
+    with pytest.raises(CheckpointError, match=f"corrupt checkpoint .* line {len(lines)}:"):
         sweep(2, 4, CFG, out_path=out, checkpoint_path=ck)
 
 

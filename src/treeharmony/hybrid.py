@@ -12,11 +12,12 @@ in enumeration order through a single writer regardless of worker count,
 and the checkpoint records enough (seed, generator version, config
 fingerprint, output size) for a resumed run to produce byte-identical
 remaining output.  Each checkpoint line is the persisted form of one n's
-SweepReport counts, so a resumed run reports what an uninterrupted one
-would.
+SweepReport, counts and times, so a resumed run reports what an
+uninterrupted one would.
 """
 
 import json
+import math
 import os
 import random
 import time
@@ -111,11 +112,10 @@ class CheckpointError(RuntimeError):
 
 @dataclass
 class SweepReport:
-    """Per-n summary: totals, per-solver attribution, and the level
-    sequences (if any) that failed every solver.  The counts cover every
-    tree of n done so far, in this run and the runs it resumes; the
-    times cover this run only, and ``resumed_from`` is how many trees
-    were done before it."""
+    """Per-n summary: totals, per-solver attribution, the level
+    sequences (if any) that failed every solver, and wall and CPU time.
+    Every field covers every tree of n done so far, in this run and the
+    runs it resumes."""
 
     n: int
     trees_total: int = 0
@@ -124,7 +124,6 @@ class SweepReport:
     failures: list[str] = field(default_factory=list)
     wall_time: float = 0.0
     cpu_time: float = 0.0
-    resumed_from: int = 0
 
     def to_json(self) -> str:
         return json.dumps({**asdict(self), "wall_time": round(self.wall_time, 6),
@@ -132,18 +131,23 @@ class SweepReport:
 
 
 class Checkpoint(NamedTuple):
-    """A checkpoint as read back: one report per line, counting the
-    enumeration prefix of its n done so far (``completed=``, ``solved=``
-    and ``failed=``), with zero times.  ``cfg`` and ``out`` are None for
-    a line written without them (the older form); a line without
-    ``solved=`` counts its trees that did not fail as solved, by no
-    named solver."""
+    """A checkpoint as read back: one report per line, covering the
+    enumeration prefix of its n done so far (``completed=``, ``cpu=``,
+    ``wall=``, ``solved=`` and ``failed=``).  ``cfg`` and ``out`` are
+    None for a line written without them (the older form); a line
+    without ``cpu=`` or ``wall=`` reads that time as 0.0, and one
+    without ``solved=`` counts its trees that did not fail as solved, by
+    no named solver."""
 
     reports: dict[int, SweepReport]
     seed: int
     gen: str                    # GENERATOR_VERSION
     cfg: str | None             # SolverConfig.fingerprint()
     out: int | None             # output bytes once those trees were written
+
+
+_CHECKPOINT_KEYS = ("n", "completed", "seed", "gen", "cfg", "out", "cpu", "wall",
+                    "solved", "failed")
 
 
 def _read_checkpoint(path) -> Checkpoint:
@@ -158,11 +162,21 @@ def _read_checkpoint(path) -> Checkpoint:
         if not line.strip():
             continue
         try:
-            parts = dict(item.split("=", 1) for item in line.split())
+            parts = {}
+            for item in line.split():
+                key, sep, value = item.partition("=")
+                if not sep or key not in _CHECKPOINT_KEYS:
+                    raise ValueError(f"unknown token {item!r}")
+                if key in parts:
+                    raise ValueError(f"{key}= twice")
+                parts[key] = value
             n, done = int(parts["n"]), int(parts["completed"])
             out = int(parts["out"]) if "out" in parts else None
             if n < 1 or done < 0 or (out is not None and out < 0):
                 raise ValueError("n below 1, or a negative count or size")
+            cpu, wall = float(parts.get("cpu", 0)), float(parts.get("wall", 0))
+            if not all(math.isfinite(t) and t >= 0 for t in (cpu, wall)):
+                raise ValueError("cpu= and wall= must be finite and at least 0")
             if n in reports:
                 raise ValueError(f"n={n} on two lines")
             failures = [parse_level_sequence(seq)
@@ -171,7 +185,8 @@ def _read_checkpoint(path) -> Checkpoint:
                 raise ValueError(f"failed= must name at most {done} trees of {n} nodes")
             report = reports[n] = SweepReport(
                 n, done, done - len(failures),
-                failures=[format_level_sequence(seq) for seq in failures])
+                failures=[format_level_sequence(seq) for seq in failures],
+                wall_time=wall, cpu_time=cpu)
             counts = report.solver_counts
             for item in filter(None, parts.get("solved", "").split(",")):
                 tag, count = item.split(":")
@@ -200,7 +215,8 @@ def _write_checkpoint(path, reports: dict[int, SweepReport], seed: int, gen: str
     with open(tmp, "w", encoding="utf-8") as fh:
         for n, report in sorted(reports.items()):
             line = (f"n={n} completed={report.trees_total} seed={seed} gen={gen} "
-                    f"cfg={cfg} out={out}")
+                    f"cfg={cfg} out={out} cpu={report.cpu_time:.6f} "
+                    f"wall={report.wall_time:.6f}")
             # an n resumed from a line without solved= has no tags for its
             # earlier trees, so its lines go on without the token
             if sum(report.solver_counts.values()) == report.trees_solved:
@@ -284,8 +300,10 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     ``fresh=True`` to delete it and start over.
     Failures never abort the sweep; they are accumulated per n in the
     checkpoint and the returned reports (and appended to *report_path*
-    when given).  Each n's report resumes from its checkpoint line, so
-    its counts cover every tree of n done so far.
+    when given, once this call finishes n).  Each n's report resumes
+    from its checkpoint line, so every field, counts and times, covers
+    every tree of n done so far: a stopped call's time is in the
+    checkpoint up to its last block.
     ``progress(n, completed)`` runs after each block's checkpoint is
     written; an exception it raises stops the sweep at that point, and a
     later call resumes from there.
@@ -335,11 +353,12 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
 
     with open(out_path, out_mode, encoding="utf-8") as sink, _pool(workers) as pool:
         for n in range(n_min, n_max + 1):
-            wall0 = time.perf_counter()
             report = reports.setdefault(n, SweepReport(n))
-            report.resumed_from = report.trees_total
+            # n's clock goes on from the wall time its checkpoint records
+            wall0 = time.perf_counter() - report.wall_time
+            done = report.trees_total
             calls = ((n, start, seqs, cfg) for start, seqs in
-                     _blocks(free_trees(n).skip(report.resumed_from), block_size))
+                     _blocks(free_trees(n).skip(done), block_size))
             for results, cpu in _in_order(pool, 2 * workers, _solve_block, calls):
                 report.cpu_time += cpu
                 for _, cert_line, info in results:
@@ -351,6 +370,7 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
                     else:
                         report.failures.append(info)
                 sink.flush()
+                report.wall_time = time.perf_counter() - wall0
                 # The checkpoint names the output size, so a resume after a
                 # stop between the flush and the rename cuts the block's
                 # lines away and writes them again.
@@ -359,7 +379,6 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
                                   os.fstat(sink.fileno()).st_size)
                 if progress is not None:
                     progress(n, report.trees_total)
-            report.wall_time = time.perf_counter() - wall0
             if report_path is not None:
                 with open(report_path, "a", encoding="utf-8") as rf:
                     rf.write(report.to_json() + "\n")

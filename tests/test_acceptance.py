@@ -15,10 +15,10 @@ from pathlib import Path
 
 import pytest
 
+from random_trees import random_tree
 from treeharmony.config import SolverConfig
 from treeharmony.generate import (count_free_trees_enumerated, free_trees,
-                                  oracle_count_otter, oracle_enumerate_prufer,
-                                  prufer_decode)
+                                  oracle_count_otter, oracle_enumerate_prufer)
 from treeharmony.hybrid import (benchmark_solvers, derive_seed,
                                 make_certificate, solve_hybrid, sweep)
 from treeharmony.labelling import (Certificate, eval_labelling,
@@ -27,7 +27,7 @@ from treeharmony.labelling import (Certificate, eval_labelling,
                                    normalize_labelling, random_onto_labelling,
                                    shift_labelling, verify_certificate)
 from treeharmony.tabu import TabuState
-from treeharmony.trees import Tree, canonical_from_edges, is_caterpillar
+from treeharmony.trees import Tree, is_caterpillar
 from treeharmony.twostage import build_leaf_csp, solve_leaf_csp, stage1_internal
 
 CFG = SolverConfig()
@@ -46,13 +46,6 @@ def criterion(num: int, description: str):
         raise
     print(f"\n[acceptance] criterion {num:2d}: PASS - {description} "
           f"({time.perf_counter() - t0:.1f}s)")
-
-
-def random_tree(n: int, rng) -> Tree:
-    if n <= 2:
-        return Tree.from_level_sequence(tuple(range(n)))
-    code = [rng.randrange(n) for _ in range(n - 2)]
-    return Tree.from_level_sequence(canonical_from_edges(n, prufer_decode(n, code)))
 
 
 # ------------------------------------------------------------------ #

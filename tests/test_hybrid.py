@@ -2,9 +2,13 @@
 
 import hashlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -13,8 +17,8 @@ from treeharmony.cli import main as cli_main
 from treeharmony.config import (PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome,
                                 SolverConfig)
 from treeharmony.generate import GENERATOR_VERSION, free_trees, oracle_count_otter
-from treeharmony.hybrid import (CheckpointError, _read_checkpoint, derive_seed,
-                                make_certificate, solve_hybrid, sweep)
+from treeharmony.hybrid import (CheckpointError, _read_checkpoint, _solve_block,
+                                derive_seed, make_certificate, solve_hybrid, sweep)
 from treeharmony.labelling import (SOLVER_TAGS, Certificate, is_harmonious,
                                    verify_certificate)
 from treeharmony.trees import Tree
@@ -171,12 +175,11 @@ def test_sweep_report_json_is_pinned():
     # rounded to the microsecond
     report = hybrid.SweepReport(
         7, trees_total=11, trees_solved=10, solver_counts={"twostage": 9, "tabu": 1},
-        failures=["0,1,2,3,2,1,1"], wall_time=1.23456789, cpu_time=2.5e-7,
-        resumed_from=4)
+        failures=["0,1,2,3,2,1,1"], wall_time=1.23456789, cpu_time=2.5e-7)
     assert report.to_json() == (
         '{"n":7,"trees_total":11,"trees_solved":10,'
         '"solver_counts":{"twostage":9,"tabu":1},"failures":["0,1,2,3,2,1,1"],'
-        '"wall_time":1.234568,"cpu_time":0.0,"resumed_from":4}')
+        '"wall_time":1.234568,"cpu_time":0.0}')
 
 
 # SHA-256 of the certificate file of sweep(2, 10, ...) under solver
@@ -359,22 +362,33 @@ def test_sweep_resume_keeps_candidate_counterexamples(tmp_path, monkeypatch,
     assert out.read_bytes() == ref.read_bytes()
 
 
-_COUNTS = ["n", "trees_total", "trees_solved", "solver_counts", "failures"]
+def _one_cpu_second(n, start_index, seqs, cfg):
+    """_solve_block with a CPU time of exactly 1 s per block, so a sweep's
+    CPU times count its blocks; module-level, so a pool can take it."""
+    results, _ = _solve_block(n, start_index, seqs, cfg)
+    return results, 1.0
+
+
+# every field of a report but the wall time, which is not reproducible
+_RECORD = ["n", "trees_total", "trees_solved", "solver_counts", "failures",
+           "cpu_time"]
 
 
 def _last_report_per_n(path):
     last = {}
     for line in path.read_text(encoding="utf-8").splitlines():
         record = json.loads(line)
-        last[record["n"]] = [record[key] for key in _COUNTS]
+        last[record["n"]] = record
     return list(last.values())
 
 
 @pytest.mark.parametrize("workers", [1, 2], ids=lambda w: f"workers{w}")
 def test_resumed_reports_equal_uninterrupted(tmp_path, monkeypatch, workers):
-    # a report's counts cover every tree of its n done so far, so a sweep
-    # stopped at any block and resumed reports what an unstopped one does
+    # every field of a report covers every tree of its n done so far, and
+    # the checkpoint holds a stopped call's times, so a sweep stopped at
+    # any block and resumed reports what an unstopped one does
     _fail_tree(monkeypatch)
+    monkeypatch.setattr(hybrid, "_solve_block", _one_cpu_second)
 
     def run(name, **kwargs):
         return sweep(5, 8, CFG, workers, out_path=tmp_path / f"{name}.jsonl",
@@ -388,14 +402,23 @@ def test_resumed_reports_equal_uninterrupted(tmp_path, monkeypatch, workers):
         assert r.trees_solved + len(r.failures) == r.trees_total
         assert sum(r.solver_counts.values()) == r.trees_solved
     assert [r.failures for r in reports] == [[], [], [_FAILING_TREE], []]
-    ref = [[getattr(r, key) for key in _COUNTS] for r in reports]
     # blocks of 3 over n=5..8: 1 + 2 + 4 + 8
+    assert [r.cpu_time for r in reports] == [1.0, 2.0, 4.0, 8.0]
+    ref = [[getattr(r, key) for key in _RECORD] for r in reports]
     for k in range(1, 16):
         with pytest.raises(_Stop):
             run(f"cut{k}", progress=stop_after_blocks(k))
+        stopped = _read_checkpoint(tmp_path / f"cut{k}.ck").reports
+        assert sum(r.cpu_time for r in stopped.values()) == k
+        assert all(r.wall_time > 0 for r in stopped.values())
         reports = run(f"cut{k}")
-        assert [[getattr(r, key) for key in _COUNTS] for r in reports] == ref
-        assert _last_report_per_n(tmp_path / f"cut{k}.rep.jsonl") == ref
+        assert [[getattr(r, key) for key in _RECORD] for r in reports] == ref
+        records = _last_report_per_n(tmp_path / f"cut{k}.rep.jsonl")
+        assert [[record[key] for key in _RECORD] for record in records] == ref
+        for report, record in zip(reports, records):
+            if report.n in stopped:
+                assert report.wall_time >= stopped[report.n].wall_time
+                assert record["wall_time"] >= stopped[report.n].wall_time
         assert (tmp_path / f"cut{k}.jsonl").read_bytes() == \
             (tmp_path / "ref.jsonl").read_bytes()
 
@@ -405,6 +428,7 @@ def test_sweep_resumes_checkpoint_without_solved_token(tmp_path, monkeypatch):
     # its trees count as solved but name no solver, so the n's later
     # lines go on without the token, and the certificates do not change
     _fail_tree(monkeypatch)
+    monkeypatch.setattr(hybrid, "_solve_block", _one_cpu_second)
     ref = tmp_path / "ref.jsonl"
     sweep(7, 7, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck", block_size=3)
     out = tmp_path / "r.jsonl"
@@ -414,19 +438,45 @@ def test_sweep_resumes_checkpoint_without_solved_token(tmp_path, monkeypatch):
               progress=stop_after_blocks(2))
     head = (f"n=7 completed=6 seed={CFG.global_seed} gen={GENERATOR_VERSION} "
             f"cfg={CFG.fingerprint()} out={out.stat().st_size}")
-    assert ck.read_text() == f"{head} solved=twostage:5 failed={_FAILING_TREE}\n"
+    assert re.fullmatch(rf"{head} cpu=2\.000000 wall=[0-9]+\.[0-9]{{6}} "
+                        f"solved=twostage:5 failed={_FAILING_TREE}\n", ck.read_text())
     ck.write_text(f"{head} failed={_FAILING_TREE}\n")
     with pytest.raises(_Stop):
         sweep(7, 7, CFG, out_path=out, checkpoint_path=ck, block_size=3,
               progress=stop_after_blocks(1))
-    assert re.fullmatch(f"n=7 completed=9 .* out=[0-9]+ failed={_FAILING_TREE}\n",
-                        ck.read_text())
+    assert re.fullmatch(f"n=7 completed=9 .* out=[0-9]+ cpu=1.000000 wall=[0-9.]+ "
+                        f"failed={_FAILING_TREE}\n", ck.read_text())
     [report] = sweep(7, 7, CFG, out_path=out, checkpoint_path=ck, block_size=3)
     assert out.read_bytes() == ref.read_bytes()
-    assert (report.trees_total, report.trees_solved, report.failures,
-            report.resumed_from) == (11, 10, [_FAILING_TREE], 9)
-    # only the trees solved since the last resume name their solver
+    assert (report.trees_total, report.trees_solved, report.failures) == \
+        (11, 10, [_FAILING_TREE])
+    # only the trees solved since the last resume name their solver, and
+    # only the blocks run since then have a recorded time
     assert report.solver_counts == {"twostage": 2}
+    assert report.cpu_time == 2.0
+
+
+def test_sweep_resumes_checkpoint_without_times(tmp_path, monkeypatch):
+    # a line without cpu= and wall=, as sweeps wrote before the tokens
+    # existed: its times read as 0.0, and the certificates do not change
+    monkeypatch.setattr(hybrid, "_solve_block", _one_cpu_second)
+    ref = tmp_path / "ref.jsonl"
+    sweep(8, 8, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck", block_size=5)
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.ck"
+    with pytest.raises(_Stop):
+        sweep(8, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5,
+              progress=stop_after_blocks(2))
+    line = re.sub(r" cpu=\S+ wall=\S+", "", ck.read_text())
+    assert line == (f"n=8 completed=10 seed={CFG.global_seed} gen={GENERATOR_VERSION} "
+                    f"cfg={CFG.fingerprint()} out={out.stat().st_size} "
+                    "solved=twostage:10\n")
+    ck.write_text(line)
+    [report] = sweep(8, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5)
+    assert out.read_bytes() == ref.read_bytes()
+    # 23 trees in blocks of 5: the 3 blocks after the line's 10 trees
+    assert (report.trees_total, report.cpu_time) == (23, 3.0)
+    assert " cpu=3.000000 wall=" in ck.read_text()
 
 
 def test_sweep_refuses_mismatched_seed(tmp_path):
@@ -599,20 +649,32 @@ def test_sweep_refuses_output_shorter_than_checkpoint(tmp_path):
     "n=3 completed=1 solved=twostage:1,twostage:0",
     "n=3 completed=1 solved=twostage:2", "n=3 completed=1 solved=",
     "n=4 completed=2 solved=twostage:1 failed=0,1,2,1;0,1,1,1",
+    "n=3 completed=0 cpu=-1", "n=3 completed=0 cpu=nan", "n=3 completed=0 cpu=inf",
+    "n=3 completed=0 cpu=1s", "n=3 completed=0 wall=-0.5",
+    "n=3 completed=0 wall=NaN", "n=3 completed=0 wall=-inf",
+    "n=5 completed=3 completed=2 solved=twostage:2", "n=3 completed=0 out=0 out=10",
+    "n=3 completed=1 faild=0,1,1", "n=3 completed=0 solved",
 ], ids=["n-not-an-int", "n-0", "completed-negative", "out-negative",
         "failed-not-a-sequence", "failed-depth-jump", "failed-wrong-n",
         "failed-beyond-completed", "n-on-two-lines", "solved-unknown-tag",
         "solved-negative", "solved-not-an-int", "solved-no-count", "solved-tag-twice",
-        "solved-too-many", "solved-too-few", "solved-and-failed-too-many"])
+        "solved-too-many", "solved-too-few", "solved-and-failed-too-many",
+        "cpu-negative", "cpu-nan", "cpu-inf", "cpu-not-a-number", "wall-negative",
+        "wall-nan", "wall-minus-inf", "completed-twice", "out-twice",
+        "unknown-token", "token-without-value"])
 def test_sweep_refuses_corrupt_checkpoint(tmp_path, fields):
     out = tmp_path / "r.jsonl"
     ck = tmp_path / "c.txt"
     out.write_text("")
-    # a later token wins, so *fields* override the valid out=0; the last
-    # of its lines is the corrupt one
+    # each line of *fields* gains the valid seed=, gen=, cfg= and out=0
+    # that it does not set itself; the last of its lines is the corrupt one
+    valid = {"seed": CFG.global_seed, "gen": GENERATOR_VERSION,
+             "cfg": CFG.fingerprint(), "out": 0}
     lines = fields.split("\n")
-    ck.write_text("".join(f"seed={CFG.global_seed} gen={GENERATOR_VERSION} "
-                          f"cfg={CFG.fingerprint()} out=0 {line}\n" for line in lines))
+    ck.write_text("".join(
+        " ".join([line] + [f"{key}={value}" for key, value in valid.items()
+                           if f"{key}=" not in line]) + "\n"
+        for line in lines))
     with pytest.raises(CheckpointError, match=f"corrupt checkpoint .* line {len(lines)}:"):
         sweep(2, 4, CFG, out_path=out, checkpoint_path=ck)
 
@@ -652,3 +714,33 @@ def test_sweep_rejects_bad_arguments(tmp_path):
     with pytest.raises(ValueError):
         sweep(2, 4, CFG, workers=0, out_path=tmp_path / "r",
               checkpoint_path=tmp_path / "c")
+
+
+def test_certificate_check_survives_python_O(tmp_path):
+    # make_certificate checks with a raise, not an assert, so python -O
+    # still refuses a bad labelling and writes the same certificates
+    ref = tmp_path / "ref.jsonl"
+    sweep(2, 9, CFG, out_path=ref, checkpoint_path=tmp_path / "ref.ck")
+    code = (
+        "import sys\n"
+        "from treeharmony.config import SolveOutcome, SolverConfig\n"
+        "from treeharmony.hybrid import make_certificate, sweep\n"
+        "from treeharmony.trees import Tree\n"
+        "if __debug__:\n"
+        "    sys.exit('asserts are on')\n"
+        "p4 = Tree.from_level_sequence((0, 1, 2, 1))\n"
+        "try:\n"
+        "    make_certificate(p4, SolveOutcome(True, (0, 0, 0, 0), 'twostage', {}), 1)\n"
+        "except ValueError as exc:\n"
+        "    print('refused:', exc)\n"
+        "else:\n"
+        "    sys.exit('a bad labelling became a certificate')\n"
+        "sweep(2, 9, SolverConfig(), out_path=sys.argv[1], checkpoint_path=sys.argv[2])\n")
+    out = tmp_path / "o.jsonl"
+    src = Path(hybrid.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code, str(out), str(tmp_path / "o.ck")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("refused: ")
+    assert out.read_bytes() == ref.read_bytes()

@@ -10,24 +10,19 @@ from pathlib import Path
 
 import pytest
 
+from random_trees import random_tree
 import search_reference
 from treeharmony import native
 from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
-from treeharmony.generate import prufer_decode
 from treeharmony.hybrid import sweep
-from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
+from treeharmony.trees import Tree, internal_nodes
 from treeharmony.twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
                                   stage1_internal)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CFG = SolverConfig()
 BUDGETS = (0, 1, 150, math.inf)
-
-
-def _random_tree(n, rng):
-    code = [rng.randrange(n) for _ in range(n - 2)]
-    return Tree.from_level_sequence(canonical_from_edges(n, prufer_decode(n, code)))
 
 
 def _stage1_shape(tree):
@@ -63,7 +58,7 @@ def test_label_dfs_matches_reference():
     seen = set()
     for _ in range(300):
         n = rng.randrange(3, 15)
-        tree = _random_tree(n, rng)
+        tree = random_tree(n, rng)
         order, parents, stage1 = _stage1_shape(tree)
         random_weights = [rng.randrange(n - 1) for _ in order]
         for budget in BUDGETS:
@@ -87,7 +82,7 @@ def test_label_dfs_matches_reference_at_64_nodes():
     # the widest masks: 64 labels, 64 values in stage 1 (bit 63 set)
     rng = random.Random(0x40)
     for _ in range(20):
-        tree = _random_tree(64, rng)
+        tree = random_tree(64, rng)
         order, parents, weights = _stage1_shape(tree)
         for budget in (0, 1, 20):
             got, want = _both_dfs(order, parents, [-1] * 64, 64, budget,
@@ -121,7 +116,7 @@ def test_solve_leaf_csp_matches_reference():
     seen = {"solved": 0, "failed": 0, "pruned": 0}
     for _ in range(400):
         n = rng.randrange(4, 15)
-        tree = _random_tree(n, rng)
+        tree = random_tree(n, rng)
         internal = sorted(internal_nodes(tree))
         partials = [stage1_internal(tree, CFG, rng),
                     dict(zip(internal, rng.sample(range(n), len(internal))))]
@@ -141,7 +136,7 @@ def test_solve_leaf_csp_matches_reference_at_64_nodes():
     rng = random.Random(0x64)
     searched = 0
     for _ in range(30):
-        tree = _random_tree(64, rng)
+        tree = random_tree(64, rng)
         partial = stage1_internal(tree, CFG, rng)
         if partial is None:
             continue
@@ -155,7 +150,7 @@ def test_solve_leaf_csp_matches_reference_at_64_nodes():
 
 def test_more_than_64_nodes_is_a_value_error():
     rng = random.Random(65)
-    tree = _random_tree(65, rng)
+    tree = random_tree(65, rng)
     with pytest.raises(ValueError, match="at most 64 nodes"):
         stage1_internal(tree, CFG, rng)
     with pytest.raises(ValueError, match="at most 64 nodes"):

@@ -11,7 +11,8 @@ from itertools import permutations
 
 import pytest
 
-from treeharmony.generate import free_trees, prufer_decode
+from random_trees import random_tree
+from treeharmony.generate import free_trees
 from treeharmony.labelling import (Certificate, CertificateError,
                                    _count_by_permutations,
                                    check_labelling, eval_labelling,
@@ -19,20 +20,13 @@ from treeharmony.labelling import (Certificate, CertificateError,
                                    is_harmonious, iter_harmonious_bijective,
                                    normalize_labelling, random_onto_labelling,
                                    shift_labelling, verify_certificate)
-from treeharmony.trees import Tree, canonical_from_edges
+from treeharmony.trees import Tree
 
 P3 = Tree.from_level_sequence((0, 1, 1))
 P4 = Tree.from_level_sequence((0, 1, 2, 1))
 STAR4 = Tree.from_level_sequence((0, 1, 1, 1))
 N1 = Tree.from_level_sequence((0,))
 N2 = Tree.from_level_sequence((0, 1))
-
-
-def random_tree(n, rng) -> Tree:
-    if n <= 2:
-        return Tree.from_level_sequence(tuple(range(n)))
-    code = [rng.randrange(n) for _ in range(n - 2)]
-    return Tree.from_level_sequence(canonical_from_edges(n, prufer_decode(n, code)))
 
 
 # ------------------------------------------------------------------ #

@@ -2,25 +2,19 @@
 
 import random
 
+from random_trees import random_tree
 from treeharmony import tabu
 from treeharmony.config import SolverConfig
-from treeharmony.generate import free_trees, prufer_decode
+from treeharmony.generate import free_trees
 from treeharmony.labelling import (eval_labelling, is_harmonious,
                                    random_onto_labelling)
 from treeharmony.tabu import TabuState, solve_tabu
-from treeharmony.trees import Tree, canonical_from_edges
+from treeharmony.trees import Tree
 
 P3 = Tree.from_level_sequence((0, 1, 1))
 P4 = Tree.from_level_sequence((0, 1, 2, 1))
 N2 = Tree.from_level_sequence((0, 1))
 CFG = SolverConfig()
-
-
-def random_tree(n, rng) -> Tree:
-    if n <= 2:
-        return Tree.from_level_sequence(tuple(range(n)))
-    code = [rng.randrange(n) for _ in range(n - 2)]
-    return Tree.from_level_sequence(canonical_from_edges(n, prufer_decode(n, code)))
 
 
 # ------------------------------------------------------------------ #

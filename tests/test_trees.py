@@ -5,10 +5,10 @@ from itertools import permutations
 
 import pytest
 
-from treeharmony.generate import free_trees, prufer_decode
-from treeharmony.trees import (LevelSequenceError, Tree, canonical_from_edges,
-                               canonicalize, centers, edges,
-                               format_level_sequence, internal_nodes,
+from random_trees import random_tree
+from treeharmony.generate import free_trees
+from treeharmony.trees import (LevelSequenceError, Tree, canonicalize, centers,
+                               edges, format_level_sequence, internal_nodes,
                                is_caterpillar, leaves, parse_level_sequence,
                                validate_level_sequence)
 
@@ -103,7 +103,7 @@ def test_bicentral_nodes_adjacent():
     rng = random.Random(20240)
     for _ in range(200):
         n = rng.randrange(2, 9)
-        t = _random_tree(n, rng)
+        t = random_tree(n, rng)
         cs = centers(t)
         assert len(cs) in (1, 2)
         if len(cs) == 2:
@@ -131,15 +131,6 @@ def test_canonicalize_round_trip_on_enumerated():
             assert canonicalize(Tree.from_level_sequence(seq)) == seq
 
 
-def _random_tree(n, rng) -> Tree:
-    if n == 1:
-        return tree(0)
-    if n == 2:
-        return tree(0, 1)
-    code = [rng.randrange(n) for _ in range(n - 2)]
-    return Tree.from_level_sequence(canonical_from_edges(n, prufer_decode(n, code)))
-
-
 def _brute_isomorphic(t1: Tree, t2: Tree) -> bool:
     if t1.n != t2.n:
         return False
@@ -154,8 +145,8 @@ def _brute_isomorphic(t1: Tree, t2: Tree) -> bool:
 def test_canonicalize_matches_brute_force_isomorphism():
     # equal canonical sequences exactly when a permutation maps edge sets
     rng = random.Random(7)
-    pairs = [(_random_tree(rng.randrange(2, 9), rng),
-              _random_tree(rng.randrange(2, 9), rng)) for _ in range(40)]
+    pairs = [(random_tree(rng.randrange(2, 9), rng),
+              random_tree(rng.randrange(2, 9), rng)) for _ in range(40)]
     for t1, t2 in pairs:
         same = canonicalize(t1) == canonicalize(t2)
         assert same == _brute_isomorphic(t1, t2)
@@ -181,7 +172,7 @@ def test_leaf_partition_examples():
 def test_leaves_partition_property():
     rng = random.Random(99)
     for _ in range(100):
-        t = _random_tree(rng.randrange(1, 10), rng)
+        t = random_tree(rng.randrange(1, 10), rng)
         assert leaves(t) | internal_nodes(t) == frozenset(range(t.n))
         assert not leaves(t) & internal_nodes(t)
 

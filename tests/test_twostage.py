@@ -9,14 +9,15 @@ from operator import or_
 
 import pytest
 
+from random_trees import random_tree
 import search_reference
 from treeharmony import twostage
 from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
-from treeharmony.generate import free_trees, prufer_decode
+from treeharmony.generate import free_trees
 from treeharmony.labelling import (is_harmonious, iter_harmonious_bijective,
                                    normalize_labelling, shift_labelling)
-from treeharmony.trees import Tree, canonical_from_edges, internal_nodes
+from treeharmony.trees import Tree, internal_nodes
 from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
@@ -471,9 +472,7 @@ def test_bitmask_solver_matches_set_reference():
             "failed": 0}
     for _ in range(1000):
         n = rng.randrange(4, 13)
-        code = [rng.randrange(n) for _ in range(n - 2)]
-        tree = Tree.from_level_sequence(
-            canonical_from_edges(n, prufer_decode(n, code)))
+        tree = random_tree(n, rng)
         internal = sorted(internal_nodes(tree))
         partials = [stage1_internal(tree, CFG, rng),
                     dict(zip(internal, rng.sample(range(n), len(internal))))]

@@ -1,13 +1,20 @@
 /*
- * Compiled core of the two labelling searches.
+ * Compiled core of the two-stage solver and of the two labelling searches.
  *
+ * solve_twostage runs a whole twostage.solve_twostage call, the entry the
+ * solvers use: it takes the tree's shape from its parent array once, then
+ * runs up to `runs` rounds of stage 1, the leaf-CSP build of
+ * twostage.build_leaf_csp and stage 2, and reduces the labels mod n-1.
  * label_dfs is the bounded labelling DFS of backtracking.label_dfs, with
  * its optional weights, the solve table of the last position and the
  * lookahead of the second-last one.  solve_leaf_csp is the leaf search of
  * twostage.solve_leaf_csp: forward checking, smallest domain first, the
  * Hall check at the root and (once the search has backtracked) below it,
- * and sibling refutation.  The Python modules document the searches;
- * this file follows them step for step.
+ * and sibling refutation.  The backtracking solver calls label_dfs; the
+ * Python stage functions call these two as library and test entry
+ * points.  Each search is written once, as a core on C arrays (dfs_run,
+ * leaf_run) that the entries share.  The Python modules document the
+ * searches; this file follows them step for step.
  *
  * Values, sums and leaf positions are bits of a uint64_t, so a tree has
  * at most 64 nodes.  Every random draw is a call of the caller's own
@@ -200,7 +207,7 @@ matchable(uint64_t *masks, int count)
  * sums of a domain are its values rotated left by the parent label, the
  * inverse of open_values. */
 static int
-hall_holds(uint64_t *doms, int *plm, int k, int m)
+hall_holds(uint64_t *doms, const int *plm, int k, int m)
 {
     uint64_t masks[64];
     uint64_t low = (UINT64_C(1) << m) - 1;
@@ -231,6 +238,7 @@ hall_holds(uint64_t *doms, int *plm, int k, int m)
 
 struct dfs {
     int m;                      /* edge sums are taken mod m */
+    int size;                   /* the positions to label */
     int last;                   /* the last position */
     int weighted;
     uint64_t low;               /* the m sum bits */
@@ -239,12 +247,47 @@ struct dfs {
     uint64_t used_sums;
     int total;                  /* sum of weights[k] * value so far, mod m */
     int w_last;                 /* weights[last] mod m */
-    int p_last;                 /* see label_dfs */
-    long long par[MAX_NODES];
-    int lab[MAX_NODES];
+    int p_last;                 /* see dfs_setup */
+    long long backtracks;       /* spent by the last dfs_run */
+    int ord[MAX_NODES];         /* the node of each position */
+    int par[MAX_NODES];         /* the parent node of each position, or -1 */
+    int wmod[MAX_NODES];        /* the weight of each position mod m */
+    int lab[MAX_NODES];         /* the label of each node */
     uint64_t solve[MAX_NODES];  /* values w with w_last * w = t (mod m) */
     uint64_t pre[MAX_NODES];    /* values x with weights[last-1] * x = q (mod m) */
 };
+
+/* Fills in the rest of a search over positions 0..size-1, once ord, par
+ * and (when weighted) wmod hold them: labels of n >= 2 nodes, values
+ * 0..n_values-1 (n_values <= 64). */
+static void
+dfs_setup(struct dfs *s, int n, int n_values, int size, int weighted)
+{
+    int m = s->m = n - 1;
+    int last = s->last = size - 1;
+    s->size = size;
+    s->weighted = weighted;
+    s->low = (UINT64_C(1) << m) - 1;
+    s->full = n_values == 64 ? ~UINT64_C(0) : (UINT64_C(1) << n_values) - 1;
+    s->p_last = -1;
+    if (!weighted)
+        return;
+    s->w_last = s->wmod[last];
+    memset(s->solve, 0, sizeof s->solve);
+    for (int w = 0; w < n_values; w++)
+        s->solve[s->w_last * w % m] |= UINT64_C(1) << w;
+    if (size >= 2) {
+        int w_pre = s->wmod[last - 1];
+        memset(s->pre, 0, sizeof s->pre);
+        for (int x = 0; x < n_values; x++)
+            s->pre[w_pre * x % m] |= UINT64_C(1) << x;
+        /* the last node's parent, when its label is known before the
+         * second-last position is chosen */
+        s->p_last = s->par[last];
+        if (s->p_last == s->ord[last - 1])
+            s->p_last = -1;
+    }
+}
 
 /* The candidates of depth k: unused values with a new edge sum, which at
  * the last position close the weighted sum and at the second-last leave
@@ -255,7 +298,7 @@ candidates(const struct dfs *s, int k)
     int m = s->m;
     uint64_t open = s->low & ~s->used_sums;
     uint64_t free_ = s->full & ~s->used_values;
-    int p = (int)s->par[k];
+    int p = s->par[k];
     if (p >= 0)
         free_ &= open_values(open, s->lab[p], m);
     if (s->weighted && k == s->last) {
@@ -274,6 +317,66 @@ candidates(const struct dfs *s, int k)
         free_ &= reach;
     }
     return free_;
+}
+
+/* The search from no labelled position: 1 once every position is
+ * labelled, 0 once the budget is spent or the candidates run out, -1 when
+ * getrandbits raised.  Afterwards used_values and used_sums hold the
+ * labelled positions' values and edge sums, and backtracks the
+ * backtracks spent. */
+static int
+dfs_run(struct dfs *s, long long budget, PyObject *getrandbits)
+{
+    uint64_t untried[MAX_NODES];   /* each depth's untried candidates */
+    int m = s->m;
+    long long spent = 0;
+    int found;
+    int k = 0;
+    s->used_values = s->used_sums = 0;
+    s->total = 0;
+    untried[0] = candidates(s, 0);
+    for (;;) {
+        uint64_t mask = untried[k];
+        if (!mask) {
+            if (spent >= budget) {
+                found = 0;
+                break;
+            }
+            spent++;
+            k--;
+            if (k < 0) {
+                found = 0;
+                break;
+            }
+            int value = s->lab[s->ord[k]];
+            s->used_values ^= UINT64_C(1) << value;
+            int p = s->par[k];
+            if (p >= 0)
+                s->used_sums ^= UINT64_C(1) << floor_mod((long long)value + s->lab[p], m);
+            if (s->weighted)
+                s->total = floor_mod((long long)s->total - (long long)s->wmod[k] * value, m);
+            continue;
+        }
+        int value;
+        if (pick(mask, getrandbits, &value) < 0)
+            return -1;
+        untried[k] = mask ^ (UINT64_C(1) << value);
+        s->lab[s->ord[k]] = value;
+        s->used_values |= UINT64_C(1) << value;
+        int p = s->par[k];
+        if (p >= 0)
+            s->used_sums |= UINT64_C(1) << floor_mod((long long)value + s->lab[p], m);
+        if (s->weighted)
+            s->total = (s->total + s->wmod[k] * value) % m;
+        k++;
+        if (k == s->size) {
+            found = 1;
+            break;
+        }
+        untried[k] = candidates(s, k);
+    }
+    s->backtracks = spent;
+    return found;
 }
 
 PyDoc_STRVAR(label_dfs_doc,
@@ -307,9 +410,7 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
     PyObject *order_f = NULL, *parents_f = NULL, *weights_f = NULL;
     PyObject *result = NULL;
     struct dfs s;
-    long long ord[MAX_NODES], wts[MAX_NODES];
-    int wmod[MAX_NODES];        /* weights mod m */
-    uint64_t untried[MAX_NODES];   /* each depth's untried candidates */
+    long long ord[MAX_NODES], par[MAX_NODES], wts[MAX_NODES];
 
     order_f = PySequence_Fast(args[0], "order must be a sequence");
     if (order_f == NULL)
@@ -335,10 +436,10 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
         PyErr_SetString(PyExc_IndexError, "parents is shorter than order");
         goto done;
     }
-    if (read_ints(order_f, size, ord) < 0 || read_ints(parents_f, size, s.par) < 0)
+    if (read_ints(order_f, size, ord) < 0 || read_ints(parents_f, size, par) < 0)
         goto done;
-    s.weighted = weights_arg != Py_None;
-    if (s.weighted) {
+    int weighted = weights_arg != Py_None;
+    if (weighted) {
         weights_f = PySequence_Fast(weights_arg, "weights must be a sequence");
         if (weights_f == NULL)
             goto done;
@@ -360,89 +461,26 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
         s.lab[v] = (int)x;
     }
     for (Py_ssize_t k = 0; k < size; k++) {
-        if (ord[k] < 0 || ord[k] >= n || s.par[k] >= n) {
+        if (ord[k] < 0 || ord[k] >= n || par[k] >= n) {
             PyErr_SetString(PyExc_IndexError, "node index out of range");
             goto done;
         }
+        s.ord[k] = (int)ord[k];
+        s.par[k] = par[k] < 0 ? -1 : (int)par[k];
+        if (weighted)
+            s.wmod[k] = floor_mod(wts[k], (int)n - 1);
     }
+    dfs_setup(&s, (int)n, (int)n_values, (int)size, weighted);
 
-    int m = s.m = (int)n - 1;
-    int last = s.last = (int)size - 1;
-    s.low = (UINT64_C(1) << m) - 1;
-    s.full = n_values == 64 ? ~UINT64_C(0) : (UINT64_C(1) << n_values) - 1;
-    s.used_values = s.used_sums = 0;
-    s.total = 0;
-    s.p_last = -1;
-    if (s.weighted) {
-        for (int k = 0; k <= last; k++)
-            wmod[k] = floor_mod(wts[k], m);
-        s.w_last = wmod[last];
-        memset(s.solve, 0, sizeof s.solve);
-        for (int w = 0; w < n_values; w++)
-            s.solve[s.w_last * w % m] |= UINT64_C(1) << w;
-        if (size >= 2) {
-            int w_pre = wmod[last - 1];
-            memset(s.pre, 0, sizeof s.pre);
-            for (int x = 0; x < n_values; x++)
-                s.pre[w_pre * x % m] |= UINT64_C(1) << x;
-            /* the last node's parent, when its label is known before the
-             * second-last position is chosen */
-            s.p_last = (int)s.par[last];
-            if (s.p_last == ord[last - 1])
-                s.p_last = -1;
-        }
-    }
-
-    long long backtracks = 0;
-    int ok;
-    int k = 0;
-    untried[0] = candidates(&s, 0);
-    for (;;) {
-        uint64_t mask = untried[k];
-        if (!mask) {
-            if (backtracks >= budget) {
-                ok = 0;
-                break;
-            }
-            backtracks++;
-            k--;
-            if (k < 0) {
-                ok = 0;
-                break;
-            }
-            int value = s.lab[ord[k]];
-            s.used_values ^= UINT64_C(1) << value;
-            int p = (int)s.par[k];
-            if (p >= 0)
-                s.used_sums ^= UINT64_C(1) << floor_mod((long long)value + s.lab[p], m);
-            if (s.weighted)
-                s.total = floor_mod((long long)s.total - (long long)wmod[k] * value, m);
-            continue;
-        }
-        int value;
-        if (pick(mask, getrandbits, &value) < 0)
-            goto done;
-        untried[k] = mask ^ (UINT64_C(1) << value);
-        s.lab[ord[k]] = value;
-        s.used_values |= UINT64_C(1) << value;
-        int p = (int)s.par[k];
-        if (p >= 0)
-            s.used_sums |= UINT64_C(1) << floor_mod((long long)value + s.lab[p], m);
-        if (s.weighted)
-            s.total = (s.total + wmod[k] * value) % m;
-        k++;
-        if (k == size) {
-            ok = 1;
-            break;
-        }
-        untried[k] = candidates(&s, k);
-    }
+    int found = dfs_run(&s, budget, getrandbits);
+    if (found < 0)
+        goto done;
     for (Py_ssize_t j = 0; j < size; j++) {
-        PyObject *x = PyLong_FromLong(s.lab[ord[j]]);
-        if (x == NULL || PyList_SetItem(labels, ord[j], x) < 0)   /* steals x */
+        PyObject *x = PyLong_FromLong(s.lab[s.ord[j]]);
+        if (x == NULL || PyList_SetItem(labels, s.ord[j], x) < 0)   /* steals x */
             goto done;
     }
-    result = Py_BuildValue("(OL)", ok ? Py_True : Py_False, backtracks);
+    result = Py_BuildValue("(OL)", found ? Py_True : Py_False, s.backtracks);
 
 done:
     Py_XDECREF(order_f);
@@ -455,9 +493,20 @@ done:
 /* solve_leaf_csp                                                      */
 /* ------------------------------------------------------------------ */
 
+struct leaf_csp {
+    int k;                         /* the leaves, 1..63 */
+    int m;
+    int plm[MAX_NODES];            /* parent label of each leaf, mod m */
+    uint64_t sibs[MAX_NODES];      /* the other leaves with the same parent */
+    uint64_t levels[MAX_NODES][MAX_NODES];   /* the domain list of each level;
+                                                levels[0]: the CSP's domains */
+    int chosen[MAX_NODES];         /* the leaf of each level */
+    int values[MAX_NODES];         /* values[d] is the value of chosen[d] */
+};
+
 /* {leaves[chosen[d]]: values[d] for d < depth}, in search order. */
 static PyObject *
-assignment(PyObject **leaves, const int *chosen, const int *values, int depth)
+assignment(PyObject *const *leaves, const int *chosen, const int *values, int depth)
 {
     PyObject *out = PyDict_New();
     if (out == NULL)
@@ -489,95 +538,26 @@ report_prune(PyObject *on_prune, PyObject *leaf, int value, PyObject *assigned)
     return 0;
 }
 
-PyDoc_STRVAR(solve_leaf_csp_doc,
-"solve_leaf_csp(leaves, parent_labels, domain_masks, m, budget, getrandbits, on_prune)\n"
-"--\n\n"
-"The search of treeharmony.twostage.solve_leaf_csp: a dict from leaf to\n"
-"value, or None.");
-
-static PyObject *
-k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+/* The search of the leaf CSP in c->levels[0]: 1 when every leaf has a
+ * value (chosen[d] and values[d] for d < k), 0 when the CSP is refuted or
+ * the budget is spent, -1 when getrandbits or on_prune raised.  on_prune,
+ * when not NULL, hears of each forward-checking removal and names the
+ * leaves by *leaves*. */
+static int
+leaf_run(struct leaf_csp *c, long long budget, PyObject *getrandbits,
+         PyObject *on_prune, PyObject *const *leaves)
 {
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError, "solve_leaf_csp takes 7 arguments");
-        return NULL;
-    }
-    PyObject *getrandbits = args[5];
-    PyObject *on_prune = args[6] == Py_None ? NULL : args[6];
-    long m_long = PyLong_AsLong(args[3]);
-    if (m_long == -1 && PyErr_Occurred())
-        return NULL;
-    if (m_long >= MAX_NODES)
-        return too_large(m_long + 1);
-    int m = (int)m_long;
-    long long budget;
-    if (read_budget(args[4], &budget) < 0)
-        return NULL;
-
-    PyObject *leaves_f = NULL, *labels_f = NULL, *doms_f = NULL;
+    int k = c->k, m = c->m;
+    const int *plm = c->plm;
+    int *chosen = c->chosen, *values = c->values;
+    uint64_t *doms = c->levels[0];
     PyObject *assigned = NULL;
-    PyObject *result = NULL;
-    int plm[MAX_NODES];            /* parent label of each leaf, mod m */
-    uint64_t sibs[MAX_NODES];      /* the other leaves with the same parent label */
-    uint64_t levels[MAX_NODES][MAX_NODES];   /* the domain list of each level */
-    int chosen[MAX_NODES];         /* the leaf of each level */
-    int values[MAX_NODES];         /* values[d] is the value of chosen[d] */
-
-    leaves_f = PySequence_Fast(args[0], "leaves must be a sequence");
-    if (leaves_f == NULL)
-        goto done;
-    Py_ssize_t k_size = PySequence_Fast_GET_SIZE(leaves_f);
-    if (k_size == 0) {
-        result = PyDict_New();
-        goto done;
-    }
-    if (k_size >= MAX_NODES) {
-        too_large(k_size + 1);
-        goto done;
-    }
-    if (m < 1) {
-        PyErr_SetString(PyExc_ValueError, "a leaf CSP with leaves needs m >= 1");
-        goto done;
-    }
-    int k = (int)k_size;
-    PyObject **leaves = PySequence_Fast_ITEMS(leaves_f);
-    labels_f = PySequence_Fast(args[1], "parent_labels must be a sequence");
-    if (labels_f == NULL)
-        goto done;
-    doms_f = PySequence_Fast(args[2], "domain_masks must be a sequence");
-    if (doms_f == NULL)
-        goto done;
-    if (PySequence_Fast_GET_SIZE(labels_f) != k || PySequence_Fast_GET_SIZE(doms_f) != k) {
-        PyErr_SetString(PyExc_ValueError,
-                        "leaves, parent_labels and domain_masks differ in length");
-        goto done;
-    }
-    long long pl[MAX_NODES];
-    if (read_ints(labels_f, k, pl) < 0)
-        goto done;
-    uint64_t *doms = levels[0];
-    int empty = 0;
-    for (int j = 0; j < k; j++) {
-        doms[j] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(doms_f, j));
-        if (doms[j] == (unsigned long long)-1 && PyErr_Occurred())
-            goto done;
-        if (doms[j] >> m >> 1) {
-            PyErr_SetString(PyExc_ValueError, "a domain holds a value above m");
-            goto done;
-        }
-        empty |= !doms[j];
-        plm[j] = floor_mod(pl[j], m);
-    }
-    if (empty || !hall_holds(doms, plm, k, m)) {
-        result = Py_NewRef(Py_None);
-        goto done;
-    }
-    for (int i = 0; i < k; i++) {
-        sibs[i] = 0;
-        for (int j = 0; j < k; j++)
-            if (j != i && pl[j] == pl[i])
-                sibs[i] |= UINT64_C(1) << j;
-    }
+    int found = -1;
+    for (int j = 0; j < k; j++)
+        if (!doms[j])
+            return 0;
+    if (!hall_holds(doms, plm, k, m))
+        return 0;
     int best = 0;
     for (int j = 1; j < k; j++)
         if (popcount(doms[j]) < popcount(doms[best]))
@@ -586,14 +566,14 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
     int depth = 1;   /* the levels in use; values holds depth - 1 entries */
     long long backtracks = 0;
     for (;;) {
-        uint64_t *level = levels[depth - 1];
+        uint64_t *level = c->levels[depth - 1];
         int i = chosen[depth - 1];
         uint64_t untried = level[i];
         int value;
         if (!untried) {
             depth--;
             if (depth == 0 || backtracks >= budget) {
-                result = Py_NewRef(Py_None);
+                found = 0;
                 goto done;
             }
             backtracks++;
@@ -608,11 +588,11 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
             level[i] = untried ^ vbit;
             values[depth - 1] = value;
             if (depth == k) {
-                result = assignment(leaves, chosen, values, depth);
+                found = 1;
                 goto done;
             }
             int s = (value + plm[i]) % m;
-            uint64_t *next = levels[depth];
+            uint64_t *next = c->levels[depth];
             memcpy(next, level, (size_t)k * sizeof(uint64_t));
             next[i] = 0;
             if (on_prune != NULL) {
@@ -630,11 +610,11 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
                     continue;
                 /* the values whose edge sum with leaf j's parent is s:
                  * (s - pl) % m, and m when that is 0 */
-                int c = s - plm[j];
-                if (c < 0)
-                    c += m;
-                uint64_t kill = vbit | UINT64_C(1) << c;
-                if (c == 0)
+                int r = s - plm[j];
+                if (r < 0)
+                    r += m;
+                uint64_t kill = vbit | UINT64_C(1) << r;
+                if (r == 0)
                     kill |= UINT64_C(1) << m;
                 uint64_t kept = dom & ~kill;
                 if (on_prune != NULL && kept != dom) {
@@ -678,30 +658,268 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
         /* value is refuted for leaf i under this level's assignment, and
          * so for each free sibling of i (an assigned one's entry stays 0) */
         uint64_t keep = ~(UINT64_C(1) << value);
-        level = levels[depth - 1];
-        for (uint64_t sib = sibs[i]; sib; sib &= sib - 1)
+        level = c->levels[depth - 1];
+        for (uint64_t sib = c->sibs[i]; sib; sib &= sib - 1)
             level[lowest_bit(sib)] &= keep;
     }
 
 done:
     Py_XDECREF(assigned);
+    return found;
+}
+
+PyDoc_STRVAR(solve_leaf_csp_doc,
+"solve_leaf_csp(leaves, parent_labels, domain_masks, m, budget, getrandbits, on_prune)\n"
+"--\n\n"
+"The search of treeharmony.twostage.solve_leaf_csp: a dict from leaf to\n"
+"value, or None.");
+
+static PyObject *
+k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 7) {
+        PyErr_SetString(PyExc_TypeError, "solve_leaf_csp takes 7 arguments");
+        return NULL;
+    }
+    PyObject *getrandbits = args[5];
+    PyObject *on_prune = args[6] == Py_None ? NULL : args[6];
+    long m_long = PyLong_AsLong(args[3]);
+    if (m_long == -1 && PyErr_Occurred())
+        return NULL;
+    if (m_long >= MAX_NODES)
+        return too_large(m_long + 1);
+    int m = (int)m_long;
+    long long budget;
+    if (read_budget(args[4], &budget) < 0)
+        return NULL;
+
+    PyObject *leaves_f = NULL, *labels_f = NULL, *doms_f = NULL;
+    PyObject *result = NULL;
+    struct leaf_csp c;
+
+    leaves_f = PySequence_Fast(args[0], "leaves must be a sequence");
+    if (leaves_f == NULL)
+        goto done;
+    Py_ssize_t k_size = PySequence_Fast_GET_SIZE(leaves_f);
+    if (k_size == 0) {
+        result = PyDict_New();
+        goto done;
+    }
+    if (k_size >= MAX_NODES) {
+        too_large(k_size + 1);
+        goto done;
+    }
+    if (m < 1) {
+        PyErr_SetString(PyExc_ValueError, "a leaf CSP with leaves needs m >= 1");
+        goto done;
+    }
+    int k = c.k = (int)k_size;
+    c.m = m;
+    PyObject **leaves = PySequence_Fast_ITEMS(leaves_f);
+    labels_f = PySequence_Fast(args[1], "parent_labels must be a sequence");
+    if (labels_f == NULL)
+        goto done;
+    doms_f = PySequence_Fast(args[2], "domain_masks must be a sequence");
+    if (doms_f == NULL)
+        goto done;
+    if (PySequence_Fast_GET_SIZE(labels_f) != k || PySequence_Fast_GET_SIZE(doms_f) != k) {
+        PyErr_SetString(PyExc_ValueError,
+                        "leaves, parent_labels and domain_masks differ in length");
+        goto done;
+    }
+    long long pl[MAX_NODES];
+    if (read_ints(labels_f, k, pl) < 0)
+        goto done;
+    uint64_t *doms = c.levels[0];
+    for (int j = 0; j < k; j++) {
+        doms[j] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(doms_f, j));
+        if (doms[j] == (unsigned long long)-1 && PyErr_Occurred())
+            goto done;
+        if (doms[j] >> m >> 1) {
+            PyErr_SetString(PyExc_ValueError, "a domain holds a value above m");
+            goto done;
+        }
+        c.plm[j] = floor_mod(pl[j], m);
+    }
+    for (int i = 0; i < k; i++) {
+        c.sibs[i] = 0;
+        for (int j = 0; j < k; j++)
+            if (j != i && pl[j] == pl[i])
+                c.sibs[i] |= UINT64_C(1) << j;
+    }
+    int found = leaf_run(&c, budget, getrandbits, on_prune, leaves);
+    if (found >= 0)
+        result = found ? assignment(leaves, c.chosen, c.values, k) : Py_NewRef(Py_None);
+
+done:
     Py_XDECREF(leaves_f);
     Py_XDECREF(labels_f);
     Py_XDECREF(doms_f);
     return result;
 }
 
+/* ------------------------------------------------------------------ */
+/* solve_twostage                                                      */
+/* ------------------------------------------------------------------ */
+
+PyDoc_STRVAR(solve_twostage_doc,
+"solve_twostage(parents, runs, stage1_budget, stage2_budget, getrandbits)\n"
+"--\n\n"
+"The retry loop of treeharmony.twostage.solve_twostage on the tree of 3 to\n"
+"64 nodes with these preorder parents (-1, then each node's earlier\n"
+"parent).  Returns (labels or None, runs, stage-1 failures, stage-2\n"
+"failures); the labels are reduced mod n-1.");
+
+static PyObject *
+k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (nargs != 5) {
+        PyErr_SetString(PyExc_TypeError, "solve_twostage takes 5 arguments");
+        return NULL;
+    }
+    PyObject *getrandbits = args[4];
+    long long runs = PyLong_AsLongLong(args[1]);
+    if (runs == -1 && PyErr_Occurred())
+        return NULL;
+    long long budget1, budget2;
+    if (read_budget(args[2], &budget1) < 0 || read_budget(args[3], &budget2) < 0)
+        return NULL;
+    PyObject *parents_f = PySequence_Fast(args[0], "parents must be a sequence");
+    if (parents_f == NULL)
+        return NULL;
+    Py_ssize_t n_size = PySequence_Fast_GET_SIZE(parents_f);
+    long long parents[MAX_NODES];
+    if (n_size > MAX_NODES) {
+        Py_DECREF(parents_f);
+        return too_large(n_size);
+    }
+    int rc = read_ints(parents_f, n_size, parents);
+    Py_DECREF(parents_f);
+    if (rc < 0)
+        return NULL;
+    int n = (int)n_size;
+    if (n < 3) {
+        PyErr_SetString(PyExc_ValueError, "solve_twostage needs at least 3 nodes");
+        return NULL;
+    }
+    for (int v = 0; v < n; v++) {
+        if (v == 0 ? parents[v] != -1 : (parents[v] < 0 || parents[v] >= v)) {
+            PyErr_SetString(PyExc_ValueError, "parents must be -1 for node 0 and "
+                            "an earlier node for every other node");
+            return NULL;
+        }
+    }
+
+    /* The shape, as twostage._shape takes it from the tree: the internal
+     * nodes ascending, each with its parent when that is internal (a
+     * parent precedes its children, so it is the node's only earlier
+     * internal neighbour) and its weight deg - 1, which is below m; then
+     * the leaves ascending, each with its one neighbour.  A root that is
+     * a leaf has node 1 as its neighbour. */
+    struct dfs s;
+    struct leaf_csp c;
+    int m = n - 1;
+    int deg[MAX_NODES] = {0};
+    int leaf[MAX_NODES];           /* the node of each leaf position */
+    int leaf_nb[MAX_NODES];        /* its one neighbour */
+    uint64_t leaves_at[MAX_NODES] = {0};   /* the leaf positions next to each node */
+    int size = 0, k = 0;
+    for (int v = 1; v < n; v++) {
+        deg[v]++;
+        deg[parents[v]]++;
+    }
+    for (int v = 0; v < n; v++) {
+        s.lab[v] = -1;
+        if (deg[v] > 1) {
+            int p = (int)parents[v];
+            s.ord[size] = v;
+            s.par[size] = p >= 0 && deg[p] > 1 ? p : -1;
+            s.wmod[size] = deg[v] - 1;
+            size++;
+        }
+        else {
+            leaf[k] = v;
+            leaf_nb[k] = v == 0 ? 1 : (int)parents[v];
+            leaves_at[leaf_nb[k]] |= UINT64_C(1) << k;
+            k++;
+        }
+    }
+    for (int j = 0; j < k; j++)
+        c.sibs[j] = leaves_at[leaf_nb[j]] & ~(UINT64_C(1) << j);
+    dfs_setup(&s, n, n, size, 1);
+    c.k = k;
+    c.m = m;
+
+    long long run = 0, stage1_failures = 0, stage2_failures = 0;
+    int found = 0;
+    while (!found && run < runs) {
+        run++;
+        found = dfs_run(&s, budget1, getrandbits);
+        if (found < 0)
+            return NULL;
+        if (!found) {
+            stage1_failures++;
+            continue;
+        }
+        /* the leaf CSP of build_leaf_csp: a leaf may take an unused value
+         * whose edge sum with its neighbour's label is unused, one mask
+         * per neighbour */
+        uint64_t free_ = s.full & ~s.used_values;
+        uint64_t open = s.low & ~s.used_sums;
+        uint64_t dom_at[MAX_NODES];    /* the domain of the leaves next to a node */
+        uint64_t filled = 0;           /* the nodes whose dom_at is set */
+        for (int j = 0; j < k; j++) {
+            int nb = leaf_nb[j];
+            if (!(filled >> nb & 1)) {
+                filled |= UINT64_C(1) << nb;
+                dom_at[nb] = free_ & open_values(open, s.lab[nb], m);
+            }
+            c.levels[0][j] = dom_at[nb];
+            c.plm[j] = s.lab[nb] % m;
+        }
+        found = leaf_run(&c, budget2, getrandbits, NULL, NULL);
+        if (found < 0)
+            return NULL;
+        if (!found)
+            stage2_failures++;
+    }
+
+    PyObject *labels;
+    if (found) {
+        for (int d = 0; d < k; d++)
+            s.lab[leaf[c.chosen[d]]] = c.values[d];
+        /* reducing the permutation mod n-1 merges 0 and n-1 on 0 */
+        labels = PyTuple_New(n);
+        if (labels == NULL)
+            return NULL;
+        for (int v = 0; v < n; v++) {
+            PyObject *x = PyLong_FromLong(s.lab[v] % m);
+            if (x == NULL) {
+                Py_DECREF(labels);
+                return NULL;
+            }
+            PyTuple_SET_ITEM(labels, v, x);
+        }
+    }
+    else {
+        labels = Py_NewRef(Py_None);
+    }
+    return Py_BuildValue("(NLLL)", labels, run, stage1_failures, stage2_failures);
+}
+
 static PyMethodDef kernel_methods[] = {
     {"label_dfs", (PyCFunction)(void (*)(void))k_label_dfs, METH_FASTCALL, label_dfs_doc},
     {"solve_leaf_csp", (PyCFunction)(void (*)(void))k_solve_leaf_csp, METH_FASTCALL,
      solve_leaf_csp_doc},
+    {"solve_twostage", (PyCFunction)(void (*)(void))k_solve_twostage, METH_FASTCALL,
+     solve_twostage_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "treeharmony._kernel",
-    .m_doc = "Compiled labelling DFS and leaf search of treeharmony.",
+    .m_doc = "Compiled two-stage solver, labelling DFS and leaf search of treeharmony.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -27,6 +27,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
+from . import native
 from .backtracking import solve_backtracking
 from .config import PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome, SolverConfig
 from .generate import GENERATOR_VERSION, free_trees
@@ -315,6 +316,11 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
 
+    if {"twostage", "backtrack"} & set(cfg.pipeline):
+        # Load the search kernel (built first on an empty cache) before
+        # any file is touched and before the first n's clock starts; the
+        # pool's forked workers inherit it.
+        native.kernel()
     fingerprint = cfg.fingerprint()
     if fresh and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)  # before the output it names is truncated

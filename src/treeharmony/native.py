@@ -1,8 +1,14 @@
 """Build, cache and load the compiled search kernel, ``_kernel.c``.
 
-The labelling DFS of :func:`treeharmony.backtracking.label_dfs` and the
-leaf search of :func:`treeharmony.twostage.solve_leaf_csp` run in one C
-extension.  It is built with gcc on first use and kept in a cache outside
+The searches run in one C extension with three entries.
+``solve_twostage`` runs a whole :func:`treeharmony.twostage.solve_twostage`
+call, every round of stage 1, the leaf-CSP build and stage 2, so the
+two-stage solver makes one kernel call per tree.  ``label_dfs`` is the
+labelling DFS of :func:`treeharmony.backtracking.label_dfs`, which the
+backtracking solver runs, and ``solve_leaf_csp`` the leaf search of
+:func:`treeharmony.twostage.solve_leaf_csp`; the stage functions of
+:mod:`treeharmony.twostage` are library and test entry points.  The
+extension is built with gcc on first use and kept in a cache outside
 the source tree: ``$XDG_CACHE_HOME/treeharmony/`` or
 ``~/.cache/treeharmony/``.  The file name carries a CRC-32 of the source,
 the compiler flags and the interpreter's ABI, so an edited source or
@@ -10,10 +16,12 @@ another interpreter gets its own build and a stale one is never loaded.
 A build goes to a temporary file that is renamed into place, so
 interpreters that build at the same moment leave one intact file.
 
-Only the solvers load the kernel, on their first call; enumeration,
-counting and ``verify`` never need a compiler.  Without gcc or the
-Python headers, the first solver call raises :class:`KernelBuildError`
-naming the command and its output.
+Only the solvers load the kernel, on their first call, and a sweep
+whose pipeline runs two-stage or backtracking loads it before it forks
+its workers, which inherit it; enumeration, counting and ``verify``
+never need a compiler.  Without gcc or the Python headers, the first
+solver call raises :class:`KernelBuildError` naming the command and its
+output.
 """
 
 import os

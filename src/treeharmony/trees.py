@@ -135,28 +135,34 @@ def rooted_level_sequence(adjacency, root: int) -> tuple[int, ...]:
     """Canonical level sequence of the tree rooted at *root*: at every
     node the child subtree sequences appear in lexicographically
     non-increasing order.  Iterative (children processed before parents),
-    so arbitrarily deep trees are fine."""
+    so arbitrarily deep trees are fine.
+
+    Each subtree's sequence is built in absolute depths, so a parent
+    concatenates its children's lists as they are: children share a
+    depth, so they sort as their sequences from their own roots would."""
     n = len(adjacency)
     parent = [-2] * n
     parent[root] = -1
+    depth = [0] * n
     order = [root]
     for v in order:
+        below = depth[v] + 1
         for w in adjacency[v]:
             if parent[w] == -2:
                 parent[w] = v
+                depth[w] = below
                 order.append(w)
-    sub: list = [None] * n
+    kids: list[list] = [[] for _ in range(n)]   # each node's child sequences
     for v in reversed(order):
-        kids = [sub[w] for w in adjacency[v] if parent[w] == v]
-        if not kids:
-            sub[v] = (0,)
-            continue
-        kids.sort(reverse=True)
-        out = [0]
-        for k in kids:
-            out.extend(x + 1 for x in k)
-        sub[v] = tuple(out)
-    return sub[root]
+        seq = [depth[v]]
+        own = kids[v]
+        if own:
+            own.sort(reverse=True)
+            for kid in own:
+                seq += kid
+        if v == root:
+            return tuple(seq)
+        kids[parent[v]].append(seq)
 
 
 def _canonical_adj(adjacency) -> tuple[int, ...]:

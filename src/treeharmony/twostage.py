@@ -49,12 +49,17 @@ A chosen stage-1 partial may admit no extension even when the tree is
 harmonious, so the pair of stages is retried several times before the
 solver reports failure.
 
-Both searches run in the compiled kernel (:mod:`treeharmony.native`),
-which limits trees to 64 nodes.  The Python functions here prepare their
-input and keep their names, signatures and draws.
+Both stages and the retry loop run in the compiled kernel
+(:mod:`treeharmony.native`), which limits trees to 64 nodes.
+:func:`solve_twostage` is one kernel call per tree: the kernel's
+``solve_twostage`` takes the tree's shape from its parents once and runs
+every round of stage 1, the leaf-CSP build and stage 2 in C, drawing
+through ``rng.getrandbits`` as the stages below do.
+:func:`stage1_internal`, :func:`build_leaf_csp` and :func:`solve_leaf_csp`
+run one step each, with the same draws; they are library and test entry
+points, and the solvers do not call them.
 """
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .backtracking import _open_values, label_dfs
@@ -77,32 +82,22 @@ class LeafCSP(NamedTuple):
     domain_masks: tuple[int, ...]
 
 
-class _TreeConstants(NamedTuple):
-    order: tuple[int, ...]          # the internal nodes, ascending
-    parents: tuple[int, ...]        # each one's parent, -1 for the root
-    weights: tuple[int, ...]        # each one's degree - 1
-    internal_edges: tuple[tuple[int, int], ...]   # (node, parent), both internal
-    leaves: tuple[int, ...]
-    leaf_parents: tuple[int, ...]   # each leaf's one neighbour
-
-
-@lru_cache(maxsize=1)
-def _constants(tree: Tree) -> _TreeConstants:
-    """What every two-stage run on *tree* needs of its shape.  A solver
-    runs the stages up to ``twostage_runs`` times on one tree before it
-    moves on, so one cached tree serves all of them.  Tree defines no
-    ``__eq__``, so the cache holds it by identity."""
+def _shape(tree: Tree):
+    """What the two stages need of *tree*: the internal nodes ascending,
+    each one's parent (-1 for the root or a parent that is a leaf) and
+    weight deg - 1, then the leaves ascending and each one's neighbour.
+    The kernel's ``solve_twostage`` takes the same shape from the
+    parents."""
     adjacency = tree.adjacency
     order = tuple(v for v in range(tree.n) if len(adjacency[v]) > 1)
     # A parent precedes its children in level-sequence order, so each
     # internal node's only earlier internal neighbour is its parent.
     parents = tuple(p if p >= 0 and len(adjacency[p]) > 1 else -1
                     for p in map(tree.parents.__getitem__, order))
+    weights = tuple(len(adjacency[v]) - 1 for v in order)
     leaves = tuple(v for v in range(tree.n) if len(adjacency[v]) <= 1)
-    return _TreeConstants(
-        order, parents, tuple(len(adjacency[v]) - 1 for v in order),
-        tuple((v, p) for v, p in zip(order, parents) if p >= 0),
-        leaves, tuple(adjacency[leaf][0] for leaf in leaves if adjacency[leaf]))
+    leaf_parents = tuple(adjacency[leaf][0] for leaf in leaves if adjacency[leaf])
+    return order, parents, weights, leaves, leaf_parents
 
 
 def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None:
@@ -111,11 +106,11 @@ def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None
     sums mod m = n-1, and sum((deg(v) - 1) * f(v)) = 0 (mod m) over the
     internal nodes v, which every harmonious labelling meets (see the
     module docstring).  None once the backtrack budget runs out."""
-    c = _constants(tree)
+    order, parents, weights, _, _ = _shape(tree)
     labels = [-1] * tree.n
-    ok, _ = label_dfs(c.order, c.parents, labels, tree.n, cfg.stage1_budget, rng,
-                      weights=c.weights)
-    return dict(zip(c.order, map(labels.__getitem__, c.order))) if ok else None
+    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, rng,
+                      weights=weights)
+    return dict(zip(order, map(labels.__getitem__, order))) if ok else None
 
 
 def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
@@ -123,15 +118,16 @@ def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
     *partial*, stage 1's labels of the internal nodes.  An empty initial
     domain is not an error here; it shows up as an immediate stage-2
     failure and triggers a stage-1 retry."""
-    c = _constants(tree)
+    order, parents, _, leaves, leaf_parents = _shape(tree)
     n = tree.n
     m = n - 1
     used_values = used_sums = 0
     for value in partial.values():
         used_values |= 1 << value
-    for v, p in c.internal_edges:
-        used_sums |= 1 << ((partial[v] + partial[p]) % m)
-    parent_labels = tuple(map(partial.__getitem__, c.leaf_parents))
+    for v, p in zip(order, parents):
+        if p >= 0:
+            used_sums |= 1 << ((partial[v] + partial[p]) % m)
+    parent_labels = tuple(map(partial.__getitem__, leaf_parents))
     free = ((1 << n) - 1) & ~used_values
     open_sums = ((1 << m) - 1) & ~used_sums
     by_label: dict[int, int] = {}
@@ -139,7 +135,7 @@ def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
         if pl not in by_label:
             by_label[pl] = free & _open_values(open_sums, pl, m)
     domains = tuple(map(by_label.__getitem__, parent_labels))
-    return LeafCSP(n, c.leaves, parent_labels, domains)
+    return LeafCSP(n, leaves, parent_labels, domains)
 
 
 def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
@@ -193,30 +189,19 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     """Retry (stage 1 -> leaf CSP) up to cfg.twostage_runs times; any
     success extends the partial labelling, reduces it to the normal onto
-    form (the duplicated value is 0) and returns it unchecked."""
+    form (the duplicated value is 0) and returns it unchecked.  Trees of
+    three or more nodes run as one kernel call; its rounds are those of
+    :func:`stage1_internal`, :func:`build_leaf_csp` and
+    :func:`solve_leaf_csp` in turn, draw for draw.  A tree of more than
+    64 nodes raises ValueError."""
     n = tree.n
-    stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
-    for run in range(cfg.twostage_runs):
-        stats["runs"] = run + 1
-        if n <= 2:
-            labels = (0,) if n == 1 else (0, 0)
-            return SolveOutcome(True, labels, "twostage", stats)
-        partial = stage1_internal(tree, cfg, rng)
-        if partial is None:
-            stats["stage1_failures"] += 1
-            continue
-        csp = build_leaf_csp(tree, partial)
-        assignment = solve_leaf_csp(csp, rng, cfg.stage2_budget)
-        if assignment is None:
-            stats["stage2_failures"] += 1
-            continue
-        full = [0] * n
-        for v, value in partial.items():
-            full[v] = value
-        for v, value in assignment.items():
-            full[v] = value
-        # Reducing the permutation mod n-1 merges 0 and n-1 on 0, which is
-        # the normal form make_certificate asks for.
-        labels = tuple(v % (n - 1) for v in full)
-        return SolveOutcome(True, labels, "twostage", stats)
-    return SolveOutcome(False, None, "twostage", stats)
+    if n <= 2:
+        runs = min(cfg.twostage_runs, 1)
+        stats = {"runs": runs, "stage1_failures": 0, "stage2_failures": 0}
+        return SolveOutcome(runs == 1, (0,) * n if runs else None, "twostage", stats)
+    labels, runs, stage1_failures, stage2_failures = kernel().solve_twostage(
+        tree.parents, cfg.twostage_runs, cfg.stage1_budget, cfg.stage2_budget,
+        rng.getrandbits)
+    stats = {"runs": runs, "stage1_failures": stage1_failures,
+             "stage2_failures": stage2_failures}
+    return SolveOutcome(labels is not None, labels, "twostage", stats)

@@ -1,16 +1,22 @@
-"""The Python labelling DFS and leaf search, kept as test-side references.
+"""The Python labelling DFS, leaf search and two-stage loop, kept as
+test-side references.
 
 These are the searches that ``treeharmony._kernel`` (``_kernel.c``) runs
 in C, as they stood in pure Python before the port: ``label_dfs`` of
 :mod:`treeharmony.backtracking` and ``solve_leaf_csp`` of
-:mod:`treeharmony.twostage`, with their helpers.  The equivalence tests
-hold the kernel to them call for call: the same result, the same
-backtracks, the same labels and the same RNG state afterwards.  Tests
-that need to see inside the search (a patched ``_pick``, a labels list
-that logs its assignments) run these.
+:mod:`treeharmony.twostage`, with their helpers, and the retry loop of
+``twostage.solve_twostage``, composed from the package's stage
+functions.  The equivalence tests hold the kernel to them call for call:
+the same result, the same backtracks, the same labels, the same stats
+and the same RNG state afterwards.  Tests that need to see inside the
+search (a patched ``_pick``, a labels list that logs its assignments)
+run these.
 """
 
+from treeharmony import twostage
 from treeharmony.backtracking import _open_values
+from treeharmony.config import SolveOutcome, SolverConfig
+from treeharmony.trees import Tree
 from treeharmony.twostage import LeafCSP
 
 
@@ -290,3 +296,36 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
         level = levels[-1]
         for j in sibs[i]:
             level[j] &= keep
+
+
+def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
+    """The loop that :func:`treeharmony.twostage.solve_twostage` runs in
+    the kernel, in Python: one round is :func:`twostage.stage1_internal`,
+    then :func:`twostage.build_leaf_csp` and
+    :func:`twostage.solve_leaf_csp`."""
+    n = tree.n
+    stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
+    for run in range(cfg.twostage_runs):
+        stats["runs"] = run + 1
+        if n <= 2:
+            labels = (0,) if n == 1 else (0, 0)
+            return SolveOutcome(True, labels, "twostage", stats)
+        partial = twostage.stage1_internal(tree, cfg, rng)
+        if partial is None:
+            stats["stage1_failures"] += 1
+            continue
+        csp = twostage.build_leaf_csp(tree, partial)
+        assignment = twostage.solve_leaf_csp(csp, rng, cfg.stage2_budget)
+        if assignment is None:
+            stats["stage2_failures"] += 1
+            continue
+        full = [0] * n
+        for v, value in partial.items():
+            full[v] = value
+        for v, value in assignment.items():
+            full[v] = value
+        # Reducing the permutation mod n-1 merges 0 and n-1 on 0, which is
+        # the normal form make_certificate asks for.
+        labels = tuple(v % (n - 1) for v in full)
+        return SolveOutcome(True, labels, "twostage", stats)
+    return SolveOutcome(False, None, "twostage", stats)

@@ -222,6 +222,21 @@ def test_sweep_n11_replay_byte_identical(tmp_path, workers, blocks):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == N11_DIGEST
 
 
+# SHA-256 of the default-seed certificate file of sweep(13, 13, ...) at
+# the default config: the replay anchor of the benchmark's n, serial and
+# with the pool.
+N13_DIGEST = "70af841258a01202ad5b79002a9e33c1e31d26d6bdcded6d7fff796a3629ece1"
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+def test_sweep_n13_replay_byte_identical(tmp_path, workers):
+    out = tmp_path / "r.jsonl"
+    sweep(13, 13, SolverConfig(), workers, out_path=out,
+          checkpoint_path=tmp_path / "c.txt")
+    assert SOLVER_VERSION == REPLAY_SOLVER_VERSION
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == N13_DIGEST
+
+
 def test_sweep_deterministic_across_worker_counts(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from treeharmony.config import SolverConfig
 from treeharmony.hybrid import sweep
 from treeharmony.trees import Tree, internal_nodes
 from treeharmony.twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
-                                  stage1_internal)
+                                  solve_twostage, stage1_internal)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CFG = SolverConfig()
@@ -158,6 +159,16 @@ def test_more_than_64_nodes_is_a_value_error():
     csp = LeafCSP(65, (1, 2), (0, 0), (6, 6))
     with pytest.raises(ValueError, match="at most 64 nodes"):
         solve_leaf_csp(csp, rng)
+    with pytest.raises(ValueError, match="at most 64 nodes"):
+        solve_twostage(tree, CFG, rng)
+
+
+def test_solve_twostage_refuses_what_is_not_a_parent_array():
+    # the kernel entry takes Tree.parents: -1, then an earlier node for
+    # every other node; the n <= 2 trees stay in Python
+    for parents in ((0, 0, 1), (-1, 0, 2), (-1, 0, -1), (-1, 0)):
+        with pytest.raises(ValueError, match="parents|at least 3 nodes"):
+            native.kernel().solve_twostage(parents, 1, 10, 10, random.Random(0).getrandbits)
 
 
 def test_a_failing_rng_stops_the_search():
@@ -170,6 +181,43 @@ def test_a_failing_rng_stops_the_search():
         stage1_internal(star, CFG, Broken(1))
     with pytest.raises(RuntimeError, match="no more bits"):
         solve_leaf_csp(build_leaf_csp(star, {0: 0}), Broken(1))
+
+
+class _Draws(random.Random):
+    """A random.Random whose getrandbits raises after *left* draws."""
+
+    def __init__(self, seed, left):
+        super().__init__(seed)
+        self.left = left
+
+    def getrandbits(self, k):
+        if self.left == 0:
+            raise RuntimeError("no more bits")
+        self.left -= 1
+        return super().getrandbits(k)
+
+
+def test_a_draw_that_raises_inside_solve_twostage_propagates():
+    # the kernel loop and the reference loop stop at the same draw,
+    # whichever stage and round makes it: a tree that takes 10 rounds,
+    # with its getrandbits failing at each of its 133 draws in turn
+    tree = Tree.from_level_sequence((0, 1, 2, 3, 4, 4, 4, 1, 2, 3))
+    rng = _Draws(5, -1)   # counts down below 0 and never raises
+    out = search_reference.solve_twostage(tree, CFG, rng)
+    draws = -1 - rng.left
+    assert (out.stats["runs"], draws) == (10, 133)
+    for left in range(draws + 1):
+        states = []
+        for solve in (solve_twostage, search_reference.solve_twostage):
+            rng = _Draws(5, left)
+            try:
+                solve(tree, CFG, rng)
+                raised = False
+            except RuntimeError:
+                raised = True
+            states.append((raised, rng.left, rng.getstate()))
+        assert states[0] == states[1], left
+        assert states[0][0] == (left < draws), left
 
 
 # ------------------------------------------------------------------ #
@@ -208,6 +256,40 @@ def test_concurrent_first_builds_leave_one_intact_file(tmp_path):
     assert [proc.returncode for proc in procs] == [0, 0]
     built = list((tmp_path / "treeharmony").iterdir())
     assert [str(p) for p in built] == paths[:1] == paths[1:]
+
+
+def test_a_sweep_loads_the_kernel_once_before_its_pool(tmp_path, monkeypatch):
+    # a 2-worker sweep loads the kernel in its own process before the
+    # pool forks the workers, which inherit it; a worker that loaded it
+    # again would log its own pid.  A tabu-only sweep never loads it.
+    log = tmp_path / "loads"
+    load = native._load
+
+    def logged_load():
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return load()
+
+    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_load", logged_load)
+    sweep(2, 6, replace(CFG, pipeline=("tabu",)), 2, out_path=str(tmp_path / "t.jsonl"),
+          checkpoint_path=str(tmp_path / "t.ck"))
+    assert native._kernel is None and not log.exists()
+    sweep(2, 6, CFG, 2, out_path=str(tmp_path / "c.jsonl"),
+          checkpoint_path=str(tmp_path / "c.ck"))
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+def test_a_sweep_that_cannot_build_the_kernel_writes_nothing(tmp_path, monkeypatch):
+    def no_compiler():
+        raise native.KernelBuildError("cannot build the search kernel")
+
+    monkeypatch.setattr(native, "_kernel", None)
+    monkeypatch.setattr(native, "_load", no_compiler)
+    with pytest.raises(native.KernelBuildError):
+        sweep(2, 6, CFG, 2, out_path=str(tmp_path / "c.jsonl"),
+              checkpoint_path=str(tmp_path / "c.ck"), report_path=str(tmp_path / "r"))
+    assert os.listdir(tmp_path) == []
 
 
 def test_verify_gen_and_count_need_no_compiler(tmp_path):

@@ -7,9 +7,10 @@ import pytest
 
 from random_trees import random_tree
 from treeharmony.generate import free_trees
-from treeharmony.trees import (LevelSequenceError, Tree, canonicalize, centers,
-                               edges, format_level_sequence, internal_nodes,
-                               is_caterpillar, leaves, parse_level_sequence,
+from treeharmony.trees import (LevelSequenceError, Tree, canonical_from_edges,
+                               canonicalize, centers, edges, format_level_sequence,
+                               internal_nodes, is_caterpillar, leaves,
+                               parse_level_sequence, rooted_level_sequence,
                                validate_level_sequence)
 
 
@@ -140,6 +141,57 @@ def _brute_isomorphic(t1: Tree, t2: Tree) -> bool:
         if {frozenset((perm[u], perm[v])) for u, v in e1} == e2:
             return True
     return False
+
+
+def _reference_rooted_level_sequence(adjacency, root):
+    """rooted_level_sequence as it stood before it built each subtree's
+    sequence in absolute depths: every parent shifted its children's
+    sequences by one."""
+    n = len(adjacency)
+    parent = [-2] * n
+    parent[root] = -1
+    order = [root]
+    for v in order:
+        for w in adjacency[v]:
+            if parent[w] == -2:
+                parent[w] = v
+                order.append(w)
+    sub = [None] * n
+    for v in reversed(order):
+        kids = [sub[w] for w in adjacency[v] if parent[w] == v]
+        if not kids:
+            sub[v] = (0,)
+            continue
+        kids.sort(reverse=True)
+        out = [0]
+        for k in kids:
+            out.extend(x + 1 for x in k)
+        sub[v] = tuple(out)
+    return sub[root]
+
+
+def test_rooted_level_sequence_matches_the_reference():
+    # every tree on 1..10 nodes under three random relabellings (edges in
+    # random order too), rooted at every node; canonical_from_edges gives
+    # back the enumerated canonical sequence
+    rng = random.Random(0x5EC)
+    calls = 0
+    for n in range(1, 11):
+        for seq in free_trees(n):
+            for _ in range(3):
+                perm = rng.sample(range(n), n)
+                edge_list = [(perm[u], perm[v]) for u, v in edges(tree(*seq))]
+                rng.shuffle(edge_list)
+                adjacency = [[] for _ in range(n)]
+                for u, v in edge_list:
+                    adjacency[u].append(v)
+                    adjacency[v].append(u)
+                for root in range(n):
+                    assert rooted_level_sequence(adjacency, root) == \
+                        _reference_rooted_level_sequence(adjacency, root), (seq, perm, root)
+                    calls += 1
+                assert canonical_from_edges(n, edge_list) == seq, (seq, perm)
+    assert calls == 3 * sum(len(list(free_trees(n))) * n for n in range(1, 11))
 
 
 def test_canonicalize_matches_brute_force_isomorphism():

@@ -11,13 +11,12 @@ import pytest
 
 from random_trees import random_tree
 import search_reference
-from treeharmony import twostage
 from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import (is_harmonious, iter_harmonious_bijective,
                                    normalize_labelling, shift_labelling)
-from treeharmony.trees import Tree, internal_nodes
+from treeharmony.trees import Tree, internal_nodes, rooted_level_sequence
 from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
@@ -635,33 +634,66 @@ def test_twostage_certifies_stars(n):
 # Full solver                                                         #
 # ------------------------------------------------------------------ #
 
-def test_solve_twostage_calls_the_stages_as_module_globals(monkeypatch):
-    # the benchmark's layer trace wraps these three names in place
-    calls = {"stage1": 0, "build": 0, "stage2": 0}
+TWOSTAGE_RUNS = (0, 1, 10000)
+STAGE_BUDGETS = (0, 1, 150, 2000)
 
-    def counting(key, fn):
-        def wrapper(*args, **kwargs):
-            calls[key] += 1
-            return fn(*args, **kwargs)
-        return wrapper
 
-    monkeypatch.setattr(twostage, "stage1_internal",
-                        counting("stage1", twostage.stage1_internal))
-    monkeypatch.setattr(twostage, "build_leaf_csp",
-                        counting("build", twostage.build_leaf_csp))
-    monkeypatch.setattr(twostage, "solve_leaf_csp",
-                        counting("stage2", twostage.solve_leaf_csp))
-    stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
-    for index, seq in enumerate(list(free_trees(11))[::10]):
-        out = solve_twostage(Tree.from_level_sequence(seq), CFG,
-                             random.Random(index))
-        assert out.success
-        for key in stats:
-            stats[key] += out.stats[key]
-        assert calls["stage1"] == stats["runs"]
-        assert calls["build"] == calls["stage2"] == \
-            stats["runs"] - stats["stage1_failures"]
-    assert stats["stage2_failures"] > 0
+def _setting(i) -> SolverConfig:
+    """The i-th of the 48 settings of twostage_runs, stage1_budget and
+    stage2_budget, in turn."""
+    return SolverConfig(twostage_runs=TWOSTAGE_RUNS[i % 3],
+                        stage1_budget=STAGE_BUDGETS[i // 3 % 4],
+                        stage2_budget=STAGE_BUDGETS[i // 12 % 4])
+
+
+def _both_loops(tree, cfg, seed):
+    """solve_twostage (one kernel call) and the reference loop composed
+    from the stage functions, from the same seed: each one's success,
+    labels, stats items in order and RNG state afterwards."""
+    out = []
+    for solve in (solve_twostage, search_reference.solve_twostage):
+        rng = random.Random(seed)
+        got = solve(tree, cfg, rng)
+        out.append((got.success, got.labels, got.solver, list(got.stats.items()),
+                    rng.getstate()))
+    return out
+
+
+def test_solve_twostage_matches_the_reference_loop():
+    # every tree on 1..12 nodes at the default config and at the next of
+    # the 48 settings (each meets about 20 trees), then 300 random trees
+    # on 3..64 nodes at the settings in turn, every other one rooted at a
+    # random leaf, which no canonical sequence on 3 or more nodes is
+    rng = random.Random(0x2572)
+    seen = set()
+
+    def compare(tree, cfg):
+        got, want = _both_loops(tree, cfg, rng.getrandbits(32))
+        assert got == want, (tree.levels, cfg)
+        stats = want[3]
+        seen.add((want[0], stats[1][1] > 0, stats[2][1] > 0))
+
+    i = 0
+    for n in range(1, 13):
+        for seq in free_trees(n):
+            tree = Tree.from_level_sequence(seq)
+            compare(tree, CFG)
+            compare(tree, _setting(i))
+            i += 1
+    rooted_at_leaf = 0
+    for i in range(300):
+        n = rng.randrange(3, 65)
+        tree = random_tree(n, rng)
+        if i % 2:
+            leaves = [v for v in range(n) if len(tree.adjacency[v]) == 1]
+            tree = Tree.from_level_sequence(
+                rooted_level_sequence(tree.adjacency, rng.choice(leaves)))
+            rooted_at_leaf += len(tree.adjacency[0]) == 1
+        compare(tree, _setting(i))
+    assert rooted_at_leaf == 150
+    # successes and failures, after failed stage-1 rounds, failed stage-2
+    # rounds, both (successes only) or neither
+    assert seen >= set(product((True, False), repeat=3)) - {(False, True, True)}, seen
 
 
 def test_solve_star_and_p4():

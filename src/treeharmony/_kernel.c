@@ -17,12 +17,17 @@
  * searches; this file follows them step for step.
  *
  * Values, sums and leaf positions are bits of a uint64_t, so a tree has
- * at most 64 nodes.  Every random draw is a call of the caller's own
- * getrandbits(k): a level with c >= 2 untried values draws r as
+ * at most 64 nodes.  Every random draw is a getrandbits(k) of a draw
+ * source: a level with c >= 2 untried values draws r as
  * random.Random._randbelow(c) does (getrandbits of c's bit length until
  * it is below c) and takes the r-th lowest untried value; a last untried
- * value draws nothing.  Nothing else is drawn, so a search here leaves a
- * random.Random in the state the Python search would leave it in.
+ * value draws nothing.  Nothing else is drawn.  label_dfs and
+ * solve_leaf_csp draw through the caller's own getrandbits, so they
+ * leave a random.Random in the state the Python search would leave it
+ * in.  solve_twostage takes a seed instead and runs its own MT19937
+ * (Matsumoto and Nishimura, ACM TOMACS 1998), seeded as random.Random
+ * seeds an int below 2**64, so it makes the draws that
+ * random.Random(seed) would.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -56,22 +61,101 @@ lowest_bit(uint64_t x)
     return __builtin_ctzll(x);
 }
 
+/* ------------------------------------------------------------------ */
+/* Draws                                                               */
+/* ------------------------------------------------------------------ */
+
+#define MT_N 624
+#define MT_M 397
+
+/* MT19937 as CPython's _random module runs it. */
+struct mt {
+    uint32_t state[MT_N];
+    int index;          /* the next word to twist and return */
+};
+
+/* init_genrand(19650218), where every seeding starts; set at module init */
+static uint32_t mt_base[MT_N];
+
+/* random.Random(seed) for an int 0 <= seed < 2**64: CPython's
+ * init_by_array over the seed's 32-bit words, least significant first
+ * (one word when the seed is below 2**32), with its index wrap-arounds
+ * unrolled.  Its first loop runs MT_N steps from i = 1: i = 1..MT_N-1,
+ * then mt[0] = mt[MT_N-1] and i = 1 once more; key word j goes round
+ * with the step.  Its second loop runs MT_N-1 steps from i = 2 with the
+ * same wrap.  Each step reads the word the step before wrote, kept in
+ * prev. */
+static void
+mt_seed(struct mt *g, uint64_t seed)
+{
+    uint32_t key[2] = {(uint32_t)seed, (uint32_t)(seed >> 32)};
+    uint32_t two = seed >> 32 ? 1 : 0;   /* j = step % 2 for a key of two words, else 0 */
+    uint32_t *mt = g->state;
+    uint32_t prev = mt_base[0], j;
+    for (uint32_t i = 1; i < MT_N; i++) {
+        j = (i - 1) & two;
+        prev = mt[i] = (mt_base[i] ^ ((prev ^ (prev >> 30)) * 1664525U)) + key[j] + j;
+    }
+    j = (MT_N - 1) & two;
+    prev = mt[1] = (mt[1] ^ ((prev ^ (prev >> 30)) * 1664525U)) + key[j] + j;
+    for (uint32_t i = 2; i < MT_N; i++)
+        prev = mt[i] = (mt[i] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - i;
+    mt[1] = (mt[1] ^ ((prev ^ (prev >> 30)) * 1566083941U)) - 1;
+    mt[0] = 0x80000000U;
+    g->index = 0;
+}
+
+/* The next 32-bit output.  CPython twists all MT_N words once they are
+ * used up; twisting each word just before it is returned computes the
+ * same words (word i reads words i+1 and i+M before they are twisted,
+ * and words below i after), and leaves untwisted the words a solve never
+ * reaches. */
+static inline uint32_t
+mt_next(struct mt *g)
+{
+    uint32_t *mt = g->state;
+    int i = g->index;
+    int i1 = i + 1 == MT_N ? 0 : i + 1;
+    int im = i < MT_N - MT_M ? i + MT_M : i + MT_M - MT_N;
+    uint32_t y = (mt[i] & 0x80000000U) | (mt[i1] & 0x7fffffffU);
+    y = mt[i] = mt[im] ^ (y >> 1) ^ (-(y & 1U) & 0x9908b0dfU);
+    g->index = i1;
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
+}
+
+/* Where a search draws from: the caller's getrandbits, or when that is
+ * NULL the kernel's own generator. */
+struct draws {
+    PyObject *getrandbits;
+    struct mt *mt;
+};
+
 /* One value of the non-empty mask, drawn as described at the top. */
 static int
-pick(uint64_t mask, PyObject *getrandbits, int *value)
+pick(uint64_t mask, const struct draws *src, int *value)
 {
     int c = popcount(mask);
     if (c > 1) {
-        PyObject *k = bit_length_args[32 - __builtin_clz((unsigned)c)];
+        int bits = 32 - __builtin_clz((unsigned)c);
         unsigned long r;
         do {
-            PyObject *drawn = PyObject_CallOneArg(getrandbits, k);
-            if (drawn == NULL)
-                return -1;
-            r = PyLong_AsUnsignedLong(drawn);
-            Py_DECREF(drawn);
-            if (r == (unsigned long)-1 && PyErr_Occurred())
-                return -1;
+            if (src->getrandbits == NULL) {
+                /* getrandbits(k) for k <= 32: the top k bits of one output */
+                r = mt_next(src->mt) >> (32 - bits);
+            }
+            else {
+                PyObject *drawn = PyObject_CallOneArg(src->getrandbits,
+                                                      bit_length_args[bits]);
+                if (drawn == NULL)
+                    return -1;
+                r = PyLong_AsUnsignedLong(drawn);
+                Py_DECREF(drawn);
+                if (r == (unsigned long)-1 && PyErr_Occurred())
+                    return -1;
+            }
         } while (r >= (unsigned long)c);
         while (r--)
             mask &= mask - 1;
@@ -321,11 +405,11 @@ candidates(const struct dfs *s, int k)
 
 /* The search from no labelled position: 1 once every position is
  * labelled, 0 once the budget is spent or the candidates run out, -1 when
- * getrandbits raised.  Afterwards used_values and used_sums hold the
- * labelled positions' values and edge sums, and backtracks the
+ * the caller's getrandbits raised.  Afterwards used_values and used_sums
+ * hold the labelled positions' values and edge sums, and backtracks the
  * backtracks spent. */
 static int
-dfs_run(struct dfs *s, long long budget, PyObject *getrandbits)
+dfs_run(struct dfs *s, long long budget, const struct draws *src)
 {
     uint64_t untried[MAX_NODES];   /* each depth's untried candidates */
     int m = s->m;
@@ -358,7 +442,7 @@ dfs_run(struct dfs *s, long long budget, PyObject *getrandbits)
             continue;
         }
         int value;
-        if (pick(mask, getrandbits, &value) < 0)
+        if (pick(mask, src, &value) < 0)
             return -1;
         untried[k] = mask ^ (UINT64_C(1) << value);
         s->lab[s->ord[k]] = value;
@@ -393,7 +477,7 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
         return NULL;
     }
     PyObject *labels = args[2];
-    PyObject *getrandbits = args[5];
+    struct draws src = {args[5], NULL};
     PyObject *weights_arg = args[6];
     if (!PyList_Check(labels)) {
         PyErr_SetString(PyExc_TypeError, "labels must be a list");
@@ -472,7 +556,7 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
     }
     dfs_setup(&s, (int)n, (int)n_values, (int)size, weighted);
 
-    int found = dfs_run(&s, budget, getrandbits);
+    int found = dfs_run(&s, budget, &src);
     if (found < 0)
         goto done;
     for (Py_ssize_t j = 0; j < size; j++) {
@@ -540,11 +624,11 @@ report_prune(PyObject *on_prune, PyObject *leaf, int value, PyObject *assigned)
 
 /* The search of the leaf CSP in c->levels[0]: 1 when every leaf has a
  * value (chosen[d] and values[d] for d < k), 0 when the CSP is refuted or
- * the budget is spent, -1 when getrandbits or on_prune raised.  on_prune,
- * when not NULL, hears of each forward-checking removal and names the
- * leaves by *leaves*. */
+ * the budget is spent, -1 when the caller's getrandbits or on_prune
+ * raised.  on_prune, when not NULL, hears of each forward-checking
+ * removal and names the leaves by *leaves*. */
 static int
-leaf_run(struct leaf_csp *c, long long budget, PyObject *getrandbits,
+leaf_run(struct leaf_csp *c, long long budget, const struct draws *src,
          PyObject *on_prune, PyObject *const *leaves)
 {
     int k = c->k, m = c->m;
@@ -582,7 +666,7 @@ leaf_run(struct leaf_csp *c, long long budget, PyObject *getrandbits,
             value = values[depth - 1];
         }
         else {
-            if (pick(untried, getrandbits, &value) < 0)
+            if (pick(untried, src, &value) < 0)
                 goto done;
             uint64_t vbit = UINT64_C(1) << value;
             level[i] = untried ^ vbit;
@@ -681,7 +765,7 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
         PyErr_SetString(PyExc_TypeError, "solve_leaf_csp takes 7 arguments");
         return NULL;
     }
-    PyObject *getrandbits = args[5];
+    struct draws src = {args[5], NULL};
     PyObject *on_prune = args[6] == Py_None ? NULL : args[6];
     long m_long = PyLong_AsLong(args[3]);
     if (m_long == -1 && PyErr_Occurred())
@@ -747,7 +831,7 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
             if (j != i && pl[j] == pl[i])
                 c.sibs[i] |= UINT64_C(1) << j;
     }
-    int found = leaf_run(&c, budget, getrandbits, on_prune, leaves);
+    int found = leaf_run(&c, budget, &src, on_prune, leaves);
     if (found >= 0)
         result = found ? assignment(leaves, c.chosen, c.values, k) : Py_NewRef(Py_None);
 
@@ -763,12 +847,13 @@ done:
 /* ------------------------------------------------------------------ */
 
 PyDoc_STRVAR(solve_twostage_doc,
-"solve_twostage(parents, runs, stage1_budget, stage2_budget, getrandbits)\n"
+"solve_twostage(parents, runs, stage1_budget, stage2_budget, seed)\n"
 "--\n\n"
 "The retry loop of treeharmony.twostage.solve_twostage on the tree of 3 to\n"
 "64 nodes with these preorder parents (-1, then each node's earlier\n"
-"parent).  Returns (labels or None, runs, stage-1 failures, stage-2\n"
-"failures); the labels are reduced mod n-1.");
+"parent), drawing what random.Random(seed) would draw for an int seed,\n"
+"0 <= seed < 2**64.  Returns (labels or None, runs, stage-1 failures,\n"
+"stage-2 failures); the labels are reduced mod n-1.");
 
 static PyObject *
 k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -777,7 +862,18 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
         PyErr_SetString(PyExc_TypeError, "solve_twostage takes 5 arguments");
         return NULL;
     }
-    PyObject *getrandbits = args[4];
+    if (!PyLong_Check(args[4])) {
+        PyErr_SetString(PyExc_TypeError, "seed must be an int");
+        return NULL;
+    }
+    unsigned long long seed = PyLong_AsUnsignedLongLong(args[4]);
+    if (seed == (unsigned long long)-1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError, "seed must be at least 0 and below 2**64");
+        }
+        return NULL;
+    }
     long long runs = PyLong_AsLongLong(args[1]);
     if (runs == -1 && PyErr_Occurred())
         return NULL;
@@ -849,12 +945,15 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
     dfs_setup(&s, n, n, size, 1);
     c.k = k;
     c.m = m;
+    struct mt mt;
+    struct draws src = {NULL, &mt};
+    mt_seed(&mt, seed);
 
     long long run = 0, stage1_failures = 0, stage2_failures = 0;
     int found = 0;
     while (!found && run < runs) {
         run++;
-        found = dfs_run(&s, budget1, getrandbits);
+        found = dfs_run(&s, budget1, &src);
         if (found < 0)
             return NULL;
         if (!found) {
@@ -877,7 +976,7 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
             c.levels[0][j] = dom_at[nb];
             c.plm[j] = s.lab[nb] % m;
         }
-        found = leaf_run(&c, budget2, getrandbits, NULL, NULL);
+        found = leaf_run(&c, budget2, &src, NULL, NULL);
         if (found < 0)
             return NULL;
         if (!found)
@@ -927,6 +1026,9 @@ static struct PyModuleDef kernel_module = {
 PyMODINIT_FUNC
 PyInit__kernel(void)
 {
+    mt_base[0] = 19650218U;
+    for (uint32_t i = 1; i < MT_N; i++)
+        mt_base[i] = 1812433253U * (mt_base[i - 1] ^ (mt_base[i - 1] >> 30)) + i;
     for (int k = 0; k < 8; k++) {
         if (bit_length_args[k] == NULL) {
             bit_length_args[k] = PyLong_FromLong(k);

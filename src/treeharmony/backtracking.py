@@ -28,6 +28,8 @@ The duplicated label of every returned labelling sits on the root: the
 root's value is the one value non-root nodes may still take.
 """
 
+import random
+
 from .config import SolveOutcome, SolverConfig
 from .native import kernel
 from .trees import Tree
@@ -92,9 +94,11 @@ def _run_once(tree: Tree, cfg: SolverConfig, rng) -> tuple[tuple[int, ...] | Non
     return (tuple(labels) if ok else None), backtracks
 
 
-def solve_backtracking(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
-    """Backtracking with restarts; failure (a value, not an error) after
-    every restart exhausts its backtrack limit."""
+def solve_backtracking(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
+    """Backtracking with restarts, drawing from ``random.Random(seed)``;
+    failure (a value, not an error) after every restart exhausts its
+    backtrack limit."""
+    rng = random.Random(seed)
     total_backtracks = 0
     for restart in range(cfg.backtrack_restarts):
         labels, used = _run_once(tree, cfg, rng)

@@ -19,7 +19,6 @@ uninterrupted one would.
 import json
 import math
 import os
-import random
 import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -78,7 +77,9 @@ def _solver_rng_seed(seed: int, tag: str) -> int:
 
 def solve_hybrid(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
     """Run the pipeline until one solver succeeds.  The outcome records
-    which solver produced the labelling; failure means all failed.
+    which solver produced the labelling; failure means all failed.  Each
+    solver gets its own seed, derived from *seed* and its tag, and opens
+    its own generator on it.
 
     A single node is harmonious by convention and returns its trivial
     labelling immediately, attributed to the first configured solver.
@@ -87,8 +88,7 @@ def solve_hybrid(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
         return SolveOutcome(True, (0,), cfg.pipeline[0], {"trivial": True})
     attempts = []
     for tag in cfg.pipeline:
-        rng = random.Random(_solver_rng_seed(seed, tag))
-        outcome = SOLVERS[tag](tree, cfg, rng)
+        outcome = SOLVERS[tag](tree, cfg, _solver_rng_seed(seed, tag))
         attempts.append({"solver": tag, **outcome.stats})
         if outcome.success:
             outcome.stats = {"attempts": attempts}

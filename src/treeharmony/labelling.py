@@ -29,6 +29,9 @@ from .trees import Tree
 
 SOLVER_TAGS = PIPELINE_TAGS + ("exhaustive",)
 
+# a string as json.dumps quotes it by default (ensure_ascii)
+_quote = json.encoder.encode_basestring_ascii
+
 
 def induced_edge_labels(tree: Tree, labels) -> tuple[int, ...]:
     """Per-edge sums mod (n-1), in edges(tree) order."""
@@ -107,11 +110,9 @@ def normalize_labelling(tree: Tree, labels) -> tuple[int, ...]:
     if n == 1:
         return (0,)
     m = n - 1
-    counts = [0] * m
-    for v in labels:
-        counts[v] += 1
-    dup = counts.index(2)
-    return shift_labelling(labels, -dup)
+    # the labels hold 0..m-1 once each and the duplicated value once more
+    dup = sum(labels) - m * (m - 1) // 2
+    return tuple(labels) if dup == 0 else shift_labelling(labels, -dup)
 
 
 def random_onto_labelling(n: int, rng) -> tuple[int, ...]:
@@ -250,16 +251,13 @@ class Certificate:
     seed: int
 
     def to_json_line(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "levels": list(self.levels),
-                "labels": list(self.labels),
-                "solver": self.solver,
-                "seed": self.seed,
-            },
-            separators=(",", ":"),
-        )
+        """The record as ``json.dumps`` with ``separators=(",", ":")``
+        writes it, built without a dict or an encoder: a list of ints
+        prints as its JSON array once the spaces are dropped."""
+        levels = str(list(self.levels)).replace(" ", "")
+        labels = str(list(self.labels)).replace(" ", "")
+        return (f'{{"n":{self.n},"levels":{levels},"labels":{labels},'
+                f'"solver":{_quote(self.solver)},"seed":{self.seed}}}')
 
     @classmethod
     def from_json_line(cls, line: str) -> "Certificate":

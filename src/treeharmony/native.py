@@ -3,10 +3,13 @@
 The searches run in one C extension with three entries.
 ``solve_twostage`` runs a whole :func:`treeharmony.twostage.solve_twostage`
 call, every round of stage 1, the leaf-CSP build and stage 2, so the
-two-stage solver makes one kernel call per tree.  ``label_dfs`` is the
-labelling DFS of :func:`treeharmony.backtracking.label_dfs`, which the
-backtracking solver runs, and ``solve_leaf_csp`` the leaf search of
-:func:`treeharmony.twostage.solve_leaf_csp`; the stage functions of
+two-stage solver makes one kernel call per tree.  It takes the solver's
+seed and draws from a Mersenne Twister of its own, seeded as
+``random.Random(seed)`` seeds one.  ``label_dfs`` is the labelling DFS of
+:func:`treeharmony.backtracking.label_dfs`, which the backtracking
+solver runs, and ``solve_leaf_csp`` the leaf search of
+:func:`treeharmony.twostage.solve_leaf_csp`; these two draw through the
+caller's ``getrandbits``.  The stage functions of
 :mod:`treeharmony.twostage` are library and test entry points.  The
 extension is built with gcc on first use and kept in a cache outside
 the source tree: ``$XDG_CACHE_HOME/treeharmony/`` or

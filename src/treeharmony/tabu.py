@@ -15,6 +15,8 @@ a swap touches only edges incident to the two nodes, so its Eval delta
 is exact and O(deg).
 """
 
+import random
+
 from .config import SolveOutcome, SolverConfig
 from .labelling import random_onto_labelling
 from .trees import Tree
@@ -120,8 +122,9 @@ def _any_improving_swap(state: TabuState) -> bool:
     return False
 
 
-def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
-    """Tabu search; failure is a value once the iteration limit passes.
+def solve_tabu(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
+    """Tabu search drawing from ``random.Random(seed)``; failure is a
+    value once the iteration limit passes.
 
     The harmonious check sits inside the loop, so a zero iteration limit
     fails even when the random start is already harmonious; with any
@@ -138,6 +141,7 @@ def solve_tabu(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     and a failure's ``best_eval`` is its final Eval.
     """
     n = tree.n
+    rng = random.Random(seed)
     state = TabuState(tree, random_onto_labelling(n, rng))
     max_iters = cfg.tabu_iteration_limit(n)
     swaps = 0

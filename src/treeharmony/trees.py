@@ -67,16 +67,18 @@ class Tree:
         n: node count.
         levels: depth per node, ``levels[0] == 0``.
         parents: preorder parent index per node, ``-1`` for the root.
-        adjacency: tuple of neighbor tuples, derived from ``parents``.
+        adjacency: tuple of neighbor tuples, derived from ``parents`` on
+            first read and kept; the two-stage solver, the certificate
+            check and the sweep read ``parents`` alone.
     """
 
-    __slots__ = ("n", "levels", "parents", "adjacency")
+    __slots__ = ("n", "levels", "parents", "_adjacency")
 
-    def __init__(self, levels, parents, adjacency):
+    def __init__(self, levels, parents):
         self.n = len(levels)
         self.levels = levels
         self.parents = parents
-        self.adjacency = adjacency
+        self._adjacency = None
 
     @classmethod
     def from_level_sequence(cls, seq) -> "Tree":
@@ -90,11 +92,18 @@ class Tree:
             d = levels[i]
             parents[i] = last_at[d - 1]
             last_at[d] = i
-        adj = [[] for _ in range(n)]
-        for i in range(1, n):
-            adj[parents[i]].append(i)
-            adj[i].append(parents[i])
-        return cls(levels, tuple(parents), tuple(tuple(a) for a in adj))
+        return cls(levels, tuple(parents))
+
+    @property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        if self._adjacency is None:
+            parents = self.parents
+            adj = [[] for _ in range(self.n)]
+            for i in range(1, self.n):
+                adj[parents[i]].append(i)
+                adj[i].append(parents[i])
+            self._adjacency = tuple(map(tuple, adj))
+        return self._adjacency
 
     def __repr__(self):
         return f"Tree({format_level_sequence(self.levels)})"

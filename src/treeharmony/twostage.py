@@ -25,14 +25,14 @@ are interchangeable (swapping their values keeps both the value set and
 the sum set), so a value refuted for one leaf is struck from its free
 siblings too.
 
-Both stages draw from the solver's RNG in a fixed pattern: a search
-level keeps its untried values as a bitmask and, each time it tries
-one, draws it on demand (r as ``random.Random._randbelow(c)`` draws it
-over the c untried values, through ``rng.getrandbits``, then the r-th
-lowest of them; a last untried value draws nothing).  Nothing else is
-drawn.  That pattern is a contract: a sweep is replayed from its
-seeds alone, so a change in what is drawn changes the labels, and so the
-bytes, of a replayed certificate file, and must come with a new
+Both stages draw from one RNG in a fixed pattern: a search level keeps
+its untried values as a bitmask and, each time it tries one, draws it
+on demand (r as ``random.Random._randbelow(c)`` draws it over the c
+untried values, through ``getrandbits``, then the r-th lowest of them;
+a last untried value draws nothing).  Nothing else is drawn.  That
+pattern is a contract: a sweep is replayed from its seeds alone, so a
+change in what is drawn changes the labels, and so the bytes, of a
+replayed certificate file, and must come with a new
 :data:`treeharmony.config.SOLVER_VERSION`.
 
 Stage 1 also enforces a counting rule that every harmonious labelling f
@@ -51,13 +51,15 @@ solver reports failure.
 
 Both stages and the retry loop run in the compiled kernel
 (:mod:`treeharmony.native`), which limits trees to 64 nodes.
-:func:`solve_twostage` is one kernel call per tree: the kernel's
-``solve_twostage`` takes the tree's shape from its parents once and runs
-every round of stage 1, the leaf-CSP build and stage 2 in C, drawing
-through ``rng.getrandbits`` as the stages below do.
-:func:`stage1_internal`, :func:`build_leaf_csp` and :func:`solve_leaf_csp`
-run one step each, with the same draws; they are library and test entry
-points, and the solvers do not call them.
+:func:`solve_twostage` takes a seed and is one kernel call per tree: the
+kernel's ``solve_twostage`` takes the tree's shape from its parents once,
+seeds its own Mersenne Twister from the seed as ``random.Random(seed)``
+seeds one, and runs every round of stage 1, the leaf-CSP build and
+stage 2 in C, drawing from that generator.  :func:`stage1_internal`,
+:func:`build_leaf_csp` and :func:`solve_leaf_csp` run one step each and
+draw through the caller's ``rng.getrandbits``; from ``random.Random(seed)``
+they make the draws :func:`solve_twostage` makes from *seed*.  They are
+library and test entry points, and the solvers do not call them.
 """
 
 from typing import NamedTuple
@@ -186,22 +188,24 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
                                    csp.n - 1, budget, rng.getrandbits, on_prune)
 
 
-def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
+def solve_twostage(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
     """Retry (stage 1 -> leaf CSP) up to cfg.twostage_runs times; any
     success extends the partial labelling, reduces it to the normal onto
     form (the duplicated value is 0) and returns it unchecked.  Trees of
-    three or more nodes run as one kernel call; its rounds are those of
+    three or more nodes run as one kernel call, drawing what
+    ``random.Random(seed)`` would; its rounds are those of
     :func:`stage1_internal`, :func:`build_leaf_csp` and
-    :func:`solve_leaf_csp` in turn, draw for draw.  A tree of more than
-    64 nodes raises ValueError."""
+    :func:`solve_leaf_csp` in turn, draw for draw, on that generator.
+    The kernel raises ValueError for a tree of more than 64 nodes or a
+    seed outside 0 <= seed < 2**64, and TypeError for a seed that is not
+    an int."""
     n = tree.n
     if n <= 2:
         runs = min(cfg.twostage_runs, 1)
         stats = {"runs": runs, "stage1_failures": 0, "stage2_failures": 0}
         return SolveOutcome(runs == 1, (0,) * n if runs else None, "twostage", stats)
     labels, runs, stage1_failures, stage2_failures = kernel().solve_twostage(
-        tree.parents, cfg.twostage_runs, cfg.stage1_budget, cfg.stage2_budget,
-        rng.getrandbits)
+        tree.parents, cfg.twostage_runs, cfg.stage1_budget, cfg.stage2_budget, seed)
     stats = {"runs": runs, "stage1_failures": stage1_failures,
              "stage2_failures": stage2_failures}
     return SolveOutcome(labels is not None, labels, "twostage", stats)

@@ -112,7 +112,7 @@ def test_label_dfs_unbounded_succeeds_iff_root_dup_witness_exists():
 
 def test_solves_small_trees():
     for tree in (P3, P4, STAR4):
-        out = solve_backtracking(tree, CFG, random.Random(7))
+        out = solve_backtracking(tree, CFG, 7)
         assert out.success
         assert is_harmonious(tree, out.labels)
 
@@ -122,7 +122,7 @@ def test_p4_known_certificate_shape():
     # any solver output must normalize to a duplicate-0 labelling
     assert is_harmonious(P4, (2, 2, 0, 1))
     assert normalize_labelling(P4, (2, 2, 0, 1)) == (0, 0, 1, 2)
-    out = solve_backtracking(P4, CFG, random.Random(3))
+    out = solve_backtracking(P4, CFG, 3)
     norm = normalize_labelling(P4, out.labels)
     assert sorted(norm).count(0) == 2
 
@@ -132,7 +132,7 @@ def test_duplicate_value_sits_on_root():
     for n in range(3, 11):
         for seq in list(free_trees(n))[:5]:
             tree = Tree.from_level_sequence(seq)
-            out = solve_backtracking(tree, CFG, random.Random(rng.randrange(1 << 30)))
+            out = solve_backtracking(tree, CFG, rng.randrange(1 << 30))
             if not out.success:
                 # some trees admit no root-duplicate labelling at all;
                 # see test_root_duplicate_restriction below
@@ -146,7 +146,7 @@ def test_limit_zero_unlucky_seed_fails_with_zero_backtracks():
     cfg = SolverConfig(backtrack_limit=0, backtrack_restarts=1)
     failures = 0
     for seed in range(30):
-        out = solve_backtracking(P4, cfg, random.Random(seed))
+        out = solve_backtracking(P4, cfg, seed)
         if not out.success:
             failures += 1
             assert out.stats["backtracks"] == 0
@@ -154,24 +154,23 @@ def test_limit_zero_unlucky_seed_fails_with_zero_backtracks():
 
 
 def test_zero_restarts_fail_immediately():
-    out = solve_backtracking(P4, SolverConfig(backtrack_restarts=0), random.Random(1))
+    out = solve_backtracking(P4, SolverConfig(backtrack_restarts=0), 1)
     assert not out.success
     assert out.stats == {"backtracks": 0, "restarts_used": 0}
 
 
 def test_deterministic_under_seed():
-    a = solve_backtracking(P4, CFG, random.Random(12345))
-    b = solve_backtracking(P4, CFG, random.Random(12345))
+    a = solve_backtracking(P4, CFG, 12345)
+    b = solve_backtracking(P4, CFG, 12345)
     assert (a.success, a.labels, a.stats) == (b.success, b.labels, b.stats)
 
 
 def test_trivial_sizes_inside_restart_loop():
     one = Tree.from_level_sequence((0,))
     two = Tree.from_level_sequence((0, 1))
-    assert solve_backtracking(one, CFG, random.Random(0)).labels == (0,)
-    assert solve_backtracking(two, CFG, random.Random(0)).labels == (0, 0)
-    assert not solve_backtracking(one, SolverConfig(backtrack_restarts=0),
-                                  random.Random(0)).success
+    assert solve_backtracking(one, CFG, 0).labels == (0,)
+    assert solve_backtracking(two, CFG, 0).labels == (0, 0)
+    assert not solve_backtracking(one, SolverConfig(backtrack_restarts=0), 0).success
 
 
 def test_perturbation_keeps_soundness():
@@ -179,7 +178,7 @@ def test_perturbation_keeps_soundness():
     for seed in range(20):
         for seq in ((0, 1, 2, 1, 2, 1), (0, 1, 2, 3, 2, 1, 1)):
             tree = Tree.from_level_sequence(seq)
-            out = solve_backtracking(tree, cfg, random.Random(seed))
+            out = solve_backtracking(tree, cfg, seed)
             assert out.success and is_harmonious(tree, out.labels)
 
 
@@ -236,7 +235,7 @@ def test_backtracking_fails_where_no_witness_exists_but_hybrid_recovers():
 
     p5 = Tree.from_level_sequence((0, 1, 2, 1, 2))
     assert exhaustive_search(p5).exists  # the tree itself is harmonious
-    out = solve_backtracking(p5, SolverConfig(backtrack_restarts=3), random.Random(1))
+    out = solve_backtracking(p5, SolverConfig(backtrack_restarts=3), 1)
     assert not out.success
     hybrid = solve_hybrid(p5, CFG, seed=1)
     assert hybrid.success and hybrid.solver == "twostage"

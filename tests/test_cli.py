@@ -162,7 +162,7 @@ def test_solve_failure_record(capsys):
 def test_solve_refuses_a_bad_labelling(capsys, monkeypatch):
     # make_certificate is the one check between a solver and the output
     monkeypatch.setitem(hybrid.SOLVERS, "twostage",
-                        lambda tree, cfg, rng: SolveOutcome(
+                        lambda tree, cfg, seed: SolveOutcome(
                             True, (0,) * tree.n, "twostage", {}))
     code, out, err = run(capsys, "solve", "--levels", "0,1,2,1")
     assert code == 2 and out == "" and "cannot normalize" in err

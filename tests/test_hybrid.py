@@ -113,8 +113,8 @@ def test_benchmark_runs_each_solver_on_its_salted_seed():
         successes = 0
         for index, seq in enumerate(free_trees(8)):
             seed = derive_seed(CFG.global_seed, 8, index)
-            rng = random.Random(hybrid._solver_rng_seed(seed, tag))
-            successes += hybrid.SOLVERS[tag](Tree.from_level_sequence(seq), CFG, rng).success
+            successes += hybrid.SOLVERS[tag](Tree.from_level_sequence(seq), CFG,
+                                             hybrid._solver_rng_seed(seed, tag)).success
         assert report["solvers"][tag]["successes"] == successes
     assert report["trees"] == 23
     assert [report["solvers"][tag]["successes"] for tag in PIPELINE_TAGS] == [23, 20, 11]
@@ -137,6 +137,23 @@ def test_certificates_normalized():
             assert verify_certificate(cert) is None
             if n >= 3:
                 assert sorted(cert.labels).count(0) == 2
+
+
+def test_certificate_line_is_its_json_dumps():
+    # every certificate of a default-seed sweep of n <= 12, then seeds
+    # at and above 2**63
+    certs = []
+    for n in range(1, 13):
+        for index, seq in enumerate(free_trees(n)):
+            seed = derive_seed(CFG.global_seed, n, index)
+            tree = Tree.from_level_sequence(seq)
+            certs.append(make_certificate(tree, solve_hybrid(tree, CFG, seed), seed))
+    assert len(certs) == 987
+    certs += [replace(certs[-1], seed=seed) for seed in (2**63, 2**64 - 1)]
+    for cert in certs:
+        assert cert.to_json_line() == json.dumps(
+            {"n": cert.n, "levels": list(cert.levels), "labels": list(cert.labels),
+             "solver": cert.solver, "seed": cert.seed}, separators=(",", ":"))
 
 
 # ------------------------------------------------------------------ #
@@ -237,6 +254,19 @@ def test_sweep_n13_replay_byte_identical(tmp_path, workers):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == N13_DIGEST
 
 
+# SHA-256 of the default-seed serial certificate file of sweep(16, 16,
+# ...) at the default config: 19,320 certificates, 2,847,699 bytes.
+N16_DIGEST = "cb8ad8c18a40f3ffeefc117f92f6baba1828a039b4c6787eed58157577ecc961"
+
+
+def test_sweep_n16_replay_byte_identical(tmp_path):
+    out = tmp_path / "r.jsonl"
+    sweep(16, 16, SolverConfig(), out_path=out, checkpoint_path=tmp_path / "c.txt")
+    assert SOLVER_VERSION == REPLAY_SOLVER_VERSION
+    data = out.read_bytes()
+    assert (len(data), hashlib.sha256(data).hexdigest()) == (2847699, N16_DIGEST)
+
+
 def test_sweep_deterministic_across_worker_counts(tmp_path):
     a = tmp_path / "a.jsonl"
     b = tmp_path / "b.jsonl"
@@ -331,10 +361,10 @@ def _fail_tree(monkeypatch):
     """Make every solver fail _FAILING_TREE; the pool's workers fork
     after the patch, so they fail it too."""
     for tag, solve in hybrid.SOLVERS.items():
-        def failing(tree, cfg, rng, solve=solve):
+        def failing(tree, cfg, seed, solve=solve):
             if ",".join(map(str, tree.levels)) == _FAILING_TREE:
                 return SolveOutcome(False, None, "", {})
-            return solve(tree, cfg, rng)
+            return solve(tree, cfg, seed)
         monkeypatch.setitem(hybrid.SOLVERS, tag, failing)
 
 
@@ -611,7 +641,7 @@ def test_fresh_sweep_stopped_before_its_first_checkpoint_resumes_cleanly(
     assert "13 certificates ok" in capsys.readouterr().err
 
 
-def _twostage_returns_all_zero(tree, cfg, rng):
+def _twostage_returns_all_zero(tree, cfg, seed):
     return SolveOutcome(True, (0,) * tree.n, "twostage", {})
 
 

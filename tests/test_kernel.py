@@ -160,7 +160,7 @@ def test_more_than_64_nodes_is_a_value_error():
     with pytest.raises(ValueError, match="at most 64 nodes"):
         solve_leaf_csp(csp, rng)
     with pytest.raises(ValueError, match="at most 64 nodes"):
-        solve_twostage(tree, CFG, rng)
+        solve_twostage(tree, CFG, 0)
 
 
 def test_solve_twostage_refuses_what_is_not_a_parent_array():
@@ -168,7 +168,20 @@ def test_solve_twostage_refuses_what_is_not_a_parent_array():
     # every other node; the n <= 2 trees stay in Python
     for parents in ((0, 0, 1), (-1, 0, 2), (-1, 0, -1), (-1, 0)):
         with pytest.raises(ValueError, match="parents|at least 3 nodes"):
-            native.kernel().solve_twostage(parents, 1, 10, 10, random.Random(0).getrandbits)
+            native.kernel().solve_twostage(parents, 1, 10, 10, 0)
+
+
+def test_solve_twostage_refuses_a_seed_it_cannot_replay():
+    # random.Random seeds a negative int by its absolute value and takes
+    # ints of any size; the kernel's generator takes 0 <= seed < 2**64
+    solve = native.kernel().solve_twostage
+    for seed in (-1, -2**64, 2**64, 2**100):
+        with pytest.raises(ValueError, match="seed"):
+            solve((-1, 0, 1), 1, 10, 10, seed)
+    for seed in (1.0, "1", None, random.Random(1), random.Random(1).getrandbits):
+        with pytest.raises(TypeError, match="seed"):
+            solve((-1, 0, 1), 1, 10, 10, seed)
+    assert solve((-1, 0, 1), 1, 10, 10, 2**64 - 1)[0] is not None
 
 
 def test_a_failing_rng_stops_the_search():
@@ -181,43 +194,6 @@ def test_a_failing_rng_stops_the_search():
         stage1_internal(star, CFG, Broken(1))
     with pytest.raises(RuntimeError, match="no more bits"):
         solve_leaf_csp(build_leaf_csp(star, {0: 0}), Broken(1))
-
-
-class _Draws(random.Random):
-    """A random.Random whose getrandbits raises after *left* draws."""
-
-    def __init__(self, seed, left):
-        super().__init__(seed)
-        self.left = left
-
-    def getrandbits(self, k):
-        if self.left == 0:
-            raise RuntimeError("no more bits")
-        self.left -= 1
-        return super().getrandbits(k)
-
-
-def test_a_draw_that_raises_inside_solve_twostage_propagates():
-    # the kernel loop and the reference loop stop at the same draw,
-    # whichever stage and round makes it: a tree that takes 10 rounds,
-    # with its getrandbits failing at each of its 133 draws in turn
-    tree = Tree.from_level_sequence((0, 1, 2, 3, 4, 4, 4, 1, 2, 3))
-    rng = _Draws(5, -1)   # counts down below 0 and never raises
-    out = search_reference.solve_twostage(tree, CFG, rng)
-    draws = -1 - rng.left
-    assert (out.stats["runs"], draws) == (10, 133)
-    for left in range(draws + 1):
-        states = []
-        for solve in (solve_twostage, search_reference.solve_twostage):
-            rng = _Draws(5, left)
-            try:
-                solve(tree, CFG, rng)
-                raised = False
-            except RuntimeError:
-                raised = True
-            states.append((raised, rng.left, rng.getstate()))
-        assert states[0] == states[1], left
-        assert states[0][0] == (left < draws), left
 
 
 # ------------------------------------------------------------------ #

@@ -84,25 +84,25 @@ def test_swaps_preserve_surjectivity():
 # ------------------------------------------------------------------ #
 
 def test_solves_p3():
-    out = solve_tabu(P3, CFG, random.Random(5))
+    out = solve_tabu(P3, CFG, 5)
     assert out.success and is_harmonious(P3, out.labels)
     assert out.stats["iterations"] <= 10
 
 
 def test_already_harmonious_start_succeeds_at_iteration_zero():
     # n=2 labellings are always harmonious
-    out = solve_tabu(N2, CFG, random.Random(0))
+    out = solve_tabu(N2, CFG, 0)
     assert out.success
     assert out.stats == {"iterations": 0, "swaps": 0}
 
 
 def test_zero_iterations_fail_even_when_start_is_harmonious():
-    out = solve_tabu(N2, SolverConfig(tabu_max_iters=0), random.Random(0))
+    out = solve_tabu(N2, SolverConfig(tabu_max_iters=0), 0)
     assert not out.success
 
 
 def test_failure_reports_positive_eval():
-    out = solve_tabu(P4, SolverConfig(tabu_max_iters=0), random.Random(9))
+    out = solve_tabu(P4, SolverConfig(tabu_max_iters=0), 9)
     assert not out.success
     assert out.stats["iterations"] == 0 or out.stats["final_eval"] >= 0
 
@@ -138,8 +138,8 @@ def test_tabu_marking_and_expiry():
 
 
 def test_deterministic_under_seed():
-    a = solve_tabu(P4, CFG, random.Random(999))
-    b = solve_tabu(P4, CFG, random.Random(999))
+    a = solve_tabu(P4, CFG, 999)
+    b = solve_tabu(P4, CFG, 999)
     assert (a.success, a.labels, a.stats) == (b.success, b.labels, b.stats)
 
 
@@ -149,7 +149,7 @@ def test_stall_fast_forward_reports_full_iteration_budget():
     cfg = SolverConfig()
     tree = Tree.from_level_sequence(list(free_trees(9))[0])
     for seed in range(40):
-        out = solve_tabu(tree, cfg, random.Random(seed))
+        out = solve_tabu(tree, cfg, seed)
         if not out.success and out.stats.get("stalled"):
             assert out.stats["iterations"] == cfg.tabu_iteration_limit(9)
             assert out.stats["best_eval"] > 0
@@ -171,7 +171,7 @@ def test_stuck_exit_matches_running_out_the_limit(monkeypatch):
         for seq in free_trees(n):
             tree = Tree.from_level_sequence(seq)
             for seed in range(3):
-                real.append((tree, seed, solve_tabu(tree, cfg, random.Random(seed))))
+                real.append((tree, seed, solve_tabu(tree, cfg, seed)))
     monkeypatch.setattr(tabu, "_any_improving_swap", lambda state: True)
 
     def strip(stats):
@@ -179,7 +179,7 @@ def test_stuck_exit_matches_running_out_the_limit(monkeypatch):
 
     early = 0
     for tree, seed, out in real:
-        full = solve_tabu(tree, cfg, random.Random(seed))
+        full = solve_tabu(tree, cfg, seed)
         assert (out.success, out.labels) == (full.success, full.labels), tree
         assert strip(out.stats) == strip(full.stats), tree
         assert not full.stats.get("stalled"), tree
@@ -201,7 +201,7 @@ def test_stuck_start_stops_after_one_iteration(monkeypatch):
     sample = tabu._sample_pairs
     monkeypatch.setattr(tabu, "_sample_pairs",
                         lambda *args: calls.append(1) or sample(*args))
-    out = solve_tabu(tree, CFG, random.Random(seed))
+    out = solve_tabu(tree, CFG, seed)
     assert not out.success and out.stats["stalled"]
     assert out.stats["swaps"] == 0
     assert out.stats["best_eval"] == start.eval

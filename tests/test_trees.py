@@ -72,6 +72,19 @@ def test_other_rooting_same_free_tree():
     assert canonicalize(tree(0, 1, 2, 1)) == (0, 1, 2, 1)
 
 
+def test_adjacency_is_built_on_first_read_as_the_eager_build_was():
+    for n in range(1, 11):
+        for seq in free_trees(n):
+            t = Tree.from_level_sequence(seq)
+            assert t._adjacency is None
+            eager = [[] for _ in range(n)]
+            for i in range(1, n):
+                eager[t.parents[i]].append(i)
+                eager[i].append(t.parents[i])
+            assert t.adjacency == tuple(tuple(a) for a in eager), seq
+            assert t.adjacency is t.adjacency
+
+
 def test_edges_single_node():
     assert edges(tree(0)) == []
 

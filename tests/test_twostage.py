@@ -624,8 +624,7 @@ def test_twostage_certifies_stars(n):
     # values would fail here where refutation does not
     star = Tree.from_level_sequence((0,) + (1,) * (n - 1))
     for seed in range(5):
-        out = solve_twostage(star, SolverConfig(twostage_runs=100),
-                             random.Random(seed))
+        out = solve_twostage(star, SolverConfig(twostage_runs=100), seed)
         assert out.success, (n, seed)
         assert is_harmonious(star, out.labels)
 
@@ -646,30 +645,50 @@ def _setting(i) -> SolverConfig:
                         stage2_budget=STAGE_BUDGETS[i // 12 % 4])
 
 
+# Seeds at the edges of the kernel's seeding: a key of one 32-bit word
+# (below 2**32) or of two, up to the largest seed it takes.
+EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
+
+
+class _CountingRandom(random.Random):
+    """A random.Random that counts its getrandbits calls."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
+
+
 def _both_loops(tree, cfg, seed):
-    """solve_twostage (one kernel call) and the reference loop composed
-    from the stage functions, from the same seed: each one's success,
-    labels, stats items in order and RNG state afterwards."""
-    out = []
-    for solve in (solve_twostage, search_reference.solve_twostage):
-        rng = random.Random(seed)
-        got = solve(tree, cfg, rng)
-        out.append((got.success, got.labels, got.solver, list(got.stats.items()),
-                    rng.getstate()))
-    return out
+    """solve_twostage (one kernel call, on the kernel's own generator) and
+    the reference loop composed from the stage functions, drawing from
+    random.Random(seed): each one's success, labels, solver and stats
+    items in order, and the reference's draw count."""
+    rng = _CountingRandom(seed)
+    out = [solve_twostage(tree, cfg, seed), search_reference.solve_twostage(tree, cfg, rng)]
+    return [(o.success, o.labels, o.solver, list(o.stats.items())) for o in out], rng.draws
 
 
 def test_solve_twostage_matches_the_reference_loop():
     # every tree on 1..12 nodes at the default config and at the next of
     # the 48 settings (each meets about 20 trees), then 300 random trees
     # on 3..64 nodes at the settings in turn, every other one rooted at a
-    # random leaf, which no canonical sequence on 3 or more nodes is
+    # random leaf, which no canonical sequence on 3 or more nodes is.
+    # Every other call takes the next of EDGE_SEEDS, the rest a random
+    # seed below 2**64.
     rng = random.Random(0x2572)
     seen = set()
+    calls = 0
+    most_draws = 0
 
     def compare(tree, cfg):
-        got, want = _both_loops(tree, cfg, rng.getrandbits(32))
-        assert got == want, (tree.levels, cfg)
+        nonlocal calls, most_draws
+        seed = EDGE_SEEDS[calls // 2 % len(EDGE_SEEDS)] if calls % 2 else rng.getrandbits(64)
+        calls += 1
+        (got, want), draws = _both_loops(tree, cfg, seed)
+        assert got == want, (tree.levels, cfg, seed)
+        most_draws = max(most_draws, draws)
         stats = want[3]
         seen.add((want[0], stats[1][1] > 0, stats[2][1] > 0))
 
@@ -694,32 +713,33 @@ def test_solve_twostage_matches_the_reference_loop():
     # successes and failures, after failed stage-1 rounds, failed stage-2
     # rounds, both (successes only) or neither
     assert seen >= set(product((True, False), repeat=3)) - {(False, True, True)}, seen
+    # some solve ran the generator through its 624-word state twice
+    assert most_draws > 2 * 624, most_draws
 
 
 def test_solve_star_and_p4():
-    out = solve_twostage(STAR4, CFG, random.Random(0))
+    out = solve_twostage(STAR4, CFG, 0)
     assert out.success and is_harmonious(STAR4, out.labels)
     assert out.stats["runs"] <= 5
-    out = solve_twostage(P4, CFG, random.Random(0))
+    out = solve_twostage(P4, CFG, 0)
     assert out.success and is_harmonious(P4, out.labels)
 
 
 def test_zero_runs_immediate_failure():
-    out = solve_twostage(P4, SolverConfig(twostage_runs=0), random.Random(0))
+    out = solve_twostage(P4, SolverConfig(twostage_runs=0), 0)
     assert not out.success and out.stats["runs"] == 0
 
 
 def test_trivial_sizes():
     one = Tree.from_level_sequence((0,))
-    assert solve_twostage(one, CFG, random.Random(0)).labels == (0,)
-    assert solve_twostage(N2, CFG, random.Random(0)).labels == (0, 0)
-    assert not solve_twostage(N2, SolverConfig(twostage_runs=0),
-                              random.Random(0)).success
+    assert solve_twostage(one, CFG, 0).labels == (0,)
+    assert solve_twostage(N2, CFG, 0).labels == (0, 0)
+    assert not solve_twostage(N2, SolverConfig(twostage_runs=0), 0).success
 
 
 def test_deterministic_under_seed():
-    a = solve_twostage(P4, CFG, random.Random(4))
-    b = solve_twostage(P4, CFG, random.Random(4))
+    a = solve_twostage(P4, CFG, 4)
+    b = solve_twostage(P4, CFG, 4)
     assert (a.success, a.labels, a.stats) == (b.success, b.labels, b.stats)
 
 
@@ -729,7 +749,7 @@ def test_output_is_normalized_and_verified():
     small = [seq for n in range(1, 11) for seq in free_trees(n)]
     for seq in small + list(free_trees(11))[:4]:
         tree = Tree.from_level_sequence(seq)
-        out = solve_twostage(tree, CFG, rng)
+        out = solve_twostage(tree, CFG, rng.getrandbits(64))
         assert out.success
         assert is_harmonious(tree, out.labels)
         # already the normal form that make_certificate writes

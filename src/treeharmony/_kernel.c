@@ -33,7 +33,6 @@
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <limits.h>
-#include <math.h>
 #include <stdint.h>
 #include <string.h>
 
@@ -178,20 +177,32 @@ open_values(uint64_t open, int pl, int m)
     return allowed;
 }
 
-/* A budget as a count: an int, or a float such as math.inf. */
-static int
-read_budget(PyObject *obj, long long *out)
+static PyObject *
+too_large(Py_ssize_t n)
 {
-    if (PyFloat_Check(obj)) {
-        double d = PyFloat_AS_DOUBLE(obj);
-        if (isnan(d)) {
-            PyErr_SetString(PyExc_ValueError, "budget must not be NaN");
-            return -1;
-        }
-        d = ceil(d);
-        *out = d >= 0x1p62 ? LLONG_MAX : d <= -0x1p62 ? LLONG_MIN : (long long)d;
+    PyErr_Format(PyExc_ValueError,
+                 "the search kernel handles trees of at most %d nodes, not %zd",
+                 MAX_NODES, n);
+    return NULL;
+}
+
+/* The readers every entry shares: its arity, its limits and its int
+ * sequences.  Each returns -1 with an exception set when it refuses. */
+
+static int
+check_arity(const char *entry, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
         return 0;
-    }
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments", entry, want);
+    return -1;
+}
+
+/* A limit (a budget or a run count) is an int; one beyond long long is
+ * clamped to its range. */
+static int
+read_limit(PyObject *obj, long long *out)
+{
     int overflow;
     long long b = PyLong_AsLongLongAndOverflow(obj, &overflow);
     if (b == -1 && PyErr_Occurred())
@@ -200,26 +211,43 @@ read_budget(PyObject *obj, long long *out)
     return 0;
 }
 
-/* Reads len ints of a sequence (a list or tuple from PySequence_Fast). */
-static int
-read_ints(PyObject *fast, Py_ssize_t len, long long *out)
-{
-    PyObject **items = PySequence_Fast_ITEMS(fast);
-    for (Py_ssize_t i = 0; i < len; i++) {
-        out[i] = PyLong_AsLongLong(items[i]);
-        if (out[i] == -1 && PyErr_Occurred())
-            return -1;
-    }
-    return 0;
-}
+/* The ints of a sequence argument into out: its first `need` items,
+ * refusing a shorter sequence, or when need < 0 all of them, refusing
+ * more than MAX_NODES as a tree of that many nodes.  Returns the
+ * sequence's length.  READ_INT_SEQ names the argument once: its name is
+ * a string literal, so the refusal of a non-sequence is joined at
+ * compile time and a call formats no message it does not raise. */
+#define READ_INT_SEQ(obj, name, need, out) \
+    read_int_seq((obj), name, name " must be a sequence", (need), (out))
 
-static PyObject *
-too_large(Py_ssize_t n)
+static Py_ssize_t
+read_int_seq(PyObject *obj, const char *name, const char *not_a_sequence,
+             Py_ssize_t need, long long *out)
 {
-    PyErr_Format(PyExc_ValueError,
-                 "the search kernel handles trees of at most %d nodes, not %zd",
-                 MAX_NODES, n);
-    return NULL;
+    PyObject *fast = PySequence_Fast(obj, not_a_sequence);
+    if (fast == NULL)
+        return -1;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
+    if (need < 0 && len > MAX_NODES) {
+        too_large(len);
+        len = -1;
+    }
+    else if (len < need) {
+        PyErr_Format(PyExc_IndexError, "%s is shorter than order", name);
+        len = -1;
+    }
+    else {
+        PyObject **items = PySequence_Fast_ITEMS(fast);
+        for (Py_ssize_t i = 0; i < (need < 0 ? len : need); i++) {
+            out[i] = PyLong_AsLongLong(items[i]);
+            if (out[i] == -1 && PyErr_Occurred()) {
+                len = -1;
+                break;
+            }
+        }
+    }
+    Py_DECREF(fast);
+    return len;
 }
 
 /* ------------------------------------------------------------------ */
@@ -472,13 +500,10 @@ PyDoc_STRVAR(label_dfs_doc,
 static PyObject *
 k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError, "label_dfs takes 7 arguments");
+    if (check_arity("label_dfs", nargs, 7) < 0)
         return NULL;
-    }
     PyObject *labels = args[2];
     struct draws src = {args[5], NULL};
-    PyObject *weights_arg = args[6];
     if (!PyList_Check(labels)) {
         PyErr_SetString(PyExc_TypeError, "labels must be a list");
         return NULL;
@@ -488,66 +513,42 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
     if (n_values == -1 && PyErr_Occurred())
         return NULL;
     long long budget;
-    if (read_budget(args[4], &budget) < 0)
+    if (read_limit(args[4], &budget) < 0)
         return NULL;
 
-    PyObject *order_f = NULL, *parents_f = NULL, *weights_f = NULL;
-    PyObject *result = NULL;
     struct dfs s;
     long long ord[MAX_NODES], par[MAX_NODES], wts[MAX_NODES];
-
-    order_f = PySequence_Fast(args[0], "order must be a sequence");
-    if (order_f == NULL)
-        goto done;
-    Py_ssize_t size = PySequence_Fast_GET_SIZE(order_f);
-    if (size == 0) {
-        result = Py_BuildValue("(Oi)", Py_True, 0);
-        goto done;
-    }
-    if (n > MAX_NODES || n_values > MAX_NODES || size > MAX_NODES) {
-        too_large(n > size ? n : size);
-        goto done;
-    }
+    Py_ssize_t size = READ_INT_SEQ(args[0], "order", -1, ord);
+    if (size < 0)
+        return NULL;
+    if (size == 0)
+        return Py_BuildValue("(Oi)", Py_True, 0);
+    if (n > MAX_NODES || n_values > MAX_NODES)
+        return too_large(n > size ? n : size);
     if (n < 2 || n_values < 0) {
         PyErr_SetString(PyExc_ValueError,
                         "label_dfs needs at least two labels and n_values >= 0");
-        goto done;
+        return NULL;
     }
-    parents_f = PySequence_Fast(args[1], "parents must be a sequence");
-    if (parents_f == NULL)
-        goto done;
-    if (PySequence_Fast_GET_SIZE(parents_f) < size) {
-        PyErr_SetString(PyExc_IndexError, "parents is shorter than order");
-        goto done;
-    }
-    if (read_ints(order_f, size, ord) < 0 || read_ints(parents_f, size, par) < 0)
-        goto done;
-    int weighted = weights_arg != Py_None;
-    if (weighted) {
-        weights_f = PySequence_Fast(weights_arg, "weights must be a sequence");
-        if (weights_f == NULL)
-            goto done;
-        if (PySequence_Fast_GET_SIZE(weights_f) < size) {
-            PyErr_SetString(PyExc_IndexError, "weights is shorter than order");
-            goto done;
-        }
-        if (read_ints(weights_f, size, wts) < 0)
-            goto done;
-    }
+    if (READ_INT_SEQ(args[1], "parents", size, par) < 0)
+        return NULL;
+    int weighted = args[6] != Py_None;
+    if (weighted && READ_INT_SEQ(args[6], "weights", size, wts) < 0)
+        return NULL;
     for (Py_ssize_t v = 0; v < n; v++) {
         long x = PyLong_AsLong(PyList_GET_ITEM(labels, v));
         if (x == -1 && PyErr_Occurred())
-            goto done;
+            return NULL;
         if (x < INT_MIN / 2 || x > INT_MAX / 2) {
             PyErr_SetString(PyExc_OverflowError, "label out of range");
-            goto done;
+            return NULL;
         }
         s.lab[v] = (int)x;
     }
     for (Py_ssize_t k = 0; k < size; k++) {
         if (ord[k] < 0 || ord[k] >= n || par[k] >= n) {
             PyErr_SetString(PyExc_IndexError, "node index out of range");
-            goto done;
+            return NULL;
         }
         s.ord[k] = (int)ord[k];
         s.par[k] = par[k] < 0 ? -1 : (int)par[k];
@@ -558,19 +559,13 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
 
     int found = dfs_run(&s, budget, &src);
     if (found < 0)
-        goto done;
+        return NULL;
     for (Py_ssize_t j = 0; j < size; j++) {
         PyObject *x = PyLong_FromLong(s.lab[s.ord[j]]);
         if (x == NULL || PyList_SetItem(labels, s.ord[j], x) < 0)   /* steals x */
-            goto done;
+            return NULL;
     }
-    result = Py_BuildValue("(OL)", found ? Py_True : Py_False, s.backtracks);
-
-done:
-    Py_XDECREF(order_f);
-    Py_XDECREF(parents_f);
-    Py_XDECREF(weights_f);
-    return result;
+    return Py_BuildValue("(OL)", found ? Py_True : Py_False, s.backtracks);
 }
 
 /* ------------------------------------------------------------------ */
@@ -761,10 +756,8 @@ PyDoc_STRVAR(solve_leaf_csp_doc,
 static PyObject *
 k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 7) {
-        PyErr_SetString(PyExc_TypeError, "solve_leaf_csp takes 7 arguments");
+    if (check_arity("solve_leaf_csp", nargs, 7) < 0)
         return NULL;
-    }
     struct draws src = {args[5], NULL};
     PyObject *on_prune = args[6] == Py_None ? NULL : args[6];
     long m_long = PyLong_AsLong(args[3]);
@@ -774,10 +767,12 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
         return too_large(m_long + 1);
     int m = (int)m_long;
     long long budget;
-    if (read_budget(args[4], &budget) < 0)
+    if (read_limit(args[4], &budget) < 0)
         return NULL;
 
-    PyObject *leaves_f = NULL, *labels_f = NULL, *doms_f = NULL;
+    /* the leaves are the keys of the result, so their sequence is held
+     * until it is built; a domain mask may hold bit 63 */
+    PyObject *leaves_f = NULL, *doms_f = NULL;
     PyObject *result = NULL;
     struct leaf_csp c;
 
@@ -800,20 +795,18 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
     int k = c.k = (int)k_size;
     c.m = m;
     PyObject **leaves = PySequence_Fast_ITEMS(leaves_f);
-    labels_f = PySequence_Fast(args[1], "parent_labels must be a sequence");
-    if (labels_f == NULL)
+    long long pl[MAX_NODES];
+    Py_ssize_t pl_size = READ_INT_SEQ(args[1], "parent_labels", -1, pl);
+    if (pl_size < 0)
         goto done;
     doms_f = PySequence_Fast(args[2], "domain_masks must be a sequence");
     if (doms_f == NULL)
         goto done;
-    if (PySequence_Fast_GET_SIZE(labels_f) != k || PySequence_Fast_GET_SIZE(doms_f) != k) {
+    if (pl_size != k || PySequence_Fast_GET_SIZE(doms_f) != k) {
         PyErr_SetString(PyExc_ValueError,
                         "leaves, parent_labels and domain_masks differ in length");
         goto done;
     }
-    long long pl[MAX_NODES];
-    if (read_ints(labels_f, k, pl) < 0)
-        goto done;
     uint64_t *doms = c.levels[0];
     for (int j = 0; j < k; j++) {
         doms[j] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(doms_f, j));
@@ -837,7 +830,6 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
 
 done:
     Py_XDECREF(leaves_f);
-    Py_XDECREF(labels_f);
     Py_XDECREF(doms_f);
     return result;
 }
@@ -858,10 +850,8 @@ PyDoc_STRVAR(solve_twostage_doc,
 static PyObject *
 k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
-    if (nargs != 5) {
-        PyErr_SetString(PyExc_TypeError, "solve_twostage takes 5 arguments");
+    if (check_arity("solve_twostage", nargs, 5) < 0)
         return NULL;
-    }
     if (!PyLong_Check(args[4])) {
         PyErr_SetString(PyExc_TypeError, "seed must be an int");
         return NULL;
@@ -874,24 +864,13 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
         }
         return NULL;
     }
-    long long runs = PyLong_AsLongLong(args[1]);
-    if (runs == -1 && PyErr_Occurred())
+    long long runs, budget1, budget2;
+    if (read_limit(args[1], &runs) < 0 || read_limit(args[2], &budget1) < 0
+        || read_limit(args[3], &budget2) < 0)
         return NULL;
-    long long budget1, budget2;
-    if (read_budget(args[2], &budget1) < 0 || read_budget(args[3], &budget2) < 0)
-        return NULL;
-    PyObject *parents_f = PySequence_Fast(args[0], "parents must be a sequence");
-    if (parents_f == NULL)
-        return NULL;
-    Py_ssize_t n_size = PySequence_Fast_GET_SIZE(parents_f);
     long long parents[MAX_NODES];
-    if (n_size > MAX_NODES) {
-        Py_DECREF(parents_f);
-        return too_large(n_size);
-    }
-    int rc = read_ints(parents_f, n_size, parents);
-    Py_DECREF(parents_f);
-    if (rc < 0)
+    Py_ssize_t n_size = READ_INT_SEQ(args[0], "parents", -1, parents);
+    if (n_size < 0)
         return NULL;
     int n = (int)n_size;
     if (n < 3) {

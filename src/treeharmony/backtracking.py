@@ -69,8 +69,8 @@ def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
     ``random.Random._randbelow(c)`` does (``rng.getrandbits(k)`` with k
     the bit length of c, repeated until it is below c) and takes the
     r-th lowest; a last untried value draws nothing.  Returns (success,
-    backtracks); the search fails once *budget* backtracks are spent or
-    every candidate is exhausted, leaving the labels of *order*
+    backtracks); the search fails once *budget* backtracks (an int) are
+    spent or every candidate is exhausted, leaving the labels of *order*
     unspecified.
 
     The search runs in the compiled kernel (:mod:`treeharmony.native`),

@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from .config import SolverConfig
 from .generate import count_free_trees_enumerated, free_trees, oracle_count_otter
-from .hybrid import (DEFAULT_BLOCK_SIZE, CheckpointError, make_certificate,
+from .hybrid import (DEFAULT_BLOCK_SIZE, RESTART_HINT, CheckpointError, make_certificate,
                      solve_hybrid, sweep)
 from .labelling import Certificate, CertificateError, verify_certificate
 from .native import KernelBuildError
@@ -138,7 +138,8 @@ def _cmd_sweep(args) -> int:
                         report_path=report_path, fresh=args.fresh,
                         block_size=args.block_size)
     except CheckpointError as exc:
-        print(f"sweep: {exc}", file=sys.stderr)
+        hint = str(exc).replace(RESTART_HINT, "pass --fresh to restart")
+        print(f"sweep: {hint}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"sweep: I/O error: {exc}", file=sys.stderr)

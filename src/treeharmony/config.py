@@ -46,13 +46,16 @@ class SolverConfig:
     global_seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        # every limit and the seed is an int all the way down to the
+        # kernel, which takes no float; a bool is not a count
         for f in fields(self):
-            if f.name in ("pipeline", "tabu_max_iters", "global_seed"):
+            value = getattr(self, f.name)
+            if f.name == "pipeline" or (f.name == "tabu_max_iters" and value is None):
                 continue
-            if getattr(self, f.name) < 0:
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{f.name} must be an int, not {value!r}")
+            if value < 0 and f.name != "global_seed":
                 raise ValueError(f"{f.name} must be non-negative")
-        if self.tabu_max_iters is not None and self.tabu_max_iters < 0:
-            raise ValueError("tabu_max_iters must be non-negative")
         if not self.pipeline:
             raise ValueError("pipeline must name at least one solver")
         if len(set(self.pipeline)) != len(self.pipeline):

@@ -18,6 +18,7 @@ uninterrupted one would.
 
 import json
 import math
+import multiprocessing
 import os
 import time
 from collections import deque
@@ -109,6 +110,10 @@ def make_certificate(tree: Tree, outcome: SolveOutcome, seed: int) -> Certificat
 
 class CheckpointError(RuntimeError):
     """Unreadable, corrupt, or mismatched checkpoint; resuming refused."""
+
+
+# How a mismatch message ends; the CLI names its --fresh flag instead.
+RESTART_HINT = "pass fresh=True to restart"
 
 
 @dataclass
@@ -266,8 +271,23 @@ def _blocks(stream, block_size: int):
 
 
 def _pool(workers: int):
-    """Context giving a pool of *workers* processes, or None for one worker."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext()
+    """Context giving a pool of *workers* forked processes, or None for one
+    worker.  Forked workers inherit the loaded kernel and the module
+    globals as the parent holds them; Python 3.14 starts workers with
+    forkserver on Linux unless told otherwise."""
+    if workers > 1:
+        return ProcessPoolExecutor(max_workers=workers,
+                                   mp_context=multiprocessing.get_context("fork"))
+    return nullcontext()
+
+
+def _load_kernel(pipeline) -> None:
+    """Load the search kernel (built first on an empty cache) when a
+    solver of *pipeline* runs on it, so that it is loaded once, before
+    any file is touched or clock started, and a pool's workers inherit
+    it."""
+    if {"twostage", "backtrack"} & set(pipeline):
+        native.kernel()
 
 
 def _in_order(pool, window: int, fn, calls):
@@ -316,11 +336,7 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     if block_size < 1:
         raise ValueError("block_size must be at least 1")
 
-    if {"twostage", "backtrack"} & set(cfg.pipeline):
-        # Load the search kernel (built first on an empty cache) before
-        # any file is touched and before the first n's clock starts; the
-        # pool's forked workers inherit it.
-        native.kernel()
+    _load_kernel(cfg.pipeline)
     fingerprint = cfg.fingerprint()
     if fresh and os.path.exists(checkpoint_path):
         os.remove(checkpoint_path)  # before the output it names is truncated
@@ -333,26 +349,25 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
         if ck.seed != cfg.global_seed:
             raise CheckpointError(
                 f"checkpoint seed {ck.seed} != configured seed {cfg.global_seed}; "
-                "pass fresh=True to restart")
+                f"{RESTART_HINT}")
         if ck.gen != GENERATOR_VERSION:
             raise CheckpointError(
                 f"checkpoint generator {ck.gen!r} != {GENERATOR_VERSION!r}; "
-                "pass fresh=True to restart")
+                f"{RESTART_HINT}")
         if ck.cfg is not None and ck.cfg != fingerprint:
             raise CheckpointError(
                 f"checkpoint config cfg={ck.cfg} != configured cfg={fingerprint} "
                 f"(solver version {SOLVER_VERSION} and every setting but the seed); "
-                "pass fresh=True to restart")
+                f"{RESTART_HINT}")
         if not os.path.exists(out_path):
             raise CheckpointError(
-                f"checkpoint exists but output {out_path} does not; "
-                "pass fresh=True to restart")
+                f"checkpoint exists but output {out_path} does not; {RESTART_HINT}")
         if ck.out is not None:
             size = os.path.getsize(out_path)
             if size < ck.out:
                 raise CheckpointError(
                     f"output {out_path} has {size} bytes, fewer than the "
-                    f"{ck.out} the checkpoint records; pass fresh=True to restart")
+                    f"{ck.out} the checkpoint records; {RESTART_HINT}")
             # drop lines written after the checkpoint's last block
             os.truncate(out_path, ck.out)
         out_mode = "a"
@@ -402,6 +417,7 @@ def benchmark_solvers(n: int, cfg: SolverConfig, workers: int = 1) -> dict:
     pipeline-order trend (earlier solvers faster, later solvers likelier
     to succeed) is read off the report by eye, not asserted by machine."""
     solvers = {}
+    _load_kernel(PIPELINE_TAGS)
     with _pool(workers) as pool:
         for tag in PIPELINE_TAGS:
             one = replace(cfg, pipeline=(tag,))

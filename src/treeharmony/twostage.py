@@ -173,7 +173,7 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     forward-checking removal (soundness instrumentation for tests); Hall
     violations and sibling refutations are not reported, as a refuted
     value may still extend to a labelling under another assignment.
-    None on failure or budget exhaustion.
+    None on failure or once *budget* (an int) backtracks are spent.
 
     The RNG consumption is a contract (see the module docstring): a CSP
     with an empty domain or one that fails the Hall check draws nothing;

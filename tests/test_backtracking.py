@@ -1,6 +1,5 @@
 """Probabilistic backtracking solver."""
 
-import math
 import random
 from itertools import permutations
 
@@ -18,6 +17,8 @@ P3 = Tree.from_level_sequence((0, 1, 1))
 P4 = Tree.from_level_sequence((0, 1, 2, 1))
 STAR4 = Tree.from_level_sequence((0, 1, 1, 1))
 CFG = SolverConfig()
+# a budget no search spends: above long long, so the kernel clamps it
+UNBOUNDED = 2**63
 
 
 # ------------------------------------------------------------------ #
@@ -65,7 +66,7 @@ def test_valid_labels_fresh_node_gets_all(ascending):
     # the preset root label is not reserved: node1 may take every value
     labels = [1, -1, -1, -1]
     assert search_reference.label_dfs(range(1, 4), P4.parents[1:], labels, 3,
-                                      math.inf, random.Random(0))[0]
+                                      UNBOUNDED, random.Random(0))[0]
     assert set(ascending[0]) == {0, 1, 2}
     assert is_harmonious(P4, labels)
 
@@ -100,7 +101,7 @@ def test_label_dfs_unbounded_succeeds_iff_root_dup_witness_exists():
             tree = Tree.from_level_sequence(seq)
             labels = [0] + [-1] * (n - 1)
             ok, _ = label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
-                              math.inf, rng)
+                              UNBOUNDED, rng)
             assert ok == _has_root_dup_witness(tree), seq
             if ok:
                 assert labels[0] == 0 and is_harmonious(tree, labels)

@@ -267,6 +267,8 @@ def test_sweep_checkpoint_mismatch_exits_2(capsys, tmp_path):
     assert run(capsys, *args)[0] == 0
     code, _, err = run(capsys, *args, "--seed", "9")
     assert code == 2 and "checkpoint" in err
+    # the refusal names the flag that restarts, not sweep()'s keyword
+    assert "pass --fresh to restart" in err and "fresh=True" not in err
     assert run(capsys, *args, "--seed", "9", "--fresh")[0] == 0
 
 

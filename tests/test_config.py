@@ -20,6 +20,25 @@ def test_negative_limit_rejected():
         SolverConfig(tabu_max_iters=-2)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("twostage_runs", 3.0), ("stage2_budget", 1.5), ("global_seed", 1.5),
+    ("backtrack_limit", True), ("stage1_budget", float("inf")), ("tabu_tenure", [8]),
+    ("backtrack_restarts", None), ("tabu_max_iters", 5.0), ("global_seed", False),
+])
+def test_a_limit_or_seed_that_is_not_an_int_is_refused(key, value):
+    # a float would reach the kernel, which takes ints only
+    with pytest.raises(ValueError, match=f"^{key} must be an int"):
+        SolverConfig(**{key: value})
+    with pytest.raises(ValueError, match=f"^{key} must be an int"):
+        SolverConfig().with_overrides({key: value})
+
+
+def test_every_limit_takes_any_int_and_the_seed_a_negative_one():
+    big = SolverConfig(twostage_runs=2**70, stage1_budget=2**64, tabu_max_iters=0)
+    assert big.twostage_runs == 2**70 and big.tabu_max_iters == 0
+    assert SolverConfig(global_seed=-3).global_seed == -3
+
+
 def test_pipeline_validation():
     SolverConfig(pipeline=("twostage", "backtrack"))  # subsets allowed
     SolverConfig(pipeline=("tabu",))

@@ -733,6 +733,50 @@ def test_sweep_refuses_checkpoint_without_output(tmp_path):
         sweep(2, 4, CFG, out_path=out, checkpoint_path=ck)
 
 
+def _unreadable(ck):
+    ck.unlink()
+    ck.mkdir()
+
+
+def _empty(ck):
+    ck.write_text("\n\n")
+
+
+def _inconsistent(key, other):
+    def spoil(ck):
+        first, second, *rest = ck.read_text().splitlines()
+        second = re.sub(rf"\b{key}=\S+", f"{key}={other}", second)
+        ck.write_text("\n".join([first, second, *rest]) + "\n")
+    return spoil
+
+
+def _other_generator(ck):
+    ck.write_text(re.sub(r"\bgen=\S+", "gen=other", ck.read_text()))
+
+
+@pytest.mark.parametrize("spoil, message", [
+    (_unreadable, "cannot read checkpoint"),
+    (_inconsistent("seed", 55), "inconsistent checkpoint .* line 2"),
+    (_inconsistent("gen", "other"), "inconsistent checkpoint .* line 2"),
+    (_inconsistent("cfg", "0" * 16), "inconsistent checkpoint .* line 2"),
+    (_inconsistent("out", 1), "inconsistent checkpoint .* line 2"),
+    (_empty, "empty checkpoint"),
+    (_other_generator, "checkpoint generator 'other' != "),
+], ids=["unreadable", "inconsistent-seed", "inconsistent-gen", "inconsistent-cfg",
+        "inconsistent-out", "empty", "other-generator"])
+def test_sweep_refuses_a_checkpoint_and_leaves_the_output(tmp_path, spoil, message):
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.txt"
+    with pytest.raises(_Stop):
+        sweep(2, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5,
+              progress=stop_after_blocks(3))
+    data = out.read_bytes()
+    spoil(ck)
+    with pytest.raises(CheckpointError, match=message):
+        sweep(2, 8, CFG, out_path=out, checkpoint_path=ck, block_size=5)
+    assert out.read_bytes() == data
+
+
 def test_sweep_sabotage_collects_failures(tmp_path):
     reports = sweep(2, 6, SABOTAGE, workers=1,
                     out_path=tmp_path / "r.jsonl",
@@ -789,3 +833,28 @@ def test_certificate_check_survives_python_O(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("refused: ")
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_workers_fork_where_forkserver_is_the_default(tmp_path):
+    # Python 3.14 makes forkserver the default on Linux.  The pool forks
+    # its workers anyway, so they see the parent's module globals: here a
+    # two-stage solver patched to fail every tree
+    code = (
+        "import json, multiprocessing, sys\n"
+        "from treeharmony import hybrid\n"
+        "from treeharmony.config import SolveOutcome, SolverConfig\n"
+        "multiprocessing.set_start_method('forkserver')\n"
+        "hybrid.SOLVERS['twostage'] = lambda tree, cfg, seed: "
+        "SolveOutcome(False, None, '', {})\n"
+        "reports = hybrid.sweep(5, 6, SolverConfig(), 2, out_path=sys.argv[1],\n"
+        "                       checkpoint_path=sys.argv[2])\n"
+        "print(json.dumps([[r.trees_total, r.solver_counts] for r in reports]))\n")
+    src = Path(hybrid.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "o.jsonl"), str(tmp_path / "o.ck")],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    reports = json.loads(proc.stdout)
+    # 3 trees on 5 nodes and 6 on 6, none of them solved by two-stage
+    assert [total for total, _ in reports] == [3, 6], reports
+    assert all(counts and "twostage" not in counts for _, counts in reports), reports

@@ -16,14 +16,16 @@ import search_reference
 from treeharmony import native
 from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
-from treeharmony.hybrid import sweep
+from treeharmony.hybrid import benchmark_solvers, sweep
 from treeharmony.trees import Tree, internal_nodes
 from treeharmony.twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 CFG = SolverConfig()
-BUDGETS = (0, 1, 150, math.inf)
+# a budget no search spends: above long long, so the kernel clamps it
+UNBOUNDED = 2**63
+BUDGETS = (0, 1, 150, UNBOUNDED)
 
 
 def _stage1_shape(tree):
@@ -63,7 +65,7 @@ def test_label_dfs_matches_reference():
         order, parents, stage1 = _stage1_shape(tree)
         random_weights = [rng.randrange(n - 1) for _ in order]
         for budget in BUDGETS:
-            if budget == math.inf and n > 9:
+            if budget == UNBOUNDED and n > 9:
                 continue
             cases = [(order, parents, [-1] * n, n, w)
                      for w in (stage1, random_weights, None)]
@@ -197,6 +199,171 @@ def test_a_failing_rng_stops_the_search():
 
 
 # ------------------------------------------------------------------ #
+# What the entries refuse                                             #
+# ------------------------------------------------------------------ #
+
+def _dfs_args(**changed):
+    # a valid label_dfs call: the path on 4 nodes under a preset root
+    args = {"order": [1, 2, 3], "parents": [0, 1, 2], "labels": [1, -1, -1, -1],
+            "n_values": 3, "budget": 10, "getrandbits": random.Random(0).getrandbits,
+            "weights": None}
+    args.update(changed)
+    return tuple(args.values())
+
+
+def _leaf_args(**changed):
+    # a valid solve_leaf_csp call: two sibling leaves under a root labelled 0
+    args = {"leaves": (1, 2), "parent_labels": (0, 0), "domain_masks": (6, 6), "m": 3,
+            "budget": 10, "getrandbits": random.Random(0).getrandbits, "on_prune": None}
+    args.update(changed)
+    return tuple(args.values())
+
+
+def test_each_entry_refuses_another_number_of_arguments():
+    k = native.kernel()
+    for name, count in (("label_dfs", 7), ("solve_leaf_csp", 7), ("solve_twostage", 5)):
+        for nargs in (0, count - 1, count + 1):
+            with pytest.raises(TypeError, match=f"^{name} takes {count} arguments$"):
+                getattr(k, name)(*[0] * nargs)
+
+
+def test_label_dfs_refusals():
+    dfs = native.kernel().label_dfs
+    assert dfs(*_dfs_args())[0] is True
+    refused = [
+        (TypeError, "labels must be a list", {"labels": (1, -1, -1, -1)}),
+        (TypeError, "integer", {"n_values": "3"}),
+        (TypeError, "integer", {"budget": "10"}),
+        (TypeError, "order must be a sequence", {"order": 5}),
+        (TypeError, "integer", {"order": [1, "2", 3]}),
+        (TypeError, "parents must be a sequence", {"parents": 5}),
+        (IndexError, "parents is shorter than order", {"parents": [0, 1]}),
+        (TypeError, "integer", {"parents": [0, 1, None]}),
+        (TypeError, "weights must be a sequence", {"weights": 5}),
+        (IndexError, "weights is shorter than order", {"weights": [1, 1]}),
+        (TypeError, "integer", {"weights": [1, 1, 1.0]}),
+        (ValueError, "at least two labels", {"labels": [1], "order": [0],
+                                             "parents": [-1]}),
+        (ValueError, "n_values >= 0", {"n_values": -1}),
+        (ValueError, "at most 64 nodes, not 65", {"labels": [1] + [-1] * 64}),
+        (ValueError, "at most 64 nodes", {"n_values": 65}),
+        (ValueError, "at most 64 nodes, not 65", {"order": list(range(65)),
+                                                  "parents": [-1] * 65}),
+        (IndexError, "node index out of range", {"order": [1, 2, 4]}),
+        (IndexError, "node index out of range", {"order": [1, -1, 3]}),
+        (IndexError, "node index out of range", {"parents": [0, 1, 4]}),
+        (TypeError, "integer", {"labels": [1, "x", -1, -1]}),
+        (OverflowError, "label out of range", {"labels": [2**40, -1, -1, -1]}),
+        (OverflowError, "label out of range", {"labels": [1, -2**40, -1, -1]}),
+        (OverflowError, "too large", {"labels": [2**70, -1, -1, -1]}),
+    ]
+    for error, message, changed in refused:
+        labels = changed.get("labels")
+        before = list(labels) if isinstance(labels, list) else None
+        with pytest.raises(error, match=message):
+            dfs(*_dfs_args(**changed))
+        if before is not None:
+            assert labels == before, changed   # a refused call writes no label
+
+
+def test_label_dfs_with_an_empty_order_succeeds_at_once():
+    labels = [5, -1]
+    assert native.kernel().label_dfs([], [], labels, 0, 0, None, None) == (True, 0)
+    assert labels == [5, -1]
+
+
+def test_solve_leaf_csp_refusals():
+    leaf = native.kernel().solve_leaf_csp
+    assert leaf(*_leaf_args()) in ({1: 1, 2: 2}, {1: 2, 2: 1})
+    refused = [
+        (TypeError, "integer", {"m": "3"}),
+        (TypeError, "integer", {"budget": "10"}),
+        (ValueError, "at most 64 nodes, not 65", {"m": 64}),
+        (TypeError, "leaves must be a sequence", {"leaves": 5}),
+        (ValueError, "at most 64 nodes, not 65", {"leaves": tuple(range(64)), "m": 63}),
+        (ValueError, "needs m >= 1", {"m": 0}),
+        (ValueError, "needs m >= 1", {"m": -5}),
+        (TypeError, "parent_labels must be a sequence", {"parent_labels": 5}),
+        (TypeError, "domain_masks must be a sequence", {"domain_masks": 5}),
+        (ValueError, "differ in length", {"parent_labels": (0,)}),
+        (ValueError, "differ in length", {"parent_labels": (0, 0, 0)}),
+        (ValueError, "differ in length", {"domain_masks": (6,)}),
+        (ValueError, "differ in length", {"domain_masks": (6, 6, 6)}),
+        (TypeError, "integer", {"parent_labels": (0, "0")}),
+        (TypeError, "integer", {"domain_masks": (6, None)}),
+        (OverflowError, "negative", {"domain_masks": (6, -1)}),
+        (ValueError, "a domain holds a value above m", {"domain_masks": (6, 1 << 4)}),
+        (ValueError, "a domain holds a value above m", {"domain_masks": (1 << 63, 6)}),
+    ]
+    for error, message, changed in refused:
+        with pytest.raises(error, match=message):
+            leaf(*_leaf_args(**changed))
+    # value m is a value, not one above it; at m = 63 that is bit 63
+    assert leaf(*_leaf_args(domain_masks=(1 << 3, 6))) == {1: 3, 2: 2}
+    assert leaf(*_leaf_args(leaves=(1,), parent_labels=(0,), domain_masks=(1 << 63,),
+                            m=63)) == {1: 63}
+
+
+def test_a_leaf_csp_without_leaves_is_solved_by_no_values():
+    # nothing else is read: not even m or the other two sequences
+    leaf = native.kernel().solve_leaf_csp
+    assert leaf((), (), (), 3, 10, None, None) == {}
+    assert leaf([], None, None, 0, 0, None, None) == {}
+    assert solve_leaf_csp(LeafCSP(5, (), (), ()), random.Random(0)) == {}
+
+
+def test_a_limit_is_an_int():
+    # a float budget or run count is refused, math.inf included; an int
+    # beyond long long stands for no limit
+    rng = random.Random(0)
+    for budget in (10.0, 1.5, math.inf):
+        with pytest.raises(TypeError, match="integer"):
+            label_dfs([1, 2, 3], [0, 1, 2], [1, -1, -1, -1], 3, budget, rng)
+        with pytest.raises(TypeError, match="integer"):
+            solve_leaf_csp(LeafCSP(4, (1, 2), (0, 0), (6, 6)), rng, budget)
+    solve = native.kernel().solve_twostage
+    for limits in ((3.0, 10, 10), (3, 10.0, 10), (3, 10, math.inf)):
+        with pytest.raises(TypeError, match="integer"):
+            solve((-1, 0, 1), *limits, 0)
+    star = (-1, 0, 0, 0, 0)
+    assert solve(star, 2**70, -2**70, 2**70, 5) == solve(star, 2**62, 0, 2**62, 5)
+
+
+def test_an_on_prune_that_raises_stops_the_search():
+    # leaf 1 takes 3 (edge sum 3), which strikes 3 from leaf 2 and then 2,
+    # whose sum with leaf 2's parent label 1 is 3 as well
+    csp = LeafCSP(6, (1, 2), (0, 1), (1 << 3, 1 << 2 | 1 << 3))
+
+    def on_prune(leaf, value, assigned):
+        if when(value, assigned):
+            raise RuntimeError("stop")
+
+    assert solve_leaf_csp(csp, random.Random(0), on_prune=lambda *removal: None) is None
+    for when in (lambda value, assigned: True,
+                 lambda value, assigned: value not in assigned.values()):
+        with pytest.raises(RuntimeError, match="stop"):
+            solve_leaf_csp(csp, random.Random(0), on_prune=on_prune)
+
+
+def test_solve_twostage_refusals():
+    solve = native.kernel().solve_twostage
+    refused = [
+        (TypeError, "integer", ((-1, 0, 1), "1", 10, 10, 0)),
+        (TypeError, "integer", ((-1, 0, 1), 1, "10", 10, 0)),
+        (TypeError, "integer", ((-1, 0, 1), 1, 10, None, 0)),
+        (TypeError, "parents must be a sequence", (5, 1, 10, 10, 0)),
+        (TypeError, "integer", ((-1, 0, "1"), 1, 10, 10, 0)),
+        (ValueError, "at most 64 nodes, not 65", ((-1,) + tuple(range(64)), 1, 10, 10, 0)),
+        (ValueError, "at least 3 nodes", ((), 1, 10, 10, 0)),
+    ]
+    for error, message, args in refused:
+        with pytest.raises(error, match=message):
+            solve(*args)
+    # a 64-node path is the largest tree the kernel takes
+    assert solve((-1,) + tuple(range(63)), 1, 10, 10, 0)[1] == 1
+
+
+# ------------------------------------------------------------------ #
 # Building and loading                                                #
 # ------------------------------------------------------------------ #
 
@@ -234,11 +401,9 @@ def test_concurrent_first_builds_leave_one_intact_file(tmp_path):
     assert [str(p) for p in built] == paths[:1] == paths[1:]
 
 
-def test_a_sweep_loads_the_kernel_once_before_its_pool(tmp_path, monkeypatch):
-    # a 2-worker sweep loads the kernel in its own process before the
-    # pool forks the workers, which inherit it; a worker that loaded it
-    # again would log its own pid.  A tabu-only sweep never loads it.
-    log = tmp_path / "loads"
+def _log_kernel_loads(log, monkeypatch):
+    """Unload the kernel and have each load append its process's pid to
+    *log*."""
     load = native._load
 
     def logged_load():
@@ -248,11 +413,26 @@ def test_a_sweep_loads_the_kernel_once_before_its_pool(tmp_path, monkeypatch):
 
     monkeypatch.setattr(native, "_kernel", None)
     monkeypatch.setattr(native, "_load", logged_load)
+
+
+def test_a_sweep_loads_the_kernel_once_before_its_pool(tmp_path, monkeypatch):
+    # a 2-worker sweep loads the kernel in its own process before the
+    # pool forks the workers, which inherit it; a worker that loaded it
+    # again would log its own pid.  A tabu-only sweep never loads it.
+    log = tmp_path / "loads"
+    _log_kernel_loads(log, monkeypatch)
     sweep(2, 6, replace(CFG, pipeline=("tabu",)), 2, out_path=str(tmp_path / "t.jsonl"),
           checkpoint_path=str(tmp_path / "t.ck"))
     assert native._kernel is None and not log.exists()
     sweep(2, 6, CFG, 2, out_path=str(tmp_path / "c.jsonl"),
           checkpoint_path=str(tmp_path / "c.ck"))
+    assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
+
+
+def test_benchmark_solvers_loads_the_kernel_once_before_its_pool(tmp_path, monkeypatch):
+    log = tmp_path / "loads"
+    _log_kernel_loads(log, monkeypatch)
+    assert benchmark_solvers(6, CFG, 2)["trees"] == 6
     assert log.read_text(encoding="utf-8").split() == [str(os.getpid())]
 
 

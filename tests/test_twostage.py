@@ -1,7 +1,6 @@
 """Two-stage constraint solving: stage-1 sampling, the leaf CSP with
 forward checking, and the retry loop."""
 
-import math
 import random
 from functools import reduce
 from itertools import combinations, permutations, product
@@ -24,6 +23,8 @@ P4 = Tree.from_level_sequence((0, 1, 2, 1))
 STAR4 = Tree.from_level_sequence((0, 1, 1, 1))
 N2 = Tree.from_level_sequence((0, 1))
 CFG = SolverConfig()
+# a budget no search spends: above long long, so the kernel clamps it
+UNBOUNDED = 2**63
 
 
 # ------------------------------------------------------------------ #
@@ -140,7 +141,7 @@ def test_label_dfs_with_weights_complete_on_every_small_tree():
                 for n_values in {n, len(order) + 1, len(order)}:
                     labels = [-1] * n
                     ok, _ = label_dfs(order, parents, labels, n_values,
-                                      math.inf, rng, weights=weights)
+                                      UNBOUNDED, rng, weights=weights)
                     want = _congruent_labelling_exists(
                         order, parents, n_values, weights, m)
                     assert ok == want, (seq, weights, n_values)
@@ -229,7 +230,7 @@ def test_congruence_lookahead_keeps_every_closable_value(monkeypatch):
                     masks.clear()
                     labels = _AssignmentLog(n)
                     search_reference.label_dfs(order, parents, labels, n_values,
-                                               math.inf, random.Random(seed),
+                                               UNBOUNDED, random.Random(seed),
                                                weights=weights)
                     depths = [order.index(node) for node, _ in labels.log]
                     for d, (mask, (_, before)) in enumerate(zip(masks, labels.log)):

@@ -1,33 +1,35 @@
 /*
- * Compiled core of the two-stage solver and of the two labelling searches.
+ * Compiled core of the two-stage and backtracking solvers and of the two
+ * labelling searches.
  *
- * solve_twostage runs a whole twostage.solve_twostage call, the entry the
- * solvers use: it takes the tree's shape from its parent array once, then
- * runs up to `runs` rounds of stage 1, the leaf-CSP build of
- * twostage.build_leaf_csp and stage 2, and reduces the labels mod n-1.
- * label_dfs is the bounded labelling DFS of backtracking.label_dfs, with
- * its optional weights, the solve table of the last position and the
- * lookahead of the second-last one.  solve_leaf_csp is the leaf search of
+ * solve_twostage runs a whole twostage.solve_twostage call: it takes the
+ * tree's shape from its parent array once, then runs up to `runs` rounds
+ * of stage 1, the leaf-CSP build of twostage.build_leaf_csp and stage 2,
+ * and reduces the labels mod n-1.  solve_backtracking runs a whole
+ * backtracking.solve_backtracking call: up to `restarts` runs, each
+ * drawing a root label and then labelling nodes 1..n-1.  label_dfs is
+ * the bounded labelling DFS of backtracking.label_dfs, with its optional
+ * weights, the solve table of the last position and the lookahead of the
+ * second-last one.  solve_leaf_csp is the leaf search of
  * twostage.solve_leaf_csp: forward checking, smallest domain first, the
  * Hall check at the root and (once the search has backtracked) below it,
- * and sibling refutation.  The backtracking solver calls label_dfs; the
- * Python stage functions call these two as library and test entry
- * points.  Each search is written once, as a core on C arrays (dfs_run,
- * leaf_run) that the entries share.  The Python modules document the
- * searches; this file follows them step for step.
+ * and sibling refutation.  The solvers call the first two; the Python
+ * stage functions call the last two as library and test entry points.
+ * Each search is written once, as a core on C arrays (dfs_run, leaf_run)
+ * that the entries share.  The Python modules document the searches;
+ * this file follows them step for step.
  *
  * Values, sums and leaf positions are bits of a uint64_t, so a tree has
- * at most 64 nodes.  Every random draw is a getrandbits(k) of a draw
- * source: a level with c >= 2 untried values draws r as
- * random.Random._randbelow(c) does (getrandbits of c's bit length until
- * it is below c) and takes the r-th lowest untried value; a last untried
- * value draws nothing.  Nothing else is drawn.  label_dfs and
- * solve_leaf_csp draw through the caller's own getrandbits, so they
- * leave a random.Random in the state the Python search would leave it
- * in.  solve_twostage takes a seed instead and runs its own MT19937
- * (Matsumoto and Nishimura, ACM TOMACS 1998), seeded as random.Random
- * seeds an int below 2**64, so it makes the draws that
- * random.Random(seed) would.
+ * at most 64 nodes.  Every entry takes an int seed, 0 <= seed < 2**64,
+ * and draws only from an MT19937 of its own (Matsumoto and Nishimura,
+ * ACM TOMACS 1998), seeded as random.Random seeds that int, so it makes
+ * the draws that random.Random(seed) would.  A level with c >= 2 untried
+ * values draws r as random.Random._randbelow(c) does (getrandbits of c's
+ * bit length until it is below c) and takes the r-th lowest untried
+ * value; a last untried value draws nothing.  A backtracking run draws
+ * its root label the same way over the values 0..n-2, which is
+ * random.Random.randrange(n-1) for n >= 3.  Nothing else is drawn, and
+ * no search calls back into Python to draw.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -37,9 +39,6 @@
 #include <string.h>
 
 #define MAX_NODES 64
-
-/* getrandbits arguments: the bit lengths 1..7 of the counts 2..64 */
-static PyObject *bit_length_args[8];
 
 static inline int
 floor_mod(long long a, int m)
@@ -125,42 +124,22 @@ mt_next(struct mt *g)
     return y ^ (y >> 18);
 }
 
-/* Where a search draws from: the caller's getrandbits, or when that is
- * NULL the kernel's own generator. */
-struct draws {
-    PyObject *getrandbits;
-    struct mt *mt;
-};
-
-/* One value of the non-empty mask, drawn as described at the top. */
-static int
-pick(uint64_t mask, const struct draws *src, int *value)
+/* One value of the non-empty mask, drawn from g as described at the top:
+ * getrandbits(k) for k <= 32 is the top k bits of one output. */
+static inline int
+pick(uint64_t mask, struct mt *g)
 {
     int c = popcount(mask);
     if (c > 1) {
         int bits = 32 - __builtin_clz((unsigned)c);
-        unsigned long r;
-        do {
-            if (src->getrandbits == NULL) {
-                /* getrandbits(k) for k <= 32: the top k bits of one output */
-                r = mt_next(src->mt) >> (32 - bits);
-            }
-            else {
-                PyObject *drawn = PyObject_CallOneArg(src->getrandbits,
-                                                      bit_length_args[bits]);
-                if (drawn == NULL)
-                    return -1;
-                r = PyLong_AsUnsignedLong(drawn);
-                Py_DECREF(drawn);
-                if (r == (unsigned long)-1 && PyErr_Occurred())
-                    return -1;
-            }
-        } while (r >= (unsigned long)c);
+        uint32_t r;
+        do
+            r = mt_next(g) >> (32 - bits);
+        while (r >= (uint32_t)c);
         while (r--)
             mask &= mask - 1;
     }
-    *value = lowest_bit(mask);
-    return 0;
+    return lowest_bit(mask);
 }
 
 /* The values w in 0..m whose edge sum with parent label pl is a bit of
@@ -211,6 +190,26 @@ read_limit(PyObject *obj, long long *out)
     return 0;
 }
 
+/* A seed is an int, 0 <= seed < 2**64. */
+static int
+read_seed(PyObject *obj, uint64_t *out)
+{
+    if (!PyLong_Check(obj)) {
+        PyErr_SetString(PyExc_TypeError, "seed must be an int");
+        return -1;
+    }
+    unsigned long long seed = PyLong_AsUnsignedLongLong(obj);
+    if (seed == (unsigned long long)-1 && PyErr_Occurred()) {
+        if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
+            PyErr_Clear();
+            PyErr_SetString(PyExc_ValueError, "seed must be at least 0 and below 2**64");
+        }
+        return -1;
+    }
+    *out = seed;
+    return 0;
+}
+
 /* The ints of a sequence argument into out: its first `need` items,
  * refusing a shorter sequence, or when need < 0 all of them, refusing
  * more than MAX_NODES as a tree of that many nodes.  Returns the
@@ -248,6 +247,47 @@ read_int_seq(PyObject *obj, const char *name, const char *not_a_sequence,
     }
     Py_DECREF(fast);
     return len;
+}
+
+/* The parents of a tree of min_nodes..MAX_NODES nodes in preorder, as
+ * Tree.parents holds them: -1, then each node's earlier parent.  Returns
+ * the node count. */
+static int
+read_parents(PyObject *obj, const char *entry, int min_nodes, long long *parents)
+{
+    Py_ssize_t n = READ_INT_SEQ(obj, "parents", -1, parents);
+    if (n < 0)
+        return -1;
+    if (n < min_nodes) {
+        PyErr_Format(PyExc_ValueError, "%s needs at least %d nodes", entry, min_nodes);
+        return -1;
+    }
+    for (Py_ssize_t v = 0; v < n; v++) {
+        if (v == 0 ? parents[v] != -1 : (parents[v] < 0 || parents[v] >= v)) {
+            PyErr_SetString(PyExc_ValueError, "parents must be -1 for node 0 and "
+                            "an earlier node for every other node");
+            return -1;
+        }
+    }
+    return (int)n;
+}
+
+/* The labels of nodes 0..n-1 reduced mod n-1, as a tuple. */
+static PyObject *
+labels_tuple(const int *lab, int n)
+{
+    PyObject *labels = PyTuple_New(n);
+    if (labels == NULL)
+        return NULL;
+    for (int v = 0; v < n; v++) {
+        PyObject *x = PyLong_FromLong(lab[v] % (n - 1));
+        if (x == NULL) {
+            Py_DECREF(labels);
+            return NULL;
+        }
+        PyTuple_SET_ITEM(labels, v, x);
+    }
+    return labels;
 }
 
 /* ------------------------------------------------------------------ */
@@ -431,13 +471,12 @@ candidates(const struct dfs *s, int k)
     return free_;
 }
 
-/* The search from no labelled position: 1 once every position is
- * labelled, 0 once the budget is spent or the candidates run out, -1 when
- * the caller's getrandbits raised.  Afterwards used_values and used_sums
- * hold the labelled positions' values and edge sums, and backtracks the
- * backtracks spent. */
+/* The search from no labelled position, drawing from g: 1 once every
+ * position is labelled, 0 once the budget is spent or the candidates run
+ * out.  Afterwards used_values and used_sums hold the labelled positions'
+ * values and edge sums, and backtracks the backtracks spent. */
 static int
-dfs_run(struct dfs *s, long long budget, const struct draws *src)
+dfs_run(struct dfs *s, long long budget, struct mt *g)
 {
     uint64_t untried[MAX_NODES];   /* each depth's untried candidates */
     int m = s->m;
@@ -469,9 +508,7 @@ dfs_run(struct dfs *s, long long budget, const struct draws *src)
                 s->total = floor_mod((long long)s->total - (long long)s->wmod[k] * value, m);
             continue;
         }
-        int value;
-        if (pick(mask, src, &value) < 0)
-            return -1;
+        int value = pick(mask, g);
         untried[k] = mask ^ (UINT64_C(1) << value);
         s->lab[s->ord[k]] = value;
         s->used_values |= UINT64_C(1) << value;
@@ -492,10 +529,11 @@ dfs_run(struct dfs *s, long long budget, const struct draws *src)
 }
 
 PyDoc_STRVAR(label_dfs_doc,
-"label_dfs(order, parents, labels, n_values, budget, getrandbits, weights)\n"
+"label_dfs(order, parents, labels, n_values, budget, seed, weights)\n"
 "--\n\n"
 "The search of treeharmony.backtracking.label_dfs; labels (a list) is\n"
-"written in place.  Returns (success, backtracks).");
+"written in place, drawing what random.Random(seed) would.  Returns\n"
+"(success, backtracks).");
 
 static PyObject *
 k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
@@ -503,7 +541,6 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
     if (check_arity("label_dfs", nargs, 7) < 0)
         return NULL;
     PyObject *labels = args[2];
-    struct draws src = {args[5], NULL};
     if (!PyList_Check(labels)) {
         PyErr_SetString(PyExc_TypeError, "labels must be a list");
         return NULL;
@@ -513,7 +550,8 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
     if (n_values == -1 && PyErr_Occurred())
         return NULL;
     long long budget;
-    if (read_limit(args[4], &budget) < 0)
+    uint64_t seed;
+    if (read_limit(args[4], &budget) < 0 || read_seed(args[5], &seed) < 0)
         return NULL;
 
     struct dfs s;
@@ -523,8 +561,10 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
         return NULL;
     if (size == 0)
         return Py_BuildValue("(Oi)", Py_True, 0);
-    if (n > MAX_NODES || n_values > MAX_NODES)
-        return too_large(n > size ? n : size);
+    if (n > MAX_NODES)
+        return too_large(n);
+    if (n_values > MAX_NODES)
+        return too_large(n_values);
     if (n < 2 || n_values < 0) {
         PyErr_SetString(PyExc_ValueError,
                         "label_dfs needs at least two labels and n_values >= 0");
@@ -556,10 +596,10 @@ k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs
             s.wmod[k] = floor_mod(wts[k], (int)n - 1);
     }
     dfs_setup(&s, (int)n, (int)n_values, (int)size, weighted);
+    struct mt g;
+    mt_seed(&g, seed);
 
-    int found = dfs_run(&s, budget, &src);
-    if (found < 0)
-        return NULL;
+    int found = dfs_run(&s, budget, &g);
     for (Py_ssize_t j = 0; j < size; j++) {
         PyObject *x = PyLong_FromLong(s.lab[s.ord[j]]);
         if (x == NULL || PyList_SetItem(labels, s.ord[j], x) < 0)   /* steals x */
@@ -617,13 +657,13 @@ report_prune(PyObject *on_prune, PyObject *leaf, int value, PyObject *assigned)
     return 0;
 }
 
-/* The search of the leaf CSP in c->levels[0]: 1 when every leaf has a
- * value (chosen[d] and values[d] for d < k), 0 when the CSP is refuted or
- * the budget is spent, -1 when the caller's getrandbits or on_prune
- * raised.  on_prune, when not NULL, hears of each forward-checking
- * removal and names the leaves by *leaves*. */
+/* The search of the leaf CSP in c->levels[0], drawing from g: 1 when
+ * every leaf has a value (chosen[d] and values[d] for d < k), 0 when the
+ * CSP is refuted or the budget is spent, -1 with an exception set when
+ * on_prune raised.  on_prune, when not NULL, hears of each
+ * forward-checking removal and names the leaves by *leaves*. */
 static int
-leaf_run(struct leaf_csp *c, long long budget, const struct draws *src,
+leaf_run(struct leaf_csp *c, long long budget, struct mt *g,
          PyObject *on_prune, PyObject *const *leaves)
 {
     int k = c->k, m = c->m;
@@ -661,8 +701,7 @@ leaf_run(struct leaf_csp *c, long long budget, const struct draws *src,
             value = values[depth - 1];
         }
         else {
-            if (pick(untried, src, &value) < 0)
-                goto done;
+            value = pick(untried, g);
             uint64_t vbit = UINT64_C(1) << value;
             level[i] = untried ^ vbit;
             values[depth - 1] = value;
@@ -748,17 +787,16 @@ done:
 }
 
 PyDoc_STRVAR(solve_leaf_csp_doc,
-"solve_leaf_csp(leaves, parent_labels, domain_masks, m, budget, getrandbits, on_prune)\n"
+"solve_leaf_csp(leaves, parent_labels, domain_masks, m, budget, seed, on_prune)\n"
 "--\n\n"
-"The search of treeharmony.twostage.solve_leaf_csp: a dict from leaf to\n"
-"value, or None.");
+"The search of treeharmony.twostage.solve_leaf_csp, drawing what\n"
+"random.Random(seed) would: a dict from leaf to value, or None.");
 
 static PyObject *
 k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
 {
     if (check_arity("solve_leaf_csp", nargs, 7) < 0)
         return NULL;
-    struct draws src = {args[5], NULL};
     PyObject *on_prune = args[6] == Py_None ? NULL : args[6];
     long m_long = PyLong_AsLong(args[3]);
     if (m_long == -1 && PyErr_Occurred())
@@ -767,7 +805,8 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
         return too_large(m_long + 1);
     int m = (int)m_long;
     long long budget;
-    if (read_limit(args[4], &budget) < 0)
+    uint64_t seed;
+    if (read_limit(args[4], &budget) < 0 || read_seed(args[5], &seed) < 0)
         return NULL;
 
     /* the leaves are the keys of the result, so their sequence is held
@@ -824,7 +863,9 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
             if (j != i && pl[j] == pl[i])
                 c.sibs[i] |= UINT64_C(1) << j;
     }
-    int found = leaf_run(&c, budget, &src, on_prune, leaves);
+    struct mt g;
+    mt_seed(&g, seed);
+    int found = leaf_run(&c, budget, &g, on_prune, leaves);
     if (found >= 0)
         result = found ? assignment(leaves, c.chosen, c.values, k) : Py_NewRef(Py_None);
 
@@ -852,38 +893,15 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
 {
     if (check_arity("solve_twostage", nargs, 5) < 0)
         return NULL;
-    if (!PyLong_Check(args[4])) {
-        PyErr_SetString(PyExc_TypeError, "seed must be an int");
-        return NULL;
-    }
-    unsigned long long seed = PyLong_AsUnsignedLongLong(args[4]);
-    if (seed == (unsigned long long)-1 && PyErr_Occurred()) {
-        if (PyErr_ExceptionMatches(PyExc_OverflowError)) {
-            PyErr_Clear();
-            PyErr_SetString(PyExc_ValueError, "seed must be at least 0 and below 2**64");
-        }
-        return NULL;
-    }
+    uint64_t seed;
     long long runs, budget1, budget2;
-    if (read_limit(args[1], &runs) < 0 || read_limit(args[2], &budget1) < 0
-        || read_limit(args[3], &budget2) < 0)
+    if (read_seed(args[4], &seed) < 0 || read_limit(args[1], &runs) < 0
+        || read_limit(args[2], &budget1) < 0 || read_limit(args[3], &budget2) < 0)
         return NULL;
     long long parents[MAX_NODES];
-    Py_ssize_t n_size = READ_INT_SEQ(args[0], "parents", -1, parents);
-    if (n_size < 0)
+    int n = read_parents(args[0], "solve_twostage", 3, parents);
+    if (n < 0)
         return NULL;
-    int n = (int)n_size;
-    if (n < 3) {
-        PyErr_SetString(PyExc_ValueError, "solve_twostage needs at least 3 nodes");
-        return NULL;
-    }
-    for (int v = 0; v < n; v++) {
-        if (v == 0 ? parents[v] != -1 : (parents[v] < 0 || parents[v] >= v)) {
-            PyErr_SetString(PyExc_ValueError, "parents must be -1 for node 0 and "
-                            "an earlier node for every other node");
-            return NULL;
-        }
-    }
 
     /* The shape, as twostage._shape takes it from the tree: the internal
      * nodes ascending, each with its parent when that is internal (a
@@ -924,17 +942,14 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
     dfs_setup(&s, n, n, size, 1);
     c.k = k;
     c.m = m;
-    struct mt mt;
-    struct draws src = {NULL, &mt};
-    mt_seed(&mt, seed);
+    struct mt g;
+    mt_seed(&g, seed);
 
     long long run = 0, stage1_failures = 0, stage2_failures = 0;
     int found = 0;
     while (!found && run < runs) {
         run++;
-        found = dfs_run(&s, budget1, &src);
-        if (found < 0)
-            return NULL;
+        found = dfs_run(&s, budget1, &g);
         if (!found) {
             stage1_failures++;
             continue;
@@ -955,34 +970,75 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
             c.levels[0][j] = dom_at[nb];
             c.plm[j] = s.lab[nb] % m;
         }
-        found = leaf_run(&c, budget2, &src, NULL, NULL);
+        found = leaf_run(&c, budget2, &g, NULL, NULL);
         if (found < 0)
             return NULL;
         if (!found)
             stage2_failures++;
     }
 
-    PyObject *labels;
-    if (found) {
+    if (found)
         for (int d = 0; d < k; d++)
             s.lab[leaf[c.chosen[d]]] = c.values[d];
-        /* reducing the permutation mod n-1 merges 0 and n-1 on 0 */
-        labels = PyTuple_New(n);
-        if (labels == NULL)
-            return NULL;
-        for (int v = 0; v < n; v++) {
-            PyObject *x = PyLong_FromLong(s.lab[v] % m);
-            if (x == NULL) {
-                Py_DECREF(labels);
-                return NULL;
-            }
-            PyTuple_SET_ITEM(labels, v, x);
-        }
-    }
-    else {
-        labels = Py_NewRef(Py_None);
-    }
+    /* reducing the permutation mod n-1 merges 0 and n-1 on 0 */
+    PyObject *labels = found ? labels_tuple(s.lab, n) : Py_NewRef(Py_None);
+    if (labels == NULL)
+        return NULL;
     return Py_BuildValue("(NLLL)", labels, run, stage1_failures, stage2_failures);
+}
+
+/* ------------------------------------------------------------------ */
+/* solve_backtracking                                                  */
+/* ------------------------------------------------------------------ */
+
+PyDoc_STRVAR(solve_backtracking_doc,
+"solve_backtracking(parents, restarts, limit, seed)\n"
+"--\n\n"
+"The restart loop of treeharmony.backtracking.solve_backtracking on the\n"
+"tree of 2 to 64 nodes with these preorder parents, drawing what\n"
+"random.Random(seed) would draw for an int seed, 0 <= seed < 2**64.\n"
+"Returns (labels or None, backtracks, restarts used).");
+
+static PyObject *
+k_solve_backtracking(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_arity("solve_backtracking", nargs, 4) < 0)
+        return NULL;
+    uint64_t seed;
+    long long restarts, limit;
+    if (read_seed(args[3], &seed) < 0 || read_limit(args[1], &restarts) < 0
+        || read_limit(args[2], &limit) < 0)
+        return NULL;
+    long long parents[MAX_NODES];
+    int n = read_parents(args[0], "solve_backtracking", 2, parents);
+    if (n < 0)
+        return NULL;
+
+    /* nodes 1..n-1 in turn, each under its parent, with the values 0..n-2 */
+    struct dfs s;
+    for (int v = 1; v < n; v++) {
+        s.ord[v - 1] = v;
+        s.par[v - 1] = (int)parents[v];
+    }
+    dfs_setup(&s, n, n - 1, n - 1, 0);
+    struct mt g;
+    mt_seed(&g, seed);
+
+    long long restart = 0, backtracks = 0;
+    int found = 0;
+    while (!found && restart < restarts) {
+        restart++;
+        /* the root label, never revisited: exhausting node 1's candidates
+         * ends the run, as other roots are shifts of this one */
+        s.lab[0] = pick(s.low, &g);
+        found = dfs_run(&s, limit, &g);
+        backtracks += s.backtracks;
+    }
+
+    PyObject *labels = found ? labels_tuple(s.lab, n) : Py_NewRef(Py_None);
+    if (labels == NULL)
+        return NULL;
+    return Py_BuildValue("(NLL)", labels, backtracks, restart);
 }
 
 static PyMethodDef kernel_methods[] = {
@@ -991,13 +1047,16 @@ static PyMethodDef kernel_methods[] = {
      solve_leaf_csp_doc},
     {"solve_twostage", (PyCFunction)(void (*)(void))k_solve_twostage, METH_FASTCALL,
      solve_twostage_doc},
+    {"solve_backtracking", (PyCFunction)(void (*)(void))k_solve_backtracking, METH_FASTCALL,
+     solve_backtracking_doc},
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "treeharmony._kernel",
-    .m_doc = "Compiled two-stage solver, labelling DFS and leaf search of treeharmony.",
+    .m_doc = "Compiled two-stage and backtracking solvers, labelling DFS and leaf "
+             "search of treeharmony.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };
@@ -1008,12 +1067,5 @@ PyInit__kernel(void)
     mt_base[0] = 19650218U;
     for (uint32_t i = 1; i < MT_N; i++)
         mt_base[i] = 1812433253U * (mt_base[i - 1] ^ (mt_base[i - 1] >> 30)) + i;
-    for (int k = 0; k < 8; k++) {
-        if (bit_length_args[k] == NULL) {
-            bit_length_args[k] = PyLong_FromLong(k);
-            if (bit_length_args[k] == NULL)
-                return NULL;
-        }
-    }
     return PyModule_Create(&kernel_module);
 }

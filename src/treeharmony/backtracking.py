@@ -26,9 +26,11 @@ Two randomized escapes from bad regions, both bounded:
 
 The duplicated label of every returned labelling sits on the root: the
 root's value is the one value non-root nodes may still take.
-"""
 
-import random
+Both functions run in the compiled kernel (:mod:`treeharmony.native`),
+which limits trees to 64 nodes.  Each takes an int seed and draws what
+``random.Random(seed)`` would draw, from the kernel's own generator.
+"""
 
 from .config import SolveOutcome, SolverConfig
 from .native import kernel
@@ -47,7 +49,7 @@ def _open_values(open_sums: int, pl: int, m: int) -> int:
     return allowed
 
 
-def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
+def label_dfs(order, parents, labels, n_values: int, budget: int, seed: int,
               weights=None) -> tuple[bool, int]:
     """Label ``order[k]`` for k = 0, 1, ... with values from
     ``range(n_values)`` that no node of *order* holds yet.  When
@@ -66,49 +68,34 @@ def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
     outside *order* are read but never reserved.  Each depth keeps its
     untried candidates as a bitmask and draws one whenever it tries the
     next: with c >= 2 untried values it draws r as
-    ``random.Random._randbelow(c)`` does (``rng.getrandbits(k)`` with k
-    the bit length of c, repeated until it is below c) and takes the
+    ``random.Random(seed)._randbelow(c)`` would (``getrandbits(k)`` with
+    k the bit length of c, repeated until it is below c) and takes the
     r-th lowest; a last untried value draws nothing.  Returns (success,
     backtracks); the search fails once *budget* backtracks (an int) are
     spent or every candidate is exhausted, leaving the labels of *order*
     unspecified.
 
-    The search runs in the compiled kernel (:mod:`treeharmony.native`),
-    so *labels* has at most 64 entries; more raise ValueError.
+    *labels* has at most 64 entries; more raise ValueError, and a seed
+    outside ``0 <= seed < 2**64`` raises ValueError too.
     """
-    return kernel().label_dfs(order, parents, labels, n_values, budget,
-                              rng.getrandbits, weights)
-
-
-def _run_once(tree: Tree, cfg: SolverConfig, rng) -> tuple[tuple[int, ...] | None, int]:
-    """One bounded run; returns (labels or None, backtracks used)."""
-    n = tree.n
-    if n == 1:
-        return (0,), 0
-    labels = [-1] * n
-    labels[0] = rng.randrange(n - 1)
-    # Exhausting the candidates of node 1 ends the run: root alternatives
-    # are shift-equivalent, so the run's search space is exhausted.
-    ok, backtracks = label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
-                               cfg.backtrack_limit, rng)
-    return (tuple(labels) if ok else None), backtracks
+    return kernel().label_dfs(order, parents, labels, n_values, budget, seed, weights)
 
 
 def solve_backtracking(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
-    """Backtracking with restarts, drawing from ``random.Random(seed)``;
-    failure (a value, not an error) after every restart exhausts its
-    backtrack limit."""
-    rng = random.Random(seed)
-    total_backtracks = 0
-    for restart in range(cfg.backtrack_restarts):
-        labels, used = _run_once(tree, cfg, rng)
-        total_backtracks += used
-        if labels is not None:
-            return SolveOutcome(True, labels, "backtrack", {
-                "backtracks": total_backtracks,
-                "restarts_used": restart + 1,
-            })
-    return SolveOutcome(False, None, "backtrack", {
-        "backtracks": total_backtracks,
-        "restarts_used": cfg.backtrack_restarts,
-    })
+    """Backtracking with up to cfg.backtrack_restarts runs, drawing what
+    ``random.Random(seed)`` would.  Each run draws the root label as
+    ``randrange(n - 1)`` does (at n = 2, where it can only be 0, it draws
+    nothing), then runs :func:`label_dfs` over nodes 1..n-1 under
+    cfg.backtrack_limit; exhausting node 1's candidates ends the run,
+    since other root labels are shifts of this one.  Failure (a value,
+    not an error) comes after every run fails.  Trees of two or more
+    nodes run as one kernel call, which raises ValueError for more than
+    64 nodes."""
+    if tree.n == 1:
+        restarts = min(cfg.backtrack_restarts, 1)
+        return SolveOutcome(restarts == 1, (0,) if restarts else None, "backtrack",
+                            {"backtracks": 0, "restarts_used": restarts})
+    labels, backtracks, restarts = kernel().solve_backtracking(
+        tree.parents, cfg.backtrack_restarts, cfg.backtrack_limit, seed)
+    return SolveOutcome(labels is not None, labels, "backtrack",
+                        {"backtracks": backtracks, "restarts_used": restarts})

@@ -18,11 +18,9 @@ uninterrupted one would.
 
 import json
 import math
-import multiprocessing
 import os
 import time
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
@@ -30,7 +28,7 @@ from typing import NamedTuple
 from . import native
 from .backtracking import solve_backtracking
 from .config import PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome, SolverConfig
-from .generate import GENERATOR_VERSION, free_trees
+from .generate import GENERATOR_VERSION, free_trees, oracle_count_otter
 from .labelling import Certificate, normalize_labelling
 from .tabu import solve_tabu
 from .trees import Tree, format_level_sequence, parse_level_sequence
@@ -180,6 +178,12 @@ def _read_checkpoint(path) -> Checkpoint:
             out = int(parts["out"]) if "out" in parts else None
             if n < 1 or done < 0 or (out is not None and out < 0):
                 raise ValueError("n below 1, or a negative count or size")
+            # n >= 4 nodes have at least 2**(n-4) trees (the caterpillars),
+            # so only a count that large needs the Otter count, which
+            # recurses n deep
+            if done >> max(n - 4, 0) and done > oracle_count_otter(n):
+                raise ValueError(f"completed={done} is more than the "
+                                 f"{oracle_count_otter(n)} trees of {n} nodes")
             cpu, wall = float(parts.get("cpu", 0)), float(parts.get("wall", 0))
             if not all(math.isfinite(t) and t >= 0 for t in (cpu, wall)):
                 raise ValueError("cpu= and wall= must be finite and at least 0")
@@ -274,8 +278,12 @@ def _pool(workers: int):
     """Context giving a pool of *workers* forked processes, or None for one
     worker.  Forked workers inherit the loaded kernel and the module
     globals as the parent holds them; Python 3.14 starts workers with
-    forkserver on Linux unless told otherwise."""
+    forkserver on Linux unless told otherwise.  The pool modules are
+    imported here, so a serial run or a bare import never loads them."""
     if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         return ProcessPoolExecutor(max_workers=workers,
                                    mp_context=multiprocessing.get_context("fork"))
     return nullcontext()

@@ -1,18 +1,18 @@
 """Build, cache and load the compiled search kernel, ``_kernel.c``.
 
-The searches run in one C extension with three entries.
-``solve_twostage`` runs a whole :func:`treeharmony.twostage.solve_twostage`
-call, every round of stage 1, the leaf-CSP build and stage 2, so the
-two-stage solver makes one kernel call per tree.  It takes the solver's
-seed and draws from a Mersenne Twister of its own, seeded as
-``random.Random(seed)`` seeds one.  ``label_dfs`` is the labelling DFS of
-:func:`treeharmony.backtracking.label_dfs`, which the backtracking
-solver runs, and ``solve_leaf_csp`` the leaf search of
-:func:`treeharmony.twostage.solve_leaf_csp`; these two draw through the
-caller's ``getrandbits``.  The stage functions of
-:mod:`treeharmony.twostage` are library and test entry points.  The
-extension is built with gcc on first use and kept in a cache outside
-the source tree: ``$XDG_CACHE_HOME/treeharmony/`` or
+The searches run in one C extension with four entries.  The solvers
+make one call per tree: ``solve_twostage`` runs a whole
+:func:`treeharmony.twostage.solve_twostage` call, every round of stage
+1, the leaf-CSP build and stage 2, and ``solve_backtracking`` a whole
+:func:`treeharmony.backtracking.solve_backtracking` call, every restart.
+``label_dfs`` is the labelling DFS of
+:func:`treeharmony.backtracking.label_dfs` and ``solve_leaf_csp`` the
+leaf search of :func:`treeharmony.twostage.solve_leaf_csp`, library and
+test entry points.  Every entry takes an int seed and draws only from a
+Mersenne Twister of its own, seeded as ``random.Random(seed)`` seeds
+one; no draw calls back into Python.  The extension is built with gcc
+on first use and kept in a cache outside the source tree:
+``$XDG_CACHE_HOME/treeharmony/`` or
 ``~/.cache/treeharmony/``.  The file name carries a CRC-32 of the source,
 the compiler flags and the interpreter's ABI, so an edited source or
 another interpreter gets its own build and a stale one is never loaded.

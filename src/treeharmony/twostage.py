@@ -25,9 +25,9 @@ are interchangeable (swapping their values keeps both the value set and
 the sum set), so a value refuted for one leaf is struck from its free
 siblings too.
 
-Both stages draw from one RNG in a fixed pattern: a search level keeps
-its untried values as a bitmask and, each time it tries one, draws it
-on demand (r as ``random.Random._randbelow(c)`` draws it over the c
+Both stages draw from one generator in a fixed pattern: a search level
+keeps its untried values as a bitmask and, each time it tries one, draws
+it on demand (r as ``random.Random._randbelow(c)`` draws it over the c
 untried values, through ``getrandbits``, then the r-th lowest of them;
 a last untried value draws nothing).  Nothing else is drawn.  That
 pattern is a contract: a sweep is replayed from its seeds alone, so a
@@ -50,16 +50,15 @@ harmonious, so the pair of stages is retried several times before the
 solver reports failure.
 
 Both stages and the retry loop run in the compiled kernel
-(:mod:`treeharmony.native`), which limits trees to 64 nodes.
-:func:`solve_twostage` takes a seed and is one kernel call per tree: the
-kernel's ``solve_twostage`` takes the tree's shape from its parents once,
-seeds its own Mersenne Twister from the seed as ``random.Random(seed)``
-seeds one, and runs every round of stage 1, the leaf-CSP build and
-stage 2 in C, drawing from that generator.  :func:`stage1_internal`,
-:func:`build_leaf_csp` and :func:`solve_leaf_csp` run one step each and
-draw through the caller's ``rng.getrandbits``; from ``random.Random(seed)``
-they make the draws :func:`solve_twostage` makes from *seed*.  They are
-library and test entry points, and the solvers do not call them.
+(:mod:`treeharmony.native`), which limits trees to 64 nodes.  Every
+search takes an int seed and draws what ``random.Random(seed)`` would
+draw, from the kernel's own Mersenne Twister.  :func:`solve_twostage`
+is one kernel call per tree: the kernel's ``solve_twostage`` takes the
+tree's shape from its parents once and runs every round of stage 1, the
+leaf-CSP build and stage 2 in C on one generator.  :func:`stage1_internal`,
+:func:`build_leaf_csp` and :func:`solve_leaf_csp` run one step each, the
+searches on a generator of their own seed.  They are library and test
+entry points, and the solvers do not call them.
 """
 
 from typing import NamedTuple
@@ -102,15 +101,16 @@ def _shape(tree: Tree):
     return order, parents, weights, leaves, leaf_parents
 
 
-def stage1_internal(tree: Tree, cfg: SolverConfig, rng) -> dict[int, int] | None:
+def stage1_internal(tree: Tree, cfg: SolverConfig, seed: int) -> dict[int, int] | None:
     """Randomized bounded backtracking over the internal nodes: injective
     values from {0..n-1} with pairwise-distinct internal-internal edge
     sums mod m = n-1, and sum((deg(v) - 1) * f(v)) = 0 (mod m) over the
     internal nodes v, which every harmonious labelling meets (see the
-    module docstring).  None once the backtrack budget runs out."""
+    module docstring).  Draws what ``random.Random(seed)`` would.  None
+    once the backtrack budget runs out."""
     order, parents, weights, _, _ = _shape(tree)
     labels = [-1] * tree.n
-    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, rng,
+    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, seed,
                       weights=weights)
     return dict(zip(order, map(labels.__getitem__, order))) if ok else None
 
@@ -140,7 +140,7 @@ def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
     return LeafCSP(n, leaves, parent_labels, domains)
 
 
-def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
+def solve_leaf_csp(csp: LeafCSP, seed: int, budget: int = 5000,
                    on_prune=None) -> dict[int, int] | None:
     """Search the leaf CSP, refuting what it can at every level.
 
@@ -175,17 +175,18 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
     value may still extend to a labelling under another assignment.
     None on failure or once *budget* (an int) backtracks are spent.
 
-    The RNG consumption is a contract (see the module docstring): a CSP
-    with an empty domain or one that fails the Hall check draws nothing;
-    otherwise each value a level tries is drawn when it is tried, on the
-    level's untried values (so a last untried value draws nothing), and
-    nothing else is drawn.
+    The draws are a contract (see the module docstring): the search
+    makes those of ``random.Random(seed)``; a CSP with an empty domain or
+    one that fails the Hall check draws nothing; otherwise each value a
+    level tries is drawn when it is tried, on the level's untried values
+    (so a last untried value draws nothing), and nothing else is drawn.
 
     The search runs in the compiled kernel; a CSP of a tree with more
-    than 64 nodes raises ValueError.
+    than 64 nodes, or a seed outside ``0 <= seed < 2**64``, raises
+    ValueError.
     """
     return kernel().solve_leaf_csp(csp.leaves, csp.parent_labels, csp.domain_masks,
-                                   csp.n - 1, budget, rng.getrandbits, on_prune)
+                                   csp.n - 1, budget, seed, on_prune)
 
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
@@ -195,7 +196,8 @@ def solve_twostage(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:
     three or more nodes run as one kernel call, drawing what
     ``random.Random(seed)`` would; its rounds are those of
     :func:`stage1_internal`, :func:`build_leaf_csp` and
-    :func:`solve_leaf_csp` in turn, draw for draw, on that generator.
+    :func:`solve_leaf_csp` in turn, draw for draw, all on that one
+    generator.
     The kernel raises ValueError for a tree of more than 64 nodes or a
     seed outside 0 <= seed < 2**64, and TypeError for a seed that is not
     an int."""

@@ -1,23 +1,40 @@
-"""The Python labelling DFS, leaf search and two-stage loop, kept as
-test-side references.
+"""The Python labelling DFS, leaf search, two-stage loop and
+backtracking loop, kept as test-side references.
 
 These are the searches that ``treeharmony._kernel`` (``_kernel.c``) runs
 in C, as they stood in pure Python before the port: ``label_dfs`` of
 :mod:`treeharmony.backtracking` and ``solve_leaf_csp`` of
-:mod:`treeharmony.twostage`, with their helpers, and the retry loop of
-``twostage.solve_twostage``, composed from the package's stage
-functions.  The equivalence tests hold the kernel to them call for call:
-the same result, the same backtracks, the same labels, the same stats
-and the same RNG state afterwards.  Tests that need to see inside the
-search (a patched ``_pick``, a labels list that logs its assignments)
-run these.
+:mod:`treeharmony.twostage`, with their helpers, the retry loop of
+``twostage.solve_twostage`` and the restart loop of
+``backtracking.solve_backtracking``.  The two loops are composed from
+the searches here and the package's pure-Python ``twostage._shape`` and
+``twostage.build_leaf_csp``, so no reference calls the kernel.  Each
+draws through a caller's ``random.Random``; the kernel, which takes a
+seed, must make the draws these make on ``random.Random(seed)``.  The
+equivalence tests hold the kernel to them: the same result, the same
+backtracks, the same labels and the same stats.  Tests that need to see
+inside the search (a patched ``_pick``, a labels list that logs its
+assignments) run these.
 """
+
+import random
 
 from treeharmony import twostage
 from treeharmony.backtracking import _open_values
 from treeharmony.config import SolveOutcome, SolverConfig
 from treeharmony.trees import Tree
 from treeharmony.twostage import LeafCSP
+
+
+class CountingRandom(random.Random):
+    """A random.Random that counts its getrandbits calls, the draws of
+    every method used here."""
+
+    draws = 0
+
+    def getrandbits(self, k):
+        self.draws += 1
+        return super().getrandbits(k)
 
 
 def _pick(mask: int, getrandbits) -> int:
@@ -300,32 +317,56 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     """The loop that :func:`treeharmony.twostage.solve_twostage` runs in
-    the kernel, in Python: one round is :func:`twostage.stage1_internal`,
-    then :func:`twostage.build_leaf_csp` and
-    :func:`twostage.solve_leaf_csp`."""
+    the kernel, in Python: one round is stage 1 (:func:`label_dfs` over
+    the internal nodes with their weights, as
+    :func:`twostage.stage1_internal` runs it), then
+    :func:`twostage.build_leaf_csp` and :func:`solve_leaf_csp`."""
     n = tree.n
     stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
+    order, parents, weights, _, _ = twostage._shape(tree)
     for run in range(cfg.twostage_runs):
         stats["runs"] = run + 1
         if n <= 2:
             labels = (0,) if n == 1 else (0, 0)
             return SolveOutcome(True, labels, "twostage", stats)
-        partial = twostage.stage1_internal(tree, cfg, rng)
-        if partial is None:
+        labels = [-1] * n
+        ok, _ = label_dfs(order, parents, labels, n, cfg.stage1_budget, rng,
+                          weights=weights)
+        if not ok:
             stats["stage1_failures"] += 1
             continue
+        partial = {v: labels[v] for v in order}
         csp = twostage.build_leaf_csp(tree, partial)
-        assignment = twostage.solve_leaf_csp(csp, rng, cfg.stage2_budget)
+        assignment = solve_leaf_csp(csp, rng, cfg.stage2_budget)
         if assignment is None:
             stats["stage2_failures"] += 1
             continue
-        full = [0] * n
-        for v, value in partial.items():
-            full[v] = value
         for v, value in assignment.items():
-            full[v] = value
+            labels[v] = value
         # Reducing the permutation mod n-1 merges 0 and n-1 on 0, which is
         # the normal form make_certificate asks for.
-        labels = tuple(v % (n - 1) for v in full)
-        return SolveOutcome(True, labels, "twostage", stats)
+        return SolveOutcome(True, tuple(v % (n - 1) for v in labels), "twostage", stats)
     return SolveOutcome(False, None, "twostage", stats)
+
+
+def solve_backtracking(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
+    """The loop that :func:`treeharmony.backtracking.solve_backtracking`
+    runs in the kernel, in Python: each restart draws the root label with
+    ``rng.randrange(n - 1)`` and runs :func:`label_dfs` over nodes
+    1..n-1; exhausting node 1's candidates ends the run."""
+    n = tree.n
+    backtracks = 0
+    for restart in range(cfg.backtrack_restarts):
+        if n == 1:
+            labels, ok = [0], True
+        else:
+            labels = [-1] * n
+            labels[0] = rng.randrange(n - 1)
+            ok, used = label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
+                                 cfg.backtrack_limit, rng)
+            backtracks += used
+        if ok:
+            return SolveOutcome(True, tuple(labels), "backtrack", {
+                "backtracks": backtracks, "restarts_used": restart + 1})
+    return SolveOutcome(False, None, "backtrack", {
+        "backtracks": backtracks, "restarts_used": cfg.backtrack_restarts})

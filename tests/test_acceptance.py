@@ -239,11 +239,11 @@ def test_criterion_07_forward_checking_soundness():
             for seq in free_trees(n):
                 tree = Tree.from_level_sequence(seq)
                 for attempt in range(3):
-                    partial = stage1_internal(tree, CFG, rng)
+                    partial = stage1_internal(tree, CFG, rng.getrandbits(32))
                     assert partial is not None
                     pruned = []
                     solve_leaf_csp(
-                        build_leaf_csp(tree, partial), random.Random(attempt),
+                        build_leaf_csp(tree, partial), attempt,
                         budget=10 ** 9,
                         on_prune=lambda leaf, value, assigned:
                         pruned.append((leaf, value, assigned)))

@@ -101,7 +101,7 @@ def test_label_dfs_unbounded_succeeds_iff_root_dup_witness_exists():
             tree = Tree.from_level_sequence(seq)
             labels = [0] + [-1] * (n - 1)
             ok, _ = label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
-                              UNBOUNDED, rng)
+                              UNBOUNDED, rng.getrandbits(32))
             assert ok == _has_root_dup_witness(tree), seq
             if ok:
                 assert labels[0] == 0 and is_harmonious(tree, labels)
@@ -164,6 +164,38 @@ def test_deterministic_under_seed():
     a = solve_backtracking(P4, CFG, 12345)
     b = solve_backtracking(P4, CFG, 12345)
     assert (a.success, a.labels, a.stats) == (b.success, b.labels, b.stats)
+
+
+def test_solve_backtracking_matches_the_reference_loop():
+    # every tree on 1..9 nodes under five configs: the default, no
+    # restarts, limits 0 and 1 over several restarts, and a small limit.
+    # The kernel (one call on its own generator) and the reference loop
+    # (on random.Random(seed)) give the same success, labels and stats;
+    # seeds of one 32-bit word and of two alternate
+    rng = random.Random(0xBAC)
+    configs = (CFG, SolverConfig(backtrack_restarts=0),
+               SolverConfig(backtrack_limit=0, backtrack_restarts=8),
+               SolverConfig(backtrack_limit=1, backtrack_restarts=8),
+               SolverConfig(backtrack_limit=20, backtrack_restarts=4))
+    solves = multi_restart = most_draws = 0
+    for n in range(1, 10):
+        for seq in free_trees(n):
+            tree = Tree.from_level_sequence(seq)
+            for cfg in configs:
+                seed = rng.getrandbits(32 if solves % 2 else 64)
+                solves += 1
+                draws = search_reference.CountingRandom(seed)
+                got = solve_backtracking(tree, cfg, seed)
+                want = search_reference.solve_backtracking(tree, cfg, draws)
+                assert (got.success, got.labels, got.solver, list(got.stats.items())) == \
+                    (want.success, want.labels, want.solver, list(want.stats.items())), \
+                    (seq, cfg, seed)
+                multi_restart += want.stats["restarts_used"] > 1
+                most_draws = max(most_draws, draws.draws)
+    assert solves == 95 * len(configs)
+    assert multi_restart > 200, multi_restart
+    # some solve ran the generator through its 624-word state twice
+    assert most_draws > 2 * 624, most_draws
 
 
 def test_trivial_sizes_inside_restart_loop():

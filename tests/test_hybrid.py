@@ -777,6 +777,39 @@ def test_sweep_refuses_a_checkpoint_and_leaves_the_output(tmp_path, spoil, messa
     assert out.read_bytes() == data
 
 
+def test_sweep_refuses_a_checkpoint_claiming_more_trees_than_exist(tmp_path):
+    # 5 nodes have 3 trees; a line that claims 100 of them, solved= and
+    # all, is corrupt, and the output is left as it was
+    out = tmp_path / "r.jsonl"
+    ck = tmp_path / "c.txt"
+    sweep(5, 5, CFG, out_path=out, checkpoint_path=ck)
+    data = out.read_bytes()
+    line = ck.read_text()
+    assert " completed=3 " in line and " solved=twostage:3" in line
+    ck.write_text(line.replace(" completed=3 ", " completed=100 ")
+                  .replace(" solved=twostage:3", " solved=twostage:100"))
+    with pytest.raises(CheckpointError, match="corrupt checkpoint .* line 1: "
+                       "completed=100 is more than the 3 trees of 5 nodes"):
+        sweep(5, 6, CFG, out_path=out, checkpoint_path=ck)
+    assert out.read_bytes() == data
+    # one more than the count is refused as well; the count itself resumes
+    for n, count in ((1, 1), (4, 2), (13, 1301)):
+        assert oracle_count_otter(n) == count
+        ck.write_text(f"n={n} completed={count + 1} seed=1 gen=g\n")
+        with pytest.raises(CheckpointError, match=f"more than the {count} trees"):
+            _read_checkpoint(ck)
+        ck.write_text(f"n={n} completed={count} seed=1 gen=g\n")
+        assert _read_checkpoint(ck).reports[n].trees_total == count
+
+
+def test_a_checkpoint_line_of_many_nodes_is_read_without_the_otter_count(tmp_path):
+    # 900 nodes are too many for the Otter count's recursion, but any
+    # count below 2**896 is below their number of caterpillars alone
+    ck = tmp_path / "c.txt"
+    ck.write_text("n=900 completed=5000 seed=1 gen=g\n")
+    assert _read_checkpoint(ck).reports[900].trees_total == 5000
+
+
 def test_sweep_sabotage_collects_failures(tmp_path):
     reports = sweep(2, 6, SABOTAGE, workers=1,
                     out_path=tmp_path / "r.jsonl",
@@ -833,6 +866,23 @@ def test_certificate_check_survives_python_O(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("refused: ")
     assert out.read_bytes() == ref.read_bytes()
+
+
+def test_importing_the_package_loads_no_pool_module():
+    # only a pool of two or more workers needs multiprocessing and
+    # concurrent.futures, so neither the package nor its CLI imports them
+    code = (
+        "import sys\n"
+        "pool = ('multiprocessing', 'concurrent.futures')\n"
+        "import treeharmony\n"
+        "print([m for m in pool if m in sys.modules])\n"
+        "import treeharmony.cli\n"
+        "print([m for m in pool if m in sys.modules])\n")
+    src = Path(hybrid.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "[]", ""]
 
 
 def test_workers_fork_where_forkserver_is_the_default(tmp_path):

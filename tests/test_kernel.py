@@ -1,5 +1,6 @@
 """The compiled search kernel: the same draws as the Python reference,
-the 64-node limit, and how it is built and loaded."""
+the 64-node limit, what each entry refuses, and how it is built and
+loaded."""
 
 import math
 import os
@@ -13,8 +14,8 @@ import pytest
 
 from random_trees import random_tree
 import search_reference
-from treeharmony import native
-from treeharmony.backtracking import label_dfs
+from treeharmony import backtracking, native, twostage
+from treeharmony.backtracking import label_dfs, solve_backtracking
 from treeharmony.config import SolverConfig
 from treeharmony.hybrid import benchmark_solvers, sweep
 from treeharmony.trees import Tree, internal_nodes
@@ -36,14 +37,13 @@ def _stage1_shape(tree):
 
 
 def _both_dfs(order, parents, labels, n_values, budget, seed, weights=None):
-    """Runs the kernel and the reference on copies of the same input;
-    returns both (result, labels, RNG state)."""
+    """Runs the kernel on *seed* and the reference on random.Random(seed),
+    on copies of the same input; returns both (result, labels)."""
     out = []
-    for search in (label_dfs, search_reference.label_dfs):
-        rng = random.Random(seed)
+    for search, draws in ((label_dfs, seed), (search_reference.label_dfs, random.Random(seed))):
         own = list(labels)
-        result = search(order, parents, own, n_values, budget, rng, weights=weights)
-        out.append((result, own, rng.getstate()))
+        result = search(order, parents, own, n_values, budget, draws, weights=weights)
+        out.append((result, own))
     return out
 
 
@@ -102,12 +102,14 @@ def test_label_dfs_matches_reference_at_64_nodes():
 # ------------------------------------------------------------------ #
 
 def _both_leaf_searches(csp, budget, seed):
+    """The kernel on *seed* and the reference on random.Random(seed): both
+    (result, on_prune calls)."""
     out = []
-    for search in (solve_leaf_csp, search_reference.solve_leaf_csp):
-        rng = random.Random(seed)
+    for search, draws in ((solve_leaf_csp, seed),
+                          (search_reference.solve_leaf_csp, random.Random(seed))):
         pruned = []
-        result = search(csp, rng, budget, lambda *removal: pruned.append(removal))
-        out.append((result, pruned, rng.getstate()))
+        result = search(csp, draws, budget, lambda *removal: pruned.append(removal))
+        out.append((result, pruned))
     return out
 
 
@@ -121,7 +123,7 @@ def test_solve_leaf_csp_matches_reference():
         n = rng.randrange(4, 15)
         tree = random_tree(n, rng)
         internal = sorted(internal_nodes(tree))
-        partials = [stage1_internal(tree, CFG, rng),
+        partials = [stage1_internal(tree, CFG, rng.getrandbits(32)),
                     dict(zip(internal, rng.sample(range(n), len(internal))))]
         for partial in partials:
             if partial is None:
@@ -140,7 +142,7 @@ def test_solve_leaf_csp_matches_reference_at_64_nodes():
     searched = 0
     for _ in range(30):
         tree = random_tree(64, rng)
-        partial = stage1_internal(tree, CFG, rng)
+        partial = stage1_internal(tree, CFG, rng.getrandbits(32))
         if partial is None:
             continue
         csp = build_leaf_csp(tree, partial)
@@ -151,18 +153,32 @@ def test_solve_leaf_csp_matches_reference_at_64_nodes():
     assert searched >= 30
 
 
+def test_the_reference_loops_call_no_kernel(monkeypatch):
+    # the kernel is held to the reference loops, so they must not run on it
+    def no_kernel():
+        raise AssertionError("a reference loop called the kernel")
+
+    for module in (backtracking, twostage):
+        monkeypatch.setattr(module, "kernel", no_kernel)
+    tree = Tree.from_level_sequence((0, 1, 2, 1, 1))
+    assert search_reference.solve_twostage(tree, CFG, random.Random(1)).success
+    assert search_reference.solve_backtracking(tree, CFG, random.Random(1)).success
+
+
 def test_more_than_64_nodes_is_a_value_error():
     rng = random.Random(65)
     tree = random_tree(65, rng)
     with pytest.raises(ValueError, match="at most 64 nodes"):
-        stage1_internal(tree, CFG, rng)
+        stage1_internal(tree, CFG, 0)
     with pytest.raises(ValueError, match="at most 64 nodes"):
-        label_dfs(range(1, 65), tree.parents[1:], [0] + [-1] * 64, 64, 10, rng)
+        label_dfs(range(1, 65), tree.parents[1:], [0] + [-1] * 64, 64, 10, 0)
     csp = LeafCSP(65, (1, 2), (0, 0), (6, 6))
     with pytest.raises(ValueError, match="at most 64 nodes"):
-        solve_leaf_csp(csp, rng)
+        solve_leaf_csp(csp, 0)
     with pytest.raises(ValueError, match="at most 64 nodes"):
         solve_twostage(tree, CFG, 0)
+    with pytest.raises(ValueError, match="at most 64 nodes"):
+        solve_backtracking(tree, CFG, 0)
 
 
 def test_solve_twostage_refuses_what_is_not_a_parent_array():
@@ -173,29 +189,29 @@ def test_solve_twostage_refuses_what_is_not_a_parent_array():
             native.kernel().solve_twostage(parents, 1, 10, 10, 0)
 
 
-def test_solve_twostage_refuses_a_seed_it_cannot_replay():
+def _entry_calls(seed):
+    """A valid call of each kernel entry, with *seed* as its seed."""
+    k = native.kernel()
+    return (lambda: k.label_dfs(*_dfs_args(seed=seed)),
+            lambda: k.solve_leaf_csp(*_leaf_args(seed=seed)),
+            lambda: k.solve_twostage((-1, 0, 1), 1, 10, 10, seed),
+            lambda: k.solve_backtracking((-1, 0, 1), 1, 10, seed))
+
+
+def test_each_entry_refuses_a_seed_it_cannot_replay():
     # random.Random seeds a negative int by its absolute value and takes
-    # ints of any size; the kernel's generator takes 0 <= seed < 2**64
-    solve = native.kernel().solve_twostage
+    # ints of any size; the kernel's generator takes 0 <= seed < 2**64.
+    # A generator, or its getrandbits, is not a seed.
     for seed in (-1, -2**64, 2**64, 2**100):
-        with pytest.raises(ValueError, match="seed"):
-            solve((-1, 0, 1), 1, 10, 10, seed)
+        for call in _entry_calls(seed):
+            with pytest.raises(ValueError, match="^seed must be at least 0 and below 2"):
+                call()
     for seed in (1.0, "1", None, random.Random(1), random.Random(1).getrandbits):
-        with pytest.raises(TypeError, match="seed"):
-            solve((-1, 0, 1), 1, 10, 10, seed)
-    assert solve((-1, 0, 1), 1, 10, 10, 2**64 - 1)[0] is not None
-
-
-def test_a_failing_rng_stops_the_search():
-    class Broken(random.Random):
-        def getrandbits(self, k):
-            raise RuntimeError("no more bits")
-
-    star = Tree.from_level_sequence((0, 1, 1, 1, 1))
-    with pytest.raises(RuntimeError, match="no more bits"):
-        stage1_internal(star, CFG, Broken(1))
-    with pytest.raises(RuntimeError, match="no more bits"):
-        solve_leaf_csp(build_leaf_csp(star, {0: 0}), Broken(1))
+        for call in _entry_calls(seed):
+            with pytest.raises(TypeError, match="^seed must be an int$"):
+                call()
+    for call in _entry_calls(2**64 - 1):
+        assert call() is not None
 
 
 # ------------------------------------------------------------------ #
@@ -205,8 +221,7 @@ def test_a_failing_rng_stops_the_search():
 def _dfs_args(**changed):
     # a valid label_dfs call: the path on 4 nodes under a preset root
     args = {"order": [1, 2, 3], "parents": [0, 1, 2], "labels": [1, -1, -1, -1],
-            "n_values": 3, "budget": 10, "getrandbits": random.Random(0).getrandbits,
-            "weights": None}
+            "n_values": 3, "budget": 10, "seed": 0, "weights": None}
     args.update(changed)
     return tuple(args.values())
 
@@ -214,14 +229,15 @@ def _dfs_args(**changed):
 def _leaf_args(**changed):
     # a valid solve_leaf_csp call: two sibling leaves under a root labelled 0
     args = {"leaves": (1, 2), "parent_labels": (0, 0), "domain_masks": (6, 6), "m": 3,
-            "budget": 10, "getrandbits": random.Random(0).getrandbits, "on_prune": None}
+            "budget": 10, "seed": 0, "on_prune": None}
     args.update(changed)
     return tuple(args.values())
 
 
 def test_each_entry_refuses_another_number_of_arguments():
     k = native.kernel()
-    for name, count in (("label_dfs", 7), ("solve_leaf_csp", 7), ("solve_twostage", 5)):
+    for name, count in (("label_dfs", 7), ("solve_leaf_csp", 7), ("solve_twostage", 5),
+                        ("solve_backtracking", 4)):
         for nargs in (0, count - 1, count + 1):
             with pytest.raises(TypeError, match=f"^{name} takes {count} arguments$"):
                 getattr(k, name)(*[0] * nargs)
@@ -246,7 +262,7 @@ def test_label_dfs_refusals():
                                              "parents": [-1]}),
         (ValueError, "n_values >= 0", {"n_values": -1}),
         (ValueError, "at most 64 nodes, not 65", {"labels": [1] + [-1] * 64}),
-        (ValueError, "at most 64 nodes", {"n_values": 65}),
+        (ValueError, "at most 64 nodes, not 65", {"n_values": 65}),
         (ValueError, "at most 64 nodes, not 65", {"order": list(range(65)),
                                                   "parents": [-1] * 65}),
         (IndexError, "node index out of range", {"order": [1, 2, 4]}),
@@ -268,7 +284,7 @@ def test_label_dfs_refusals():
 
 def test_label_dfs_with_an_empty_order_succeeds_at_once():
     labels = [5, -1]
-    assert native.kernel().label_dfs([], [], labels, 0, 0, None, None) == (True, 0)
+    assert native.kernel().label_dfs([], [], labels, 0, 0, 0, None) == (True, 0)
     assert labels == [5, -1]
 
 
@@ -307,26 +323,31 @@ def test_solve_leaf_csp_refusals():
 def test_a_leaf_csp_without_leaves_is_solved_by_no_values():
     # nothing else is read: not even m or the other two sequences
     leaf = native.kernel().solve_leaf_csp
-    assert leaf((), (), (), 3, 10, None, None) == {}
-    assert leaf([], None, None, 0, 0, None, None) == {}
-    assert solve_leaf_csp(LeafCSP(5, (), (), ()), random.Random(0)) == {}
+    assert leaf((), (), (), 3, 10, 0, None) == {}
+    assert leaf([], None, None, 0, 0, 0, None) == {}
+    assert solve_leaf_csp(LeafCSP(5, (), (), ()), 0) == {}
 
 
 def test_a_limit_is_an_int():
     # a float budget or run count is refused, math.inf included; an int
     # beyond long long stands for no limit
-    rng = random.Random(0)
     for budget in (10.0, 1.5, math.inf):
         with pytest.raises(TypeError, match="integer"):
-            label_dfs([1, 2, 3], [0, 1, 2], [1, -1, -1, -1], 3, budget, rng)
+            label_dfs([1, 2, 3], [0, 1, 2], [1, -1, -1, -1], 3, budget, 0)
         with pytest.raises(TypeError, match="integer"):
-            solve_leaf_csp(LeafCSP(4, (1, 2), (0, 0), (6, 6)), rng, budget)
+            solve_leaf_csp(LeafCSP(4, (1, 2), (0, 0), (6, 6)), 0, budget)
     solve = native.kernel().solve_twostage
     for limits in ((3.0, 10, 10), (3, 10.0, 10), (3, 10, math.inf)):
         with pytest.raises(TypeError, match="integer"):
             solve((-1, 0, 1), *limits, 0)
     star = (-1, 0, 0, 0, 0)
     assert solve(star, 2**70, -2**70, 2**70, 5) == solve(star, 2**62, 0, 2**62, 5)
+    solve = native.kernel().solve_backtracking
+    for limits in ((3.0, 10), (3, 10.0), (3, math.inf)):
+        with pytest.raises(TypeError, match="integer"):
+            solve((-1, 0, 1), *limits, 0)
+    path = (-1, 0, 1, 2)
+    assert solve(path, 2**70, 2**70, 5) == solve(path, 2**62, 2**62, 5)
 
 
 def test_an_on_prune_that_raises_stops_the_search():
@@ -338,11 +359,11 @@ def test_an_on_prune_that_raises_stops_the_search():
         if when(value, assigned):
             raise RuntimeError("stop")
 
-    assert solve_leaf_csp(csp, random.Random(0), on_prune=lambda *removal: None) is None
+    assert solve_leaf_csp(csp, 0, on_prune=lambda *removal: None) is None
     for when in (lambda value, assigned: True,
                  lambda value, assigned: value not in assigned.values()):
         with pytest.raises(RuntimeError, match="stop"):
-            solve_leaf_csp(csp, random.Random(0), on_prune=on_prune)
+            solve_leaf_csp(csp, 0, on_prune=on_prune)
 
 
 def test_solve_twostage_refusals():
@@ -361,6 +382,30 @@ def test_solve_twostage_refusals():
             solve(*args)
     # a 64-node path is the largest tree the kernel takes
     assert solve((-1,) + tuple(range(63)), 1, 10, 10, 0)[1] == 1
+
+
+def test_solve_backtracking_refusals():
+    solve = native.kernel().solve_backtracking
+    refused = [
+        (TypeError, "integer", ((-1, 0, 1), "1", 10, 0)),
+        (TypeError, "integer", ((-1, 0, 1), 1, None, 0)),
+        (TypeError, "parents must be a sequence", (5, 1, 10, 0)),
+        (TypeError, "integer", ((-1, 0, "1"), 1, 10, 0)),
+        (ValueError, "at most 64 nodes, not 65", ((-1,) + tuple(range(64)), 1, 10, 0)),
+        (ValueError, "^solve_backtracking needs at least 2 nodes$", ((-1,), 1, 10, 0)),
+        (ValueError, "^solve_backtracking needs at least 2 nodes$", ((), 1, 10, 0)),
+    ]
+    # the kernel entry takes Tree.parents: -1, then an earlier node for
+    # every other node; the one-node tree stays in Python
+    for parents in ((0, 0), (0, 0, 1), (-1, 0, 2), (-1, 0, -1), (-1, 1), (-1, 0, 3)):
+        refused.append((ValueError, "^parents must be -1 for node 0 and an earlier node",
+                        (parents, 1, 10, 0)))
+    for error, message, args in refused:
+        with pytest.raises(error, match=message):
+            solve(*args)
+    # a 64-node path is the largest tree it takes; no restart uses none
+    assert solve((-1,) + tuple(range(63)), 1, 10, 0)[2] == 1
+    assert solve((-1, 0, 1), 0, 10, 0) == (None, 0, 0)
 
 
 # ------------------------------------------------------------------ #

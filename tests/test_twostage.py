@@ -32,21 +32,21 @@ UNBOUNDED = 2**63
 # ------------------------------------------------------------------ #
 
 def test_stage1_star_single_internal():
-    partial = stage1_internal(STAR4, CFG, random.Random(1))
+    partial = stage1_internal(STAR4, CFG, 1)
     assert set(partial) == {0}
     assert 0 <= partial[0] <= 3
 
 
 def test_stage1_p4_distinct_pair():
     for seed in range(10):
-        partial = stage1_internal(P4, CFG, random.Random(seed))
+        partial = stage1_internal(P4, CFG, seed)
         assert set(partial) == {0, 1}
         assert partial[0] != partial[1]
         assert all(0 <= v <= 3 for v in partial.values())
 
 
 def test_stage1_no_internal_nodes():
-    assert stage1_internal(N2, CFG, random.Random(0)) == {}
+    assert stage1_internal(N2, CFG, 0) == {}
 
 
 def test_stage1_respects_internal_sum_distinctness():
@@ -54,7 +54,7 @@ def test_stage1_respects_internal_sum_distinctness():
     for n in (8, 10, 12):
         for seq in list(free_trees(n))[:6]:
             tree = Tree.from_level_sequence(seq)
-            partial = stage1_internal(tree, CFG, rng)
+            partial = stage1_internal(tree, CFG, rng.getrandbits(32))
             assert partial is not None
             m = n - 1
             internal = internal_nodes(tree)
@@ -97,7 +97,7 @@ def test_stage1_partials_meet_the_congruence():
     for n in range(9, 15):
         for seq in free_trees(n):
             tree = Tree.from_level_sequence(seq)
-            partial = stage1_internal(tree, CFG, rng)
+            partial = stage1_internal(tree, CFG, rng.getrandbits(32))
             if partial is None:
                 continue
             partials += 1
@@ -141,7 +141,7 @@ def test_label_dfs_with_weights_complete_on_every_small_tree():
                 for n_values in {n, len(order) + 1, len(order)}:
                     labels = [-1] * n
                     ok, _ = label_dfs(order, parents, labels, n_values,
-                                      UNBOUNDED, rng, weights=weights)
+                                      UNBOUNDED, rng.getrandbits(32), weights=weights)
                     want = _congruent_labelling_exists(
                         order, parents, n_values, weights, m)
                     assert ok == want, (seq, weights, n_values)
@@ -283,20 +283,20 @@ def test_build_leaf_csp_empty_domain_is_failure_not_error():
     assert all(csp.domain_masks)
     # stage-2 failure shows up as None from the solver, not an exception
     bad = build_leaf_csp(P4, {0: 0, 1: 1})
-    assert solve_leaf_csp(bad, random.Random(0), budget=100) is None
+    assert solve_leaf_csp(bad, 0, budget=100) is None
 
 
 def test_leaf_csp_star_solves():
     csp = build_leaf_csp(STAR4, {0: 3})
-    got = solve_leaf_csp(csp, random.Random(4))
+    got = solve_leaf_csp(csp, 4)
     assert got is not None and set(got) == {1, 2, 3}
     assert sorted(got.values()) == [0, 1, 2]
 
 
 def test_leaf_csp_p4_dead_partial_fails_good_partial_extends():
     # (0,1) admits no extension (hand propagation); (0,3) does
-    assert solve_leaf_csp(build_leaf_csp(P4, {0: 0, 1: 1}), random.Random(0)) is None
-    got = solve_leaf_csp(build_leaf_csp(P4, {0: 0, 1: 3}), random.Random(0))
+    assert solve_leaf_csp(build_leaf_csp(P4, {0: 0, 1: 1}), 0) is None
+    got = solve_leaf_csp(build_leaf_csp(P4, {0: 0, 1: 3}), 0)
     assert got is not None
     full = {0: 0, 1: 3, **got}
     labels = tuple(full[i] for i in range(4))
@@ -306,7 +306,7 @@ def test_leaf_csp_p4_dead_partial_fails_good_partial_extends():
 
 def test_leaf_csp_singleton_domains_assigned_without_branching():
     csp = build_leaf_csp(P4, {0: 0, 1: 3})
-    got = solve_leaf_csp(csp, random.Random(1), budget=0)
+    got = solve_leaf_csp(csp, 1, budget=0)
     assert got is not None  # no backtracking needed anywhere
 
 
@@ -474,7 +474,7 @@ def test_bitmask_solver_matches_set_reference():
         n = rng.randrange(4, 13)
         tree = random_tree(n, rng)
         internal = sorted(internal_nodes(tree))
-        partials = [stage1_internal(tree, CFG, rng),
+        partials = [stage1_internal(tree, CFG, rng.getrandbits(32)),
                     dict(zip(internal, rng.sample(range(n), len(internal))))]
         for partial in partials:
             if partial is None:
@@ -486,18 +486,15 @@ def test_bitmask_solver_matches_set_reference():
                 _domains(csp), csp.parent_labels, n - 1))
             for budget in (0, 1, 150):
                 seed = rng.getrandbits(32)
-                ref_rng, new_rng = random.Random(seed), random.Random(seed)
                 ref_pruned, new_pruned = [], []
                 hall_refuted = [0]
                 want = _reference_solve_leaf_csp(
-                    csp, ref_rng, budget,
+                    csp, random.Random(seed), budget,
                     lambda *removal: ref_pruned.append(removal), hall_refuted)
                 got = solve_leaf_csp(
-                    csp, new_rng, budget,
+                    csp, seed, budget,
                     lambda *removal: new_pruned.append(removal))
                 assert got == want, (tree.levels, partial, budget)
-                assert new_rng.getstate() == ref_rng.getstate(), \
-                    (tree.levels, partial, budget)
                 # the bitmask pass stops at a wipeout, so it reports a
                 # subsequence of the reference's removals
                 rest = iter(ref_pruned)
@@ -545,10 +542,10 @@ def test_forward_checking_soundness_small():
     for n in (5, 6, 7):
         for seq in free_trees(n):
             tree = Tree.from_level_sequence(seq)
-            partial = stage1_internal(tree, CFG, rng)
+            partial = stage1_internal(tree, CFG, rng.getrandbits(32))
             csp = build_leaf_csp(tree, partial)
             pruned = []
-            solve_leaf_csp(csp, random.Random(9), budget=10 ** 9,
+            solve_leaf_csp(csp, 9, budget=10 ** 9,
                            on_prune=lambda leaf, value, assigned:
                            pruned.append((leaf, value, dict(assigned))))
             for leaf, value, assigned in pruned[:40]:
@@ -567,10 +564,10 @@ def test_stage2_complete_relative_to_its_sample():
         for seq in list(free_trees(n))[:8]:
             tree = Tree.from_level_sequence(seq)
             for attempt in range(4):
-                partial = stage1_internal(tree, CFG, rng)
+                partial = stage1_internal(tree, CFG, rng.getrandbits(32))
                 extensions = _harmonious_completions(tree, partial)
                 got = solve_leaf_csp(build_leaf_csp(tree, partial),
-                                     random.Random(attempt), budget=10 ** 9)
+                                     attempt, budget=10 ** 9)
                 assert (got is not None) == bool(extensions), (seq, partial)
                 if got is not None:
                     full = dict(partial)
@@ -589,10 +586,10 @@ def test_stage2_complete_on_every_small_tree():
         for seq in free_trees(n):
             tree = Tree.from_level_sequence(seq)
             for attempt in range(3):
-                partial = stage1_internal(tree, CFG, rng)
+                partial = stage1_internal(tree, CFG, rng.getrandbits(32))
                 extensions = _harmonious_completions(tree, partial)
                 got = solve_leaf_csp(build_leaf_csp(tree, partial),
-                                     random.Random(attempt), budget=10 ** 9)
+                                     attempt, budget=10 ** 9)
                 assert (got is not None) == bool(extensions), (seq, partial)
                 if got is not None:
                     full = dict(partial)
@@ -651,22 +648,12 @@ def _setting(i) -> SolverConfig:
 EDGE_SEEDS = (0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1)
 
 
-class _CountingRandom(random.Random):
-    """A random.Random that counts its getrandbits calls."""
-
-    draws = 0
-
-    def getrandbits(self, k):
-        self.draws += 1
-        return super().getrandbits(k)
-
-
 def _both_loops(tree, cfg, seed):
     """solve_twostage (one kernel call, on the kernel's own generator) and
-    the reference loop composed from the stage functions, drawing from
+    the reference loop, which calls no kernel, drawing from
     random.Random(seed): each one's success, labels, solver and stats
     items in order, and the reference's draw count."""
-    rng = _CountingRandom(seed)
+    rng = search_reference.CountingRandom(seed)
     out = [solve_twostage(tree, cfg, seed), search_reference.solve_twostage(tree, cfg, rng)]
     return [(o.success, o.labels, o.solver, list(o.stats.items())) for o in out], rng.draws
 

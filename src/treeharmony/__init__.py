@@ -8,7 +8,7 @@ probabilistic backtracking and tabu search, and persists each result as
 an independently re-verifiable certificate.
 """
 
-from .backtracking import label_dfs, solve_backtracking
+from .backtracking import solve_backtracking
 from .config import DEFAULT_SEED, SOLVER_VERSION, SolveOutcome, SolverConfig
 from .generate import (FreeTreeStream, GENERATOR_VERSION,
                        count_free_trees_enumerated, count_rooted_trees,

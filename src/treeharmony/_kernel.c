@@ -1,23 +1,29 @@
 /*
- * Compiled core of the two-stage and backtracking solvers and of the two
- * labelling searches.
+ * Compiled core of the two-stage and backtracking solvers.
  *
- * solve_twostage runs a whole twostage.solve_twostage call: it takes the
- * tree's shape from its parent array once, then runs up to `runs` rounds
- * of stage 1, the leaf-CSP build of twostage.build_leaf_csp and stage 2,
- * and reduces the labels mod n-1.  solve_backtracking runs a whole
- * backtracking.solve_backtracking call: up to `restarts` runs, each
- * drawing a root label and then labelling nodes 1..n-1.  label_dfs is
- * the bounded labelling DFS of backtracking.label_dfs, with its optional
- * weights, the solve table of the last position and the lookahead of the
- * second-last one.  solve_leaf_csp is the leaf search of
+ * Two searches are written once each, as cores on C arrays that the
+ * entries share.  dfs_run is the bounded labelling DFS: it labels a fixed
+ * sequence of nodes, each after its parent, with unused values and new
+ * edge sums, and with weights it keeps the weighted sum of stage 1's
+ * congruence (the solve table of the last position and the lookahead of
+ * the second-last one).  leaf_run is the leaf search of
  * twostage.solve_leaf_csp: forward checking, smallest domain first, the
  * Hall check at the root and (once the search has backtracked) below it,
- * and sibling refutation.  The solvers call the first two; the Python
- * stage functions call the last two as library and test entry points.
- * Each search is written once, as a core on C arrays (dfs_run, leaf_run)
- * that the entries share.  The Python modules document the searches;
- * this file follows them step for step.
+ * and sibling refutation.
+ *
+ * solve_twostage runs a whole twostage.solve_twostage call: it takes the
+ * tree's shape from its parent array once (take_shape), then runs up to
+ * `runs` rounds of stage 1, the leaf-CSP build of twostage.build_leaf_csp
+ * and stage 2, and reduces the labels mod n-1.  stage1 takes the same
+ * shape and runs one round of stage 1, for twostage.stage1_internal.
+ * solve_backtracking runs a whole backtracking.solve_backtracking call:
+ * up to `restarts` runs, each drawing a root label and then labelling
+ * nodes 1..n-1.  solve_leaf_csp runs leaf_run on a CSP that
+ * twostage.build_leaf_csp built.  The solvers call solve_twostage and
+ * solve_backtracking; the stage functions of twostage call stage1 and
+ * solve_leaf_csp as library and test entry points.  The Python references
+ * in tests/search_reference.py document the searches step for step, and
+ * the tests hold this file to them.
  *
  * Values, sums and leaf positions are bits of a uint64_t, so a tree has
  * at most 64 nodes.  Every entry takes an int seed, 0 <= seed < 2**64,
@@ -210,39 +216,30 @@ read_seed(PyObject *obj, uint64_t *out)
     return 0;
 }
 
-/* The ints of a sequence argument into out: its first `need` items,
- * refusing a shorter sequence, or when need < 0 all of them, refusing
- * more than MAX_NODES as a tree of that many nodes.  Returns the
- * sequence's length.  READ_INT_SEQ names the argument once: its name is
- * a string literal, so the refusal of a non-sequence is joined at
- * compile time and a call formats no message it does not raise. */
-#define READ_INT_SEQ(obj, name, need, out) \
-    read_int_seq((obj), name, name " must be a sequence", (need), (out))
+/* The ints of a sequence argument into out, refusing more than
+ * MAX_NODES as a tree of that many nodes.  Returns the sequence's length.
+ * READ_INT_SEQ names the argument once: its name is a string literal, so
+ * the refusal of a non-sequence is joined at compile time and a call
+ * formats no message it does not raise. */
+#define READ_INT_SEQ(obj, name, out) read_int_seq((obj), name " must be a sequence", (out))
 
 static Py_ssize_t
-read_int_seq(PyObject *obj, const char *name, const char *not_a_sequence,
-             Py_ssize_t need, long long *out)
+read_int_seq(PyObject *obj, const char *not_a_sequence, long long *out)
 {
     PyObject *fast = PySequence_Fast(obj, not_a_sequence);
     if (fast == NULL)
         return -1;
     Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
-    if (need < 0 && len > MAX_NODES) {
+    if (len > MAX_NODES) {
         too_large(len);
         len = -1;
     }
-    else if (len < need) {
-        PyErr_Format(PyExc_IndexError, "%s is shorter than order", name);
-        len = -1;
-    }
-    else {
-        PyObject **items = PySequence_Fast_ITEMS(fast);
-        for (Py_ssize_t i = 0; i < (need < 0 ? len : need); i++) {
-            out[i] = PyLong_AsLongLong(items[i]);
-            if (out[i] == -1 && PyErr_Occurred()) {
-                len = -1;
-                break;
-            }
+    PyObject **items = PySequence_Fast_ITEMS(fast);
+    for (Py_ssize_t i = 0; i < len; i++) {
+        out[i] = PyLong_AsLongLong(items[i]);
+        if (out[i] == -1 && PyErr_Occurred()) {
+            len = -1;
+            break;
         }
     }
     Py_DECREF(fast);
@@ -255,7 +252,7 @@ read_int_seq(PyObject *obj, const char *name, const char *not_a_sequence,
 static int
 read_parents(PyObject *obj, const char *entry, int min_nodes, long long *parents)
 {
-    Py_ssize_t n = READ_INT_SEQ(obj, "parents", -1, parents);
+    Py_ssize_t n = READ_INT_SEQ(obj, "parents", parents);
     if (n < 0)
         return -1;
     if (n < min_nodes) {
@@ -272,15 +269,16 @@ read_parents(PyObject *obj, const char *entry, int min_nodes, long long *parents
     return (int)n;
 }
 
-/* The labels of nodes 0..n-1 reduced mod n-1, as a tuple. */
+/* The labels of nodes 0..n-1 as a tuple, reduced mod n-1 when reduce is
+ * set. */
 static PyObject *
-labels_tuple(const int *lab, int n)
+labels_tuple(const int *lab, int n, int reduce)
 {
     PyObject *labels = PyTuple_New(n);
     if (labels == NULL)
         return NULL;
     for (int v = 0; v < n; v++) {
-        PyObject *x = PyLong_FromLong(lab[v] % (n - 1));
+        PyObject *x = PyLong_FromLong(reduce ? lab[v] % (n - 1) : lab[v]);
         if (x == NULL) {
             Py_DECREF(labels);
             return NULL;
@@ -385,7 +383,7 @@ hall_holds(uint64_t *doms, const int *plm, int k, int m)
 }
 
 /* ------------------------------------------------------------------ */
-/* label_dfs                                                           */
+/* The labelling DFS                                                   */
 /* ------------------------------------------------------------------ */
 
 struct dfs {
@@ -526,86 +524,6 @@ dfs_run(struct dfs *s, long long budget, struct mt *g)
     }
     s->backtracks = spent;
     return found;
-}
-
-PyDoc_STRVAR(label_dfs_doc,
-"label_dfs(order, parents, labels, n_values, budget, seed, weights)\n"
-"--\n\n"
-"The search of treeharmony.backtracking.label_dfs; labels (a list) is\n"
-"written in place, drawing what random.Random(seed) would.  Returns\n"
-"(success, backtracks).");
-
-static PyObject *
-k_label_dfs(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_arity("label_dfs", nargs, 7) < 0)
-        return NULL;
-    PyObject *labels = args[2];
-    if (!PyList_Check(labels)) {
-        PyErr_SetString(PyExc_TypeError, "labels must be a list");
-        return NULL;
-    }
-    Py_ssize_t n = PyList_GET_SIZE(labels);
-    long n_values = PyLong_AsLong(args[3]);
-    if (n_values == -1 && PyErr_Occurred())
-        return NULL;
-    long long budget;
-    uint64_t seed;
-    if (read_limit(args[4], &budget) < 0 || read_seed(args[5], &seed) < 0)
-        return NULL;
-
-    struct dfs s;
-    long long ord[MAX_NODES], par[MAX_NODES], wts[MAX_NODES];
-    Py_ssize_t size = READ_INT_SEQ(args[0], "order", -1, ord);
-    if (size < 0)
-        return NULL;
-    if (size == 0)
-        return Py_BuildValue("(Oi)", Py_True, 0);
-    if (n > MAX_NODES)
-        return too_large(n);
-    if (n_values > MAX_NODES)
-        return too_large(n_values);
-    if (n < 2 || n_values < 0) {
-        PyErr_SetString(PyExc_ValueError,
-                        "label_dfs needs at least two labels and n_values >= 0");
-        return NULL;
-    }
-    if (READ_INT_SEQ(args[1], "parents", size, par) < 0)
-        return NULL;
-    int weighted = args[6] != Py_None;
-    if (weighted && READ_INT_SEQ(args[6], "weights", size, wts) < 0)
-        return NULL;
-    for (Py_ssize_t v = 0; v < n; v++) {
-        long x = PyLong_AsLong(PyList_GET_ITEM(labels, v));
-        if (x == -1 && PyErr_Occurred())
-            return NULL;
-        if (x < INT_MIN / 2 || x > INT_MAX / 2) {
-            PyErr_SetString(PyExc_OverflowError, "label out of range");
-            return NULL;
-        }
-        s.lab[v] = (int)x;
-    }
-    for (Py_ssize_t k = 0; k < size; k++) {
-        if (ord[k] < 0 || ord[k] >= n || par[k] >= n) {
-            PyErr_SetString(PyExc_IndexError, "node index out of range");
-            return NULL;
-        }
-        s.ord[k] = (int)ord[k];
-        s.par[k] = par[k] < 0 ? -1 : (int)par[k];
-        if (weighted)
-            s.wmod[k] = floor_mod(wts[k], (int)n - 1);
-    }
-    dfs_setup(&s, (int)n, (int)n_values, (int)size, weighted);
-    struct mt g;
-    mt_seed(&g, seed);
-
-    int found = dfs_run(&s, budget, &g);
-    for (Py_ssize_t j = 0; j < size; j++) {
-        PyObject *x = PyLong_FromLong(s.lab[s.ord[j]]);
-        if (x == NULL || PyList_SetItem(labels, s.ord[j], x) < 0)   /* steals x */
-            return NULL;
-    }
-    return Py_BuildValue("(OL)", found ? Py_True : Py_False, s.backtracks);
 }
 
 /* ------------------------------------------------------------------ */
@@ -835,7 +753,7 @@ k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
     c.m = m;
     PyObject **leaves = PySequence_Fast_ITEMS(leaves_f);
     long long pl[MAX_NODES];
-    Py_ssize_t pl_size = READ_INT_SEQ(args[1], "parent_labels", -1, pl);
+    Py_ssize_t pl_size = READ_INT_SEQ(args[1], "parent_labels", pl);
     if (pl_size < 0)
         goto done;
     doms_f = PySequence_Fast(args[2], "domain_masks must be a sequence");
@@ -876,8 +794,86 @@ done:
 }
 
 /* ------------------------------------------------------------------ */
-/* solve_twostage                                                      */
+/* stage1 and solve_twostage                                           */
 /* ------------------------------------------------------------------ */
+
+/* The two stages' shape of the tree of n >= 3 nodes with these preorder
+ * parents, as tests/search_reference.py takes it from the tree.  Into s,
+ * set up for stage 1 with every label -1: the internal nodes ascending,
+ * each with its parent when that is internal (a parent precedes its
+ * children, so it is the node's only earlier internal neighbour) and its
+ * weight deg - 1, which is below m.  Then the leaves ascending: each
+ * one's node and one neighbour (node 1 for a root that is a leaf), and
+ * the other leaf positions next to that neighbour.  Returns the leaf
+ * count. */
+static int
+take_shape(const long long *parents, int n, struct dfs *s, int *leaf, int *leaf_nb,
+           uint64_t *sibs)
+{
+    int deg[MAX_NODES] = {0};
+    uint64_t leaves_at[MAX_NODES] = {0};   /* the leaf positions next to each node */
+    int size = 0, k = 0;
+    for (int v = 1; v < n; v++) {
+        deg[v]++;
+        deg[parents[v]]++;
+    }
+    for (int v = 0; v < n; v++) {
+        s->lab[v] = -1;
+        if (deg[v] > 1) {
+            int p = (int)parents[v];
+            s->ord[size] = v;
+            s->par[size] = p >= 0 && deg[p] > 1 ? p : -1;
+            s->wmod[size] = deg[v] - 1;
+            size++;
+        }
+        else {
+            leaf[k] = v;
+            leaf_nb[k] = v == 0 ? 1 : (int)parents[v];
+            leaves_at[leaf_nb[k]] |= UINT64_C(1) << k;
+            k++;
+        }
+    }
+    for (int j = 0; j < k; j++)
+        sibs[j] = leaves_at[leaf_nb[j]] & ~(UINT64_C(1) << j);
+    dfs_setup(s, n, n, size, 1);
+    return k;
+}
+
+PyDoc_STRVAR(stage1_doc,
+"stage1(parents, budget, seed)\n"
+"--\n\n"
+"One stage-1 search of treeharmony.twostage.stage1_internal on the tree of\n"
+"3 to 64 nodes with these preorder parents, drawing what random.Random(seed)\n"
+"would draw for an int seed, 0 <= seed < 2**64.  Returns (labels or None,\n"
+"backtracks); the labels of nodes 0..n-1 are in 0..n-1, not reduced, and\n"
+"-1 on each leaf.");
+
+static PyObject *
+k_stage1(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_arity("stage1", nargs, 3) < 0)
+        return NULL;
+    uint64_t seed;
+    long long budget;
+    if (read_seed(args[2], &seed) < 0 || read_limit(args[1], &budget) < 0)
+        return NULL;
+    long long parents[MAX_NODES];
+    int n = read_parents(args[0], "stage1", 3, parents);
+    if (n < 0)
+        return NULL;
+
+    struct dfs s;
+    int leaf[MAX_NODES], leaf_nb[MAX_NODES];
+    uint64_t sibs[MAX_NODES];
+    take_shape(parents, n, &s, leaf, leaf_nb, sibs);
+    struct mt g;
+    mt_seed(&g, seed);
+    int found = dfs_run(&s, budget, &g);
+    PyObject *labels = found ? labels_tuple(s.lab, n, 0) : Py_NewRef(Py_None);
+    if (labels == NULL)
+        return NULL;
+    return Py_BuildValue("(NL)", labels, s.backtracks);
+}
 
 PyDoc_STRVAR(solve_twostage_doc,
 "solve_twostage(parents, runs, stage1_budget, stage2_budget, seed)\n"
@@ -903,44 +899,11 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
     if (n < 0)
         return NULL;
 
-    /* The shape, as twostage._shape takes it from the tree: the internal
-     * nodes ascending, each with its parent when that is internal (a
-     * parent precedes its children, so it is the node's only earlier
-     * internal neighbour) and its weight deg - 1, which is below m; then
-     * the leaves ascending, each with its one neighbour.  A root that is
-     * a leaf has node 1 as its neighbour. */
     struct dfs s;
     struct leaf_csp c;
     int m = n - 1;
-    int deg[MAX_NODES] = {0};
-    int leaf[MAX_NODES];           /* the node of each leaf position */
-    int leaf_nb[MAX_NODES];        /* its one neighbour */
-    uint64_t leaves_at[MAX_NODES] = {0};   /* the leaf positions next to each node */
-    int size = 0, k = 0;
-    for (int v = 1; v < n; v++) {
-        deg[v]++;
-        deg[parents[v]]++;
-    }
-    for (int v = 0; v < n; v++) {
-        s.lab[v] = -1;
-        if (deg[v] > 1) {
-            int p = (int)parents[v];
-            s.ord[size] = v;
-            s.par[size] = p >= 0 && deg[p] > 1 ? p : -1;
-            s.wmod[size] = deg[v] - 1;
-            size++;
-        }
-        else {
-            leaf[k] = v;
-            leaf_nb[k] = v == 0 ? 1 : (int)parents[v];
-            leaves_at[leaf_nb[k]] |= UINT64_C(1) << k;
-            k++;
-        }
-    }
-    for (int j = 0; j < k; j++)
-        c.sibs[j] = leaves_at[leaf_nb[j]] & ~(UINT64_C(1) << j);
-    dfs_setup(&s, n, n, size, 1);
-    c.k = k;
+    int leaf[MAX_NODES], leaf_nb[MAX_NODES];
+    int k = c.k = take_shape(parents, n, &s, leaf, leaf_nb, c.sibs);
     c.m = m;
     struct mt g;
     mt_seed(&g, seed);
@@ -981,7 +944,7 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
         for (int d = 0; d < k; d++)
             s.lab[leaf[c.chosen[d]]] = c.values[d];
     /* reducing the permutation mod n-1 merges 0 and n-1 on 0 */
-    PyObject *labels = found ? labels_tuple(s.lab, n) : Py_NewRef(Py_None);
+    PyObject *labels = found ? labels_tuple(s.lab, n, 1) : Py_NewRef(Py_None);
     if (labels == NULL)
         return NULL;
     return Py_BuildValue("(NLLL)", labels, run, stage1_failures, stage2_failures);
@@ -1035,14 +998,14 @@ k_solve_backtracking(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssiz
         backtracks += s.backtracks;
     }
 
-    PyObject *labels = found ? labels_tuple(s.lab, n) : Py_NewRef(Py_None);
+    PyObject *labels = found ? labels_tuple(s.lab, n, 1) : Py_NewRef(Py_None);
     if (labels == NULL)
         return NULL;
     return Py_BuildValue("(NLL)", labels, backtracks, restart);
 }
 
 static PyMethodDef kernel_methods[] = {
-    {"label_dfs", (PyCFunction)(void (*)(void))k_label_dfs, METH_FASTCALL, label_dfs_doc},
+    {"stage1", (PyCFunction)(void (*)(void))k_stage1, METH_FASTCALL, stage1_doc},
     {"solve_leaf_csp", (PyCFunction)(void (*)(void))k_solve_leaf_csp, METH_FASTCALL,
      solve_leaf_csp_doc},
     {"solve_twostage", (PyCFunction)(void (*)(void))k_solve_twostage, METH_FASTCALL,
@@ -1055,8 +1018,8 @@ static PyMethodDef kernel_methods[] = {
 static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "treeharmony._kernel",
-    .m_doc = "Compiled two-stage and backtracking solvers, labelling DFS and leaf "
-             "search of treeharmony.",
+    .m_doc = "Compiled two-stage and backtracking solvers of treeharmony, and "
+             "their stage-1 and leaf searches.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

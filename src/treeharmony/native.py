@@ -5,10 +5,10 @@ make one call per tree: ``solve_twostage`` runs a whole
 :func:`treeharmony.twostage.solve_twostage` call, every round of stage
 1, the leaf-CSP build and stage 2, and ``solve_backtracking`` a whole
 :func:`treeharmony.backtracking.solve_backtracking` call, every restart.
-``label_dfs`` is the labelling DFS of
-:func:`treeharmony.backtracking.label_dfs` and ``solve_leaf_csp`` the
-leaf search of :func:`treeharmony.twostage.solve_leaf_csp`, library and
-test entry points.  Every entry takes an int seed and draws only from a
+``stage1`` (one stage-1 search on a tree) and ``solve_leaf_csp`` (the
+leaf search) serve :func:`treeharmony.twostage.stage1_internal` and
+:func:`treeharmony.twostage.solve_leaf_csp`, library and test entry
+points.  Every entry takes an int seed and draws only from a
 Mersenne Twister of its own, seeded as ``random.Random(seed)`` seeds
 one; no draw calls back into Python.  The extension is built with gcc
 on first use and kept in a cache outside the source tree:

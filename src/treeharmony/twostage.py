@@ -3,14 +3,14 @@
 The full constraint model - values a permutation of {0..n-1}, edge sums
 mod (n-1) all different - resists forward checking because every node's
 valid values depend on its parent.  Splitting the tree at its leaves
-fixes that.  Stage 1 runs the bounded randomized labelling DFS that the
-backtracking solver also runs (:func:`treeharmony.backtracking.label_dfs`)
-over the internal nodes: injective values, distinct sums on
-internal-internal edges.  The residual problem over the leaves is then a
-clean CSP: each leaf needs a value outside the used ones whose edge sum
-avoids the used sums, leaf values must be pairwise distinct, and leaf
-edge sums must be pairwise distinct too (the model's sum constraint
-covers leaf edges just as it covers internal ones).
+fixes that.  Stage 1 runs a bounded randomized labelling DFS, the search
+the backtracking solver also runs, over the internal nodes: injective
+values, distinct sums on internal-internal edges.  The residual problem
+over the leaves is then a clean CSP: each leaf needs a value outside the
+used ones whose edge sum avoids the used sums, leaf values must be
+pairwise distinct, and leaf edge sums must be pairwise distinct too (the
+model's sum constraint covers leaf edges just as it covers internal
+ones).
 
 Most stage-1 partials admit no extension, so stage 2 refutes as it
 searches.  The leaf search holds each domain as an int bitmask, shrinks
@@ -55,15 +55,15 @@ search takes an int seed and draws what ``random.Random(seed)`` would
 draw, from the kernel's own Mersenne Twister.  :func:`solve_twostage`
 is one kernel call per tree: the kernel's ``solve_twostage`` takes the
 tree's shape from its parents once and runs every round of stage 1, the
-leaf-CSP build and stage 2 in C on one generator.  :func:`stage1_internal`,
-:func:`build_leaf_csp` and :func:`solve_leaf_csp` run one step each, the
-searches on a generator of their own seed.  They are library and test
-entry points, and the solvers do not call them.
+leaf-CSP build and stage 2 in C on one generator.  :func:`stage1_internal`
+(one kernel call on the tree, which takes the same shape),
+:func:`build_leaf_csp` and :func:`solve_leaf_csp` run one step each,
+the searches on a generator of their own seed.  They are library and
+test entry points, and the solvers do not call them.
 """
 
 from typing import NamedTuple
 
-from .backtracking import _open_values, label_dfs
 from .config import SolveOutcome, SolverConfig
 from .native import kernel
 from .trees import Tree
@@ -83,45 +83,66 @@ class LeafCSP(NamedTuple):
     domain_masks: tuple[int, ...]
 
 
+def _open_values(open_sums: int, pl: int, m: int) -> int:
+    """The values w in 0..m whose edge sum with parent label pl is a bit
+    of *open_sums*.  Value w < m has sum (w + pl) % m and value m has
+    sum pl % m, so this is *open_sums* rotated right by pl % m within m
+    bits, plus bit m when bit pl % m is open."""
+    r = pl % m
+    allowed = ((open_sums >> r) | (open_sums << (m - r))) & ((1 << m) - 1)
+    if open_sums >> r & 1:
+        allowed |= 1 << m
+    return allowed
+
+
 def _shape(tree: Tree):
-    """What the two stages need of *tree*: the internal nodes ascending,
-    each one's parent (-1 for the root or a parent that is a leaf) and
-    weight deg - 1, then the leaves ascending and each one's neighbour.
-    The kernel's ``solve_twostage`` takes the same shape from the
-    parents."""
+    """What :func:`build_leaf_csp` reads of *tree*: the internal nodes
+    ascending and each one's parent (-1 for the root or a parent that is
+    a leaf), then the leaves ascending and each one's neighbour."""
     adjacency = tree.adjacency
     order = tuple(v for v in range(tree.n) if len(adjacency[v]) > 1)
     # A parent precedes its children in level-sequence order, so each
     # internal node's only earlier internal neighbour is its parent.
     parents = tuple(p if p >= 0 and len(adjacency[p]) > 1 else -1
                     for p in map(tree.parents.__getitem__, order))
-    weights = tuple(len(adjacency[v]) - 1 for v in order)
     leaves = tuple(v for v in range(tree.n) if len(adjacency[v]) <= 1)
-    leaf_parents = tuple(adjacency[leaf][0] for leaf in leaves if adjacency[leaf])
-    return order, parents, weights, leaves, leaf_parents
+    leaf_parents = tuple(adjacency[leaf][0] for leaf in leaves)
+    return order, parents, leaves, leaf_parents
 
 
 def stage1_internal(tree: Tree, cfg: SolverConfig, seed: int) -> dict[int, int] | None:
-    """Randomized bounded backtracking over the internal nodes: injective
-    values from {0..n-1} with pairwise-distinct internal-internal edge
-    sums mod m = n-1, and sum((deg(v) - 1) * f(v)) = 0 (mod m) over the
-    internal nodes v, which every harmonious labelling meets (see the
-    module docstring).  Draws what ``random.Random(seed)`` would.  None
-    once the backtrack budget runs out."""
-    order, parents, weights, _, _ = _shape(tree)
-    labels = [-1] * tree.n
-    ok, _ = label_dfs(order, parents, labels, tree.n, cfg.stage1_budget, seed,
-                      weights=weights)
-    return dict(zip(order, map(labels.__getitem__, order))) if ok else None
+    """Randomized bounded backtracking over the internal nodes, ascending
+    (each after its parent): injective values from {0..n-1} with
+    pairwise-distinct internal-internal edge sums mod m = n-1, and
+    sum((deg(v) - 1) * f(v)) = 0 (mod m) over the internal nodes v, which
+    every harmonious labelling meets (see the module docstring).  Draws
+    what ``random.Random(seed)`` would.  Returns the internal nodes'
+    labels in ascending node order, or None once cfg.stage1_budget
+    backtracks are spent or every candidate is exhausted.  A tree of one
+    or two nodes has no internal node and gets {}; a larger one is one
+    kernel call, which raises ValueError for more than 64 nodes."""
+    if tree.n <= 2:
+        return {}
+    labels, _ = kernel().stage1(tree.parents, cfg.stage1_budget, seed)
+    if labels is None:
+        return None
+    return {v: f for v, f in enumerate(labels) if f >= 0}
 
 
 def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
     """Reduce the remaining problem to a CSP over the leaves, given
     *partial*, stage 1's labels of the internal nodes.  An empty initial
     domain is not an error here; it shows up as an immediate stage-2
-    failure and triggers a stage-1 retry."""
-    order, parents, _, leaves, leaf_parents = _shape(tree)
+    failure and triggers a stage-1 retry.  A tree of fewer than three
+    nodes, or a partial whose keys are not exactly the internal nodes,
+    raises ValueError."""
     n = tree.n
+    if n < 3:
+        raise ValueError(f"a leaf CSP needs a tree of at least 3 nodes, not {n}")
+    order, parents, leaves, leaf_parents = _shape(tree)
+    if partial.keys() != set(order):
+        raise ValueError("the partial must label exactly the internal nodes "
+                         f"{list(order)}, not {sorted(partial)}")
     m = n - 1
     used_values = used_sums = 0
     for value in partial.values():

@@ -1,29 +1,30 @@
-"""The Python labelling DFS, leaf search, two-stage loop and
-backtracking loop, kept as test-side references.
+"""The Python labelling DFS, stage-1 shape, leaf search, two-stage loop
+and backtracking loop, kept as test-side references.
 
 These are the searches that ``treeharmony._kernel`` (``_kernel.c``) runs
-in C, as they stood in pure Python before the port: ``label_dfs`` of
-:mod:`treeharmony.backtracking` and ``solve_leaf_csp`` of
-:mod:`treeharmony.twostage`, with their helpers, the retry loop of
-``twostage.solve_twostage`` and the restart loop of
-``backtracking.solve_backtracking``.  The two loops are composed from
-the searches here and the package's pure-Python ``twostage._shape`` and
-``twostage.build_leaf_csp``, so no reference calls the kernel.  Each
-draws through a caller's ``random.Random``; the kernel, which takes a
-seed, must make the draws these make on ``random.Random(seed)``.  The
-equivalence tests hold the kernel to them: the same result, the same
-backtracks, the same labels and the same stats.  Tests that need to see
-inside the search (a patched ``_pick``, a labels list that logs its
-assignments) run these.
+in C, as they stood in pure Python before the port: the labelling DFS
+(:func:`label_dfs`) on the stage-1 shape of a tree (:func:`stage1_shape`,
+with the weights of the congruence) as the kernel's ``stage1`` runs it,
+``solve_leaf_csp`` of :mod:`treeharmony.twostage` with its helpers, the
+retry loop of ``twostage.solve_twostage`` and the restart loop of
+``backtracking.solve_backtracking``.  The loops are composed from the
+searches here and the package's pure-Python ``twostage.build_leaf_csp``,
+so no reference calls the kernel.  Each draws through a caller's
+``random.Random``; the kernel, which takes a seed, must make the draws
+these make on ``random.Random(seed)``.  The equivalence tests hold the
+kernel to them: the same result, the same backtracks, the same labels
+and the same stats.  Tests that need to see inside the search (a patched
+``_pick``, a labels list that logs its assignments) run these, and so
+do the tests of what the kernel's entries no longer take: random
+weights, other value counts and preset labels.
 """
 
 import random
 
 from treeharmony import twostage
-from treeharmony.backtracking import _open_values
 from treeharmony.config import SolveOutcome, SolverConfig
 from treeharmony.trees import Tree
-from treeharmony.twostage import LeafCSP
+from treeharmony.twostage import LeafCSP, _open_values
 
 
 class CountingRandom(random.Random):
@@ -57,8 +58,29 @@ def _pick(mask: int, getrandbits) -> int:
 
 def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
               weights=None) -> tuple[bool, int]:
-    """The search that :func:`treeharmony.backtracking.label_dfs`
-    documents, in Python."""
+    """Label ``order[k]`` for k = 0, 1, ... with values from
+    ``range(n_values)`` that no node of *order* holds yet.  When
+    ``parents[k] >= 0`` it names an already-labelled node, and the edge
+    sum with it mod ``m = len(labels) - 1`` must be new as well.  With
+    *weights*, the labelling must also satisfy
+    ``sum(weights[k] * labels[order[k]]) % m == 0``; the running sum is
+    kept on every assign and unassign.  The rule strikes the candidates
+    of the last position, and looks one position ahead: the second-last
+    position keeps only the values x for which some candidate y of the
+    last position (an unused value, with an open edge sum when the last
+    node's parent is labelled and is not the second-last node) closes
+    the sum, ``weights[-2] * x + weights[-1] * y + rest = 0 (mod m)``.
+
+    Labels are written into *labels* (a list) in place; labels of nodes
+    outside *order* are read but never reserved.  Each depth keeps its
+    untried candidates as a bitmask and draws one from *rng* with
+    :func:`_pick` whenever it tries the next.  Returns (success,
+    backtracks); the search fails once *budget* backtracks are spent or
+    every candidate is exhausted, leaving the labels of *order*
+    unspecified.  The kernel runs this search on the stage-1 shape
+    (``stage1``, ``solve_twostage``) and on nodes 1..n-1 under a drawn
+    root label with n - 1 values (``solve_backtracking``).
+    """
     size = len(order)
     if size == 0:
         return True, 0
@@ -148,6 +170,27 @@ def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
         untried[k] = candidates(k)
 
 
+def stage1_shape(tree: Tree):
+    """The shape stage 1 labels, as the kernel takes it from the parents:
+    the internal nodes ascending, each one's parent when that is internal
+    (else -1) and its weight deg - 1 in the congruence."""
+    adjacency = tree.adjacency
+    order = [v for v in range(tree.n) if len(adjacency[v]) > 1]
+    parents = [p if p >= 0 and len(adjacency[p]) > 1 else -1
+               for p in map(tree.parents.__getitem__, order)]
+    return order, parents, [len(adjacency[v]) - 1 for v in order]
+
+
+def stage1(tree: Tree, budget: int, rng) -> tuple[tuple[int, ...] | None, int]:
+    """What the kernel's ``stage1`` returns for the tree of 3 or more
+    nodes: :func:`label_dfs` on :func:`stage1_shape` with n values, as
+    (the labels of nodes 0..n-1, -1 on each leaf, or None, backtracks)."""
+    order, parents, weights = stage1_shape(tree)
+    labels = [-1] * tree.n
+    ok, backtracks = label_dfs(order, parents, labels, tree.n, budget, rng, weights)
+    return (tuple(labels) if ok else None), backtracks
+
+
 def _matchable(masks) -> bool:
     """True when every mask can keep a bit of its own that no other mask
     keeps (a system of distinct representatives): a greedy pass that
@@ -196,7 +239,7 @@ def _hall_holds(doms, parent_labels, m: int) -> bool:
     matched to distinct values of their domains, and also to distinct
     edge sums: Hall's condition for both all-different constraints.  The
     sums of a domain are its values rotated left by the parent label,
-    the inverse of :func:`treeharmony.backtracking._open_values`."""
+    the inverse of :func:`treeharmony.twostage._open_values`."""
     if not _matchable([d for d in doms if d]):
         return False
     low = (1 << m) - 1
@@ -317,30 +360,26 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     """The loop that :func:`treeharmony.twostage.solve_twostage` runs in
-    the kernel, in Python: one round is stage 1 (:func:`label_dfs` over
-    the internal nodes with their weights, as
-    :func:`twostage.stage1_internal` runs it), then
+    the kernel, in Python: one round is stage 1 (:func:`stage1`), then
     :func:`twostage.build_leaf_csp` and :func:`solve_leaf_csp`."""
     n = tree.n
     stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
-    order, parents, weights, _, _ = twostage._shape(tree)
     for run in range(cfg.twostage_runs):
         stats["runs"] = run + 1
         if n <= 2:
             labels = (0,) if n == 1 else (0, 0)
             return SolveOutcome(True, labels, "twostage", stats)
-        labels = [-1] * n
-        ok, _ = label_dfs(order, parents, labels, n, cfg.stage1_budget, rng,
-                          weights=weights)
-        if not ok:
+        labels, _ = stage1(tree, cfg.stage1_budget, rng)
+        if labels is None:
             stats["stage1_failures"] += 1
             continue
-        partial = {v: labels[v] for v in order}
+        partial = {v: f for v, f in enumerate(labels) if f >= 0}
         csp = twostage.build_leaf_csp(tree, partial)
         assignment = solve_leaf_csp(csp, rng, cfg.stage2_budget)
         if assignment is None:
             stats["stage2_failures"] += 1
             continue
+        labels = list(labels)
         for v, value in assignment.items():
             labels[v] = value
         # Reducing the permutation mod n-1 merges 0 and n-1 on 0, which is

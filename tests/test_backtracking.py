@@ -7,7 +7,7 @@ import pytest
 
 import search_reference
 from search_reference import _pick
-from treeharmony.backtracking import label_dfs, solve_backtracking
+from treeharmony.backtracking import solve_backtracking
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import is_harmonious, normalize_labelling
@@ -93,18 +93,28 @@ def test_label_dfs_star_third_leaf_forced(ascending):
 
 def test_label_dfs_unbounded_succeeds_iff_root_dup_witness_exists():
     # an unbounded search is exhaustive: it must find a labelling exactly
-    # when one with the duplicate on the root (label 0) exists, which
-    # needs every released edge sum to be free again after a backtrack
+    # when one with the duplicate on the root exists, which needs every
+    # released edge sum to be free again after a backtrack.  The
+    # reference search runs under root label 0; the kernel's solver, in
+    # one restart with no limit, runs under the root label it draws,
+    # which a shift of every label carries to 0
     rng = random.Random(5)
+    one_run = SolverConfig(backtrack_limit=UNBOUNDED, backtrack_restarts=1)
     for n in range(2, 9):
         for seq in free_trees(n):
             tree = Tree.from_level_sequence(seq)
+            witness = _has_root_dup_witness(tree)
             labels = [0] + [-1] * (n - 1)
-            ok, _ = label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
-                              UNBOUNDED, rng.getrandbits(32))
-            assert ok == _has_root_dup_witness(tree), seq
+            ok, _ = search_reference.label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
+                                               UNBOUNDED, random.Random(rng.getrandbits(32)))
+            assert ok == witness, seq
             if ok:
                 assert labels[0] == 0 and is_harmonious(tree, labels)
+            out = solve_backtracking(tree, one_run, rng.getrandbits(64))
+            assert out.success == witness, seq
+            if out.success:
+                assert out.labels.count(out.labels[0]) == 2
+                assert is_harmonious(tree, out.labels)
 
 
 # ------------------------------------------------------------------ #

@@ -1,6 +1,6 @@
 """The compiled search kernel: the same draws as the Python reference,
-the 64-node limit, what each entry refuses, and how it is built and
-loaded."""
+the 64-node limit, what each entry refuses, no undefined behaviour, and
+how it is built and loaded."""
 
 import math
 import os
@@ -15,8 +15,9 @@ import pytest
 from random_trees import random_tree
 import search_reference
 from treeharmony import backtracking, native, twostage
-from treeharmony.backtracking import label_dfs, solve_backtracking
+from treeharmony.backtracking import solve_backtracking
 from treeharmony.config import SolverConfig
+from treeharmony.generate import free_trees
 from treeharmony.hybrid import benchmark_solvers, sweep
 from treeharmony.trees import Tree, internal_nodes
 from treeharmony.twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
@@ -29,72 +30,54 @@ UNBOUNDED = 2**63
 BUDGETS = (0, 1, 150, UNBOUNDED)
 
 
-def _stage1_shape(tree):
-    internal = internal_nodes(tree)
-    order = sorted(internal)
-    parents = [tree.parents[v] if tree.parents[v] in internal else -1 for v in order]
-    return order, parents, [len(tree.adjacency[v]) - 1 for v in order]
-
-
-def _both_dfs(order, parents, labels, n_values, budget, seed, weights=None):
-    """Runs the kernel on *seed* and the reference on random.Random(seed),
-    on copies of the same input; returns both (result, labels)."""
-    out = []
-    for search, draws in ((label_dfs, seed), (search_reference.label_dfs, random.Random(seed))):
-        own = list(labels)
-        result = search(order, parents, own, n_values, budget, draws, weights=weights)
-        out.append((result, own))
-    return out
-
-
 # ------------------------------------------------------------------ #
-# label_dfs against the reference                                     #
+# stage1 and solve_backtracking against the reference                 #
 # ------------------------------------------------------------------ #
 
-def test_label_dfs_matches_reference():
-    # stage-1 orders with the stage-1 weights, random weights and none,
-    # and backtracking orders (nodes 1..n-1 under a preset root), at
-    # budgets 0, 1, 150 and unbounded; unbounded runs stay on small
-    # trees, where a search that fails exhausts quickly
+def test_stage1_matches_reference():
+    # every tree on 3..10 nodes and 300 random trees on 3..64 nodes (the
+    # last 20 on 64, where the values fill the 64-bit mask), each at
+    # budgets 0, 1, 150 and unbounded.  The kernel's stage1 on its own
+    # generator and the reference's label_dfs on the stage-1 shape,
+    # drawing from random.Random(seed), give the same labels and
+    # backtracks; stage1_internal gives the reference's internal labels
+    # as a dict in ascending node order
     rng = random.Random(0x4B)
-    calls = 0
+    trees = [Tree.from_level_sequence(seq) for n in range(3, 11) for seq in free_trees(n)]
+    trees += [random_tree(64 if i >= 280 else rng.randrange(3, 65), rng) for i in range(300)]
+    stage1 = native.kernel().stage1
     seen = set()
-    for _ in range(300):
-        n = rng.randrange(3, 15)
-        tree = random_tree(n, rng)
-        order, parents, stage1 = _stage1_shape(tree)
-        random_weights = [rng.randrange(n - 1) for _ in order]
+    for tree in trees:
         for budget in BUDGETS:
-            if budget == UNBOUNDED and n > 9:
-                continue
-            cases = [(order, parents, [-1] * n, n, w)
-                     for w in (stage1, random_weights, None)]
-            root = [rng.randrange(n - 1)] + [-1] * (n - 1)
-            cases.append((range(1, n), tree.parents[1:], root, n - 1, None))
-            for order_, parents_, labels, n_values, weights in cases:
-                got, want = _both_dfs(order_, parents_, labels, n_values, budget,
-                                      rng.getrandbits(32), weights)
-                assert got == want, (tree.levels, budget, weights)
-                calls += 1
-                seen.add((want[0][0], want[0][1] > 0))
-    assert calls > 3000 and seen == {(True, False), (True, True),
-                                     (False, False), (False, True)}, (calls, seen)
+            seed = rng.getrandbits(64)
+            want = search_reference.stage1(tree, budget, random.Random(seed))
+            assert stage1(tree.parents, budget, seed) == want, (tree.levels, budget, seed)
+            got = stage1_internal(tree, replace(CFG, stage1_budget=budget), seed)
+            labels = want[0]
+            if labels is None:
+                assert got is None
+            else:
+                assert list(got.items()) == [(v, f) for v, f in enumerate(labels) if f >= 0]
+                assert all((f < 0) == (len(tree.adjacency[v]) == 1)
+                           for v, f in enumerate(labels))
+            seen.add((labels is not None, want[1] > 0))
+    assert len(trees) == 499
+    assert seen == {(True, False), (True, True), (False, False), (False, True)}, seen
 
 
-def test_label_dfs_matches_reference_at_64_nodes():
-    # the widest masks: 64 labels, 64 values in stage 1 (bit 63 set)
+def test_solve_backtracking_matches_the_reference_loop_at_64_nodes():
+    # the widest masks of the unweighted search: 63 values under a drawn
+    # root label, at limits 0, 1 and 20 over up to three restarts
     rng = random.Random(0x40)
     for _ in range(20):
         tree = random_tree(64, rng)
-        order, parents, weights = _stage1_shape(tree)
-        for budget in (0, 1, 20):
-            got, want = _both_dfs(order, parents, [-1] * 64, 64, budget,
-                                  rng.getrandbits(32), weights)
-            assert got == want, (tree.levels, budget)
-            root = [rng.randrange(63)] + [-1] * 63
-            got, want = _both_dfs(range(1, 64), tree.parents[1:], root, 63, budget,
-                                  rng.getrandbits(32))
-            assert got == want, (tree.levels, budget)
+        for limit in (0, 1, 20):
+            cfg = SolverConfig(backtrack_limit=limit, backtrack_restarts=3)
+            seed = rng.getrandbits(64)
+            got = solve_backtracking(tree, cfg, seed)
+            want = search_reference.solve_backtracking(tree, cfg, random.Random(seed))
+            assert (got.success, got.labels, got.stats) == \
+                (want.success, want.labels, want.stats), (tree.levels, limit, seed)
 
 
 # ------------------------------------------------------------------ #
@@ -170,8 +153,8 @@ def test_more_than_64_nodes_is_a_value_error():
     tree = random_tree(65, rng)
     with pytest.raises(ValueError, match="at most 64 nodes"):
         stage1_internal(tree, CFG, 0)
-    with pytest.raises(ValueError, match="at most 64 nodes"):
-        label_dfs(range(1, 65), tree.parents[1:], [0] + [-1] * 64, 64, 10, 0)
+    with pytest.raises(ValueError, match="at most 64 nodes, not 65"):
+        native.kernel().stage1(tree.parents, 10, 0)
     csp = LeafCSP(65, (1, 2), (0, 0), (6, 6))
     with pytest.raises(ValueError, match="at most 64 nodes"):
         solve_leaf_csp(csp, 0)
@@ -192,7 +175,7 @@ def test_solve_twostage_refuses_what_is_not_a_parent_array():
 def _entry_calls(seed):
     """A valid call of each kernel entry, with *seed* as its seed."""
     k = native.kernel()
-    return (lambda: k.label_dfs(*_dfs_args(seed=seed)),
+    return (lambda: k.stage1((-1, 0, 1), 10, seed),
             lambda: k.solve_leaf_csp(*_leaf_args(seed=seed)),
             lambda: k.solve_twostage((-1, 0, 1), 1, 10, 10, seed),
             lambda: k.solve_backtracking((-1, 0, 1), 1, 10, seed))
@@ -218,14 +201,6 @@ def test_each_entry_refuses_a_seed_it_cannot_replay():
 # What the entries refuse                                             #
 # ------------------------------------------------------------------ #
 
-def _dfs_args(**changed):
-    # a valid label_dfs call: the path on 4 nodes under a preset root
-    args = {"order": [1, 2, 3], "parents": [0, 1, 2], "labels": [1, -1, -1, -1],
-            "n_values": 3, "budget": 10, "seed": 0, "weights": None}
-    args.update(changed)
-    return tuple(args.values())
-
-
 def _leaf_args(**changed):
     # a valid solve_leaf_csp call: two sibling leaves under a root labelled 0
     args = {"leaves": (1, 2), "parent_labels": (0, 0), "domain_masks": (6, 6), "m": 3,
@@ -236,56 +211,35 @@ def _leaf_args(**changed):
 
 def test_each_entry_refuses_another_number_of_arguments():
     k = native.kernel()
-    for name, count in (("label_dfs", 7), ("solve_leaf_csp", 7), ("solve_twostage", 5),
+    for name, count in (("stage1", 3), ("solve_leaf_csp", 7), ("solve_twostage", 5),
                         ("solve_backtracking", 4)):
         for nargs in (0, count - 1, count + 1):
             with pytest.raises(TypeError, match=f"^{name} takes {count} arguments$"):
                 getattr(k, name)(*[0] * nargs)
 
 
-def test_label_dfs_refusals():
-    dfs = native.kernel().label_dfs
-    assert dfs(*_dfs_args())[0] is True
+def test_stage1_refusals():
+    stage1 = native.kernel().stage1
     refused = [
-        (TypeError, "labels must be a list", {"labels": (1, -1, -1, -1)}),
-        (TypeError, "integer", {"n_values": "3"}),
-        (TypeError, "integer", {"budget": "10"}),
-        (TypeError, "order must be a sequence", {"order": 5}),
-        (TypeError, "integer", {"order": [1, "2", 3]}),
-        (TypeError, "parents must be a sequence", {"parents": 5}),
-        (IndexError, "parents is shorter than order", {"parents": [0, 1]}),
-        (TypeError, "integer", {"parents": [0, 1, None]}),
-        (TypeError, "weights must be a sequence", {"weights": 5}),
-        (IndexError, "weights is shorter than order", {"weights": [1, 1]}),
-        (TypeError, "integer", {"weights": [1, 1, 1.0]}),
-        (ValueError, "at least two labels", {"labels": [1], "order": [0],
-                                             "parents": [-1]}),
-        (ValueError, "n_values >= 0", {"n_values": -1}),
-        (ValueError, "at most 64 nodes, not 65", {"labels": [1] + [-1] * 64}),
-        (ValueError, "at most 64 nodes, not 65", {"n_values": 65}),
-        (ValueError, "at most 64 nodes, not 65", {"order": list(range(65)),
-                                                  "parents": [-1] * 65}),
-        (IndexError, "node index out of range", {"order": [1, 2, 4]}),
-        (IndexError, "node index out of range", {"order": [1, -1, 3]}),
-        (IndexError, "node index out of range", {"parents": [0, 1, 4]}),
-        (TypeError, "integer", {"labels": [1, "x", -1, -1]}),
-        (OverflowError, "label out of range", {"labels": [2**40, -1, -1, -1]}),
-        (OverflowError, "label out of range", {"labels": [1, -2**40, -1, -1]}),
-        (OverflowError, "too large", {"labels": [2**70, -1, -1, -1]}),
+        (TypeError, "integer", ((-1, 0, 1), "10", 0)),
+        (TypeError, "integer", ((-1, 0, 1), None, 0)),
+        (TypeError, "parents must be a sequence", (5, 10, 0)),
+        (TypeError, "integer", ((-1, 0, "1"), 10, 0)),
+        (ValueError, "at most 64 nodes, not 65", ((-1,) + tuple(range(64)), 10, 0)),
     ]
-    for error, message, changed in refused:
-        labels = changed.get("labels")
-        before = list(labels) if isinstance(labels, list) else None
+    # the n <= 2 trees, which have no internal node, stay in Python
+    for parents in ((), (-1,), (-1, 0)):
+        refused.append((ValueError, "^stage1 needs at least 3 nodes$", (parents, 10, 0)))
+    for parents in ((0, 0, 1), (-1, 0, 2), (-1, 0, -1), (-1, 1, 0), (-1, 0, 3)):
+        refused.append((ValueError, "^parents must be -1 for node 0 and an earlier node",
+                        (parents, 10, 0)))
+    for error, message, args in refused:
         with pytest.raises(error, match=message):
-            dfs(*_dfs_args(**changed))
-        if before is not None:
-            assert labels == before, changed   # a refused call writes no label
-
-
-def test_label_dfs_with_an_empty_order_succeeds_at_once():
-    labels = [5, -1]
-    assert native.kernel().label_dfs([], [], labels, 0, 0, 0, None) == (True, 0)
-    assert labels == [5, -1]
+            stage1(*args)
+    # a 64-node path is the largest tree it takes: nodes 1..62 are
+    # internal and labelled, the two ends are leaves and are not
+    labels, _ = stage1((-1,) + tuple(range(63)), UNBOUNDED, 0)
+    assert labels[0] == labels[63] == -1 and min(labels[1:63]) >= 0
 
 
 def test_solve_leaf_csp_refusals():
@@ -333,9 +287,13 @@ def test_a_limit_is_an_int():
     # beyond long long stands for no limit
     for budget in (10.0, 1.5, math.inf):
         with pytest.raises(TypeError, match="integer"):
-            label_dfs([1, 2, 3], [0, 1, 2], [1, -1, -1, -1], 3, budget, 0)
+            native.kernel().stage1((-1, 0, 1), budget, 0)
         with pytest.raises(TypeError, match="integer"):
             solve_leaf_csp(LeafCSP(4, (1, 2), (0, 0), (6, 6)), 0, budget)
+    path = (-1, 0, 1, 2, 3, 4)
+    stage1 = native.kernel().stage1
+    assert stage1(path, 2**70, 5) == stage1(path, 2**62, 5)
+    assert stage1(path, -2**70, 5) == stage1(path, 0, 5)
     solve = native.kernel().solve_twostage
     for limits in ((3.0, 10, 10), (3, 10.0, 10), (3, 10, math.inf)):
         with pytest.raises(TypeError, match="integer"):
@@ -415,6 +373,82 @@ def test_solve_backtracking_refusals():
 def test_kernel_compiles_without_warnings(tmp_path):
     native.build(str(tmp_path / "kernel.so"), ("-Wall", "-Wextra", "-Werror"))
     assert (tmp_path / "kernel.so").stat().st_size > 0
+
+
+# Run in a subprocess on the kernel built at sys.argv[1]: every entry on
+# every tree with n <= 9 and on random trees on 3..64 nodes, at the
+# default config and at small limits, solve_leaf_csp with on_prune set,
+# and each entry's refusals.
+_EVERY_ENTRY = """
+import random, sys
+from importlib.machinery import ExtensionFileLoader
+from importlib.util import module_from_spec, spec_from_loader
+
+from random_trees import random_tree
+from treeharmony import native
+from treeharmony.backtracking import solve_backtracking
+from treeharmony.config import SolverConfig
+from treeharmony.generate import free_trees
+from treeharmony.trees import Tree
+from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp, solve_twostage,
+                                  stage1_internal)
+
+loader = ExtensionFileLoader("treeharmony._kernel", sys.argv[1])
+native._kernel = module_from_spec(spec_from_loader(loader.name, loader))
+loader.exec_module(native._kernel)
+k = native.kernel()
+rng = random.Random(0x0B)
+small = SolverConfig(twostage_runs=3, stage1_budget=20, stage2_budget=20,
+                     backtrack_limit=20, backtrack_restarts=3)
+trees = [(Tree.from_level_sequence(seq), (SolverConfig(), small))
+         for n in range(1, 10) for seq in free_trees(n)]
+trees += [(random_tree(64 if i % 10 == 0 else rng.randrange(3, 65), rng), (small,))
+          for i in range(300)]
+solves = leaf_searches = refusals = 0
+for tree, configs in trees:
+    for cfg in configs:
+        seed = rng.getrandbits(64)
+        solve_twostage(tree, cfg, seed)
+        solve_backtracking(tree, cfg, seed)
+        partial = stage1_internal(tree, cfg, seed)
+        if partial:
+            csp = build_leaf_csp(tree, partial)
+            solve_leaf_csp(csp, seed, cfg.stage2_budget, lambda *removal: None)
+            leaf_searches += 1
+        solves += 1
+big = (-1,) + tuple(range(64))
+refused = [(k.stage1, (big, 1, 0)), (k.stage1, ((-1, 0, 2), 1, 0)),
+           (k.stage1, ((-1, 0, 1), 1.5, 0)), (k.stage1, ((-1, 0, 1), 1, -1)),
+           (k.solve_twostage, (big, 1, 1, 1, 0)), (k.solve_backtracking, (big, 1, 1, 0)),
+           (k.solve_leaf_csp, (tuple(range(64)), (), (), 63, 1, 0, None)),
+           (k.solve_leaf_csp, ((1, 2), (0,) * 65, (6, 6), 3, 1, 0, None)),
+           (k.solve_leaf_csp, ((1, 2), (0, 0), (6, 1 << 63), 3, 1, 0, None))]
+for entry, args in refused:
+    try:
+        entry(*args)
+    except (TypeError, ValueError):
+        refusals += 1
+    else:
+        raise AssertionError(args)
+print(solves, leaf_searches, refusals)
+"""
+
+
+def test_the_kernel_runs_without_undefined_behaviour(tmp_path):
+    # gcc's undefined-behaviour sanitizer, made to abort on its first
+    # finding, checks the kernel's shifts, overflows and bounds while it
+    # runs every entry
+    path = tmp_path / "kernel.so"
+    native.build(str(path), ("-fsanitize=undefined", "-fno-sanitize-recover=all"))
+    env = _env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(__file__).resolve().parent)
+    proc = subprocess.run([sys.executable, "-c", _EVERY_ENTRY, str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0 and "runtime error" not in proc.stderr, proc.stderr
+    # each tree under each of its configs, a leaf search of most stage-1
+    # partials, and each refusal
+    solves, leaf_searches, refusals = map(int, proc.stdout.split())
+    assert (solves, refusals) == (2 * 95 + 300, 9) and leaf_searches > 300, proc.stdout
 
 
 def test_failed_build_names_the_command_and_its_output(tmp_path):

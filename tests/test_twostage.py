@@ -2,6 +2,7 @@
 forward checking, and the retry loop."""
 
 import random
+from dataclasses import replace
 from functools import reduce
 from itertools import combinations, permutations, product
 from operator import or_
@@ -10,7 +11,6 @@ import pytest
 
 from random_trees import random_tree
 import search_reference
-from treeharmony.backtracking import label_dfs
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.labelling import (is_harmonious, iter_harmonious_bijective,
@@ -47,6 +47,7 @@ def test_stage1_p4_distinct_pair():
 
 def test_stage1_no_internal_nodes():
     assert stage1_internal(N2, CFG, 0) == {}
+    assert stage1_internal(Tree.from_level_sequence((0,)), CFG, 0) == {}
 
 
 def test_stage1_respects_internal_sum_distinctness():
@@ -120,10 +121,29 @@ def _congruent_labelling_exists(order, parents, n_values, weights, m):
     return False
 
 
+def test_stage1_complete_on_every_small_tree():
+    # unbounded, the kernel's stage 1 succeeds exactly when a brute force
+    # finds an internal labelling that meets the congruence.  Every tree
+    # here is harmonious, and a harmonious labelling's internal labels
+    # are such a labelling, so the verdict is always success; the rows
+    # with a failing verdict run on the reference, in the test below
+    for n in range(3, 9):
+        for seq in free_trees(n):
+            tree = Tree.from_level_sequence(seq)
+            order, parents, weights = search_reference.stage1_shape(tree)
+            partial = stage1_internal(tree, replace(CFG, stage1_budget=UNBOUNDED), n)
+            want = _congruent_labelling_exists(order, parents, n, weights, n - 1)
+            assert (partial is not None) == want, seq
+            if partial is not None:
+                assert list(partial) == order
+                assert _congruence(tree, partial) == 0
+
+
 def test_label_dfs_with_weights_complete_on_every_small_tree():
-    # unbounded, the weighted search succeeds exactly when a brute force
-    # finds a labelling that meets the congruence; the stage-1 weights
-    # and two random weight vectors per tree, with all n values, one
+    # unbounded, the reference's weighted search succeeds exactly when a
+    # brute force finds a labelling that meets the congruence: the rows
+    # no kernel entry takes, two random weight vectors per tree with all
+    # n values, one spare value or none, and the stage-1 weights with one
     # spare value or none, so both verdicts occur
     rng = random.Random(0x3E)
     verdicts = set()
@@ -131,17 +151,16 @@ def test_label_dfs_with_weights_complete_on_every_small_tree():
         m = n - 1
         for seq in free_trees(n):
             tree = Tree.from_level_sequence(seq)
-            internal = internal_nodes(tree)
-            order = sorted(internal)
-            parents = [tree.parents[v] if tree.parents[v] in internal else -1
-                       for v in order]
-            stage1 = [len(tree.adjacency[v]) - 1 for v in order]
+            order, parents, stage1 = search_reference.stage1_shape(tree)
             for weights in (stage1, *([rng.randrange(m) for _ in order]
                                       for _ in range(2))):
                 for n_values in {n, len(order) + 1, len(order)}:
+                    if weights is stage1 and n_values == n:
+                        continue   # the kernel's row, in the test above
                     labels = [-1] * n
-                    ok, _ = label_dfs(order, parents, labels, n_values,
-                                      UNBOUNDED, rng.getrandbits(32), weights=weights)
+                    ok, _ = search_reference.label_dfs(
+                        order, parents, labels, n_values, UNBOUNDED,
+                        random.Random(rng.getrandbits(32)), weights=weights)
                     want = _congruent_labelling_exists(
                         order, parents, n_values, weights, m)
                     assert ok == want, (seq, weights, n_values)
@@ -284,6 +303,20 @@ def test_build_leaf_csp_empty_domain_is_failure_not_error():
     # stage-2 failure shows up as None from the solver, not an exception
     bad = build_leaf_csp(P4, {0: 0, 1: 1})
     assert solve_leaf_csp(bad, 0, budget=100) is None
+
+
+def test_build_leaf_csp_refuses_what_it_cannot_reduce():
+    # a tree of one or two nodes has no internal node, and a partial must
+    # label exactly the internal nodes: one that missed an internal node
+    # left a leaf without its neighbour's label, and one that labelled a
+    # leaf made it a CSP variable all the same
+    for tree in (Tree.from_level_sequence((0,)), N2):
+        with pytest.raises(ValueError, match="^a leaf CSP needs a tree of at least 3 nodes"):
+            build_leaf_csp(tree, {})
+    for tree, partial in ((P4, {0: 0}), (P4, {1: 0}), (P4, {}), (P4, {0: 0, 1: 1, 2: 2}),
+                          (STAR4, {0: 3, 1: 0}), (STAR4, {1: 0})):
+        with pytest.raises(ValueError, match="^the partial must label exactly the internal"):
+            build_leaf_csp(tree, partial)
 
 
 def test_leaf_csp_star_solves():

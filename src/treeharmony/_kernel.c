@@ -11,19 +11,22 @@
  * Hall check at the root and (once the search has backtracked) below it,
  * and sibling refutation.
  *
- * solve_twostage runs a whole twostage.solve_twostage call: it takes the
- * tree's shape from its parent array once (take_shape), then runs up to
- * `runs` rounds of stage 1, the leaf-CSP build of twostage.build_leaf_csp
- * and stage 2, and reduces the labels mod n-1.  stage1 takes the same
- * shape and runs one round of stage 1, for twostage.stage1_internal.
- * solve_backtracking runs a whole backtracking.solve_backtracking call:
- * up to `restarts` runs, each drawing a root label and then labelling
- * nodes 1..n-1.  solve_leaf_csp runs leaf_run on a CSP that
- * twostage.build_leaf_csp built.  The solvers call solve_twostage and
- * solve_backtracking; the stage functions of twostage call stage1 and
- * solve_leaf_csp as library and test entry points.  The Python references
- * in tests/search_reference.py document the searches step for step, and
- * the tests hold this file to them.
+ * The two stages read the tree in one place and the leaf CSP is built in
+ * one place: take_shape takes the tree's shape from its parent array
+ * (the internal nodes for stage 1, the leaves with their neighbours and
+ * sibling masks for stage 2), and leaf_domains gives each leaf the values
+ * that stage 1's labels leave it.  solve_twostage runs a whole
+ * twostage.solve_twostage call: up to `runs` rounds of stage 1, the leaf
+ * CSP and stage 2 on one shape, then the labels reduced mod n-1.  stage1
+ * runs one round of stage 1 (twostage.stage1_internal), and stage2 the
+ * leaf CSP and stage 2 on the tree and stage 1's labels
+ * (twostage.solve_leaf_csp).  solve_backtracking runs a whole
+ * backtracking.solve_backtracking call: up to `restarts` runs, each
+ * drawing a root label and then labelling nodes 1..n-1.  The solvers call
+ * solve_twostage and solve_backtracking; the stage functions of twostage
+ * call stage1 and stage2 as library and test entry points.  The Python
+ * references in tests/search_reference.py document the searches and the
+ * leaf-CSP build step for step, and the tests hold this file to them.
  *
  * Values, sums and leaf positions are bits of a uint64_t, so a tree has
  * at most 64 nodes.  Every entry takes an int seed, 0 <= seed < 2**64,
@@ -162,15 +165,6 @@ open_values(uint64_t open, int pl, int m)
     return allowed;
 }
 
-static PyObject *
-too_large(Py_ssize_t n)
-{
-    PyErr_Format(PyExc_ValueError,
-                 "the search kernel handles trees of at most %d nodes, not %zd",
-                 MAX_NODES, n);
-    return NULL;
-}
-
 /* The readers every entry shares: its arity, its limits and its int
  * sequences.  Each returns -1 with an exception set when it refuses. */
 
@@ -231,7 +225,9 @@ read_int_seq(PyObject *obj, const char *not_a_sequence, long long *out)
         return -1;
     Py_ssize_t len = PySequence_Fast_GET_SIZE(fast);
     if (len > MAX_NODES) {
-        too_large(len);
+        PyErr_Format(PyExc_ValueError,
+                     "the search kernel handles trees of at most %d nodes, not %zd",
+                     MAX_NODES, len);
         len = -1;
     }
     PyObject **items = PySequence_Fast_ITEMS(fast);
@@ -527,47 +523,51 @@ dfs_run(struct dfs *s, long long budget, struct mt *g)
 }
 
 /* ------------------------------------------------------------------ */
-/* solve_leaf_csp                                                      */
+/* The leaf search                                                     */
 /* ------------------------------------------------------------------ */
 
 struct leaf_csp {
-    int k;                         /* the leaves, 1..63 */
+    int k;                         /* the leaves, 2..63 */
     int m;
-    int plm[MAX_NODES];            /* parent label of each leaf, mod m */
-    uint64_t sibs[MAX_NODES];      /* the other leaves with the same parent */
+    int leaf[MAX_NODES];           /* the node of each leaf, ascending */
+    int nb[MAX_NODES];             /* the one neighbour of each leaf */
+    int plm[MAX_NODES];            /* the neighbour's label, mod m */
+    uint64_t sibs[MAX_NODES];      /* the other leaves with the same neighbour */
     uint64_t levels[MAX_NODES][MAX_NODES];   /* the domain list of each level;
                                                 levels[0]: the CSP's domains */
     int chosen[MAX_NODES];         /* the leaf of each level */
     int values[MAX_NODES];         /* values[d] is the value of chosen[d] */
 };
 
-/* {leaves[chosen[d]]: values[d] for d < depth}, in search order. */
+/* {leaf node of chosen[d]: values[d] for d < depth}, in search order. */
 static PyObject *
-assignment(PyObject *const *leaves, const int *chosen, const int *values, int depth)
+assignment(const struct leaf_csp *c, int depth)
 {
     PyObject *out = PyDict_New();
     if (out == NULL)
         return NULL;
     for (int d = 0; d < depth; d++) {
-        PyObject *x = PyLong_FromLong(values[d]);
-        if (x == NULL || PyDict_SetItem(out, leaves[chosen[d]], x) < 0) {
-            Py_XDECREF(x);
+        PyObject *leaf = PyLong_FromLong(c->leaf[c->chosen[d]]);
+        PyObject *x = PyLong_FromLong(c->values[d]);
+        int failed = leaf == NULL || x == NULL || PyDict_SetItem(out, leaf, x) < 0;
+        Py_XDECREF(leaf);
+        Py_XDECREF(x);
+        if (failed) {
             Py_DECREF(out);
             return NULL;
         }
-        Py_DECREF(x);
     }
     return out;
 }
 
 /* on_prune(leaf, value, dict(assigned)) */
 static int
-report_prune(PyObject *on_prune, PyObject *leaf, int value, PyObject *assigned)
+report_prune(PyObject *on_prune, int leaf, int value, PyObject *assigned)
 {
     PyObject *copy = PyDict_Copy(assigned);
     if (copy == NULL)
         return -1;
-    PyObject *res = PyObject_CallFunction(on_prune, "OiO", leaf, value, copy);
+    PyObject *res = PyObject_CallFunction(on_prune, "iiO", leaf, value, copy);
     Py_DECREF(copy);
     if (res == NULL)
         return -1;
@@ -579,13 +579,12 @@ report_prune(PyObject *on_prune, PyObject *leaf, int value, PyObject *assigned)
  * every leaf has a value (chosen[d] and values[d] for d < k), 0 when the
  * CSP is refuted or the budget is spent, -1 with an exception set when
  * on_prune raised.  on_prune, when not NULL, hears of each
- * forward-checking removal and names the leaves by *leaves*. */
+ * forward-checking removal, with each leaf named by its node. */
 static int
-leaf_run(struct leaf_csp *c, long long budget, struct mt *g,
-         PyObject *on_prune, PyObject *const *leaves)
+leaf_run(struct leaf_csp *c, long long budget, struct mt *g, PyObject *on_prune)
 {
     int k = c->k, m = c->m;
-    const int *plm = c->plm;
+    const int *plm = c->plm, *leaf = c->leaf;
     int *chosen = c->chosen, *values = c->values;
     uint64_t *doms = c->levels[0];
     PyObject *assigned = NULL;
@@ -633,7 +632,7 @@ leaf_run(struct leaf_csp *c, long long budget, struct mt *g,
             next[i] = 0;
             if (on_prune != NULL) {
                 Py_XDECREF(assigned);
-                assigned = assignment(leaves, chosen, values, depth);
+                assigned = assignment(c, depth);
                 if (assigned == NULL)
                     goto done;
             }
@@ -656,12 +655,12 @@ leaf_run(struct leaf_csp *c, long long budget, struct mt *g,
                 if (on_prune != NULL && kept != dom) {
                     uint64_t removed = dom ^ kept;
                     if (removed & vbit) {
-                        if (report_prune(on_prune, leaves[j], value, assigned) < 0)
+                        if (report_prune(on_prune, leaf[j], value, assigned) < 0)
                             goto done;
                         removed ^= vbit;
                     }
                     for (; removed; removed &= removed - 1)
-                        if (report_prune(on_prune, leaves[j], lowest_bit(removed),
+                        if (report_prune(on_prune, leaf[j], lowest_bit(removed),
                                          assigned) < 0)
                             goto done;
                 }
@@ -704,97 +703,8 @@ done:
     return found;
 }
 
-PyDoc_STRVAR(solve_leaf_csp_doc,
-"solve_leaf_csp(leaves, parent_labels, domain_masks, m, budget, seed, on_prune)\n"
-"--\n\n"
-"The search of treeharmony.twostage.solve_leaf_csp, drawing what\n"
-"random.Random(seed) would: a dict from leaf to value, or None.");
-
-static PyObject *
-k_solve_leaf_csp(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
-{
-    if (check_arity("solve_leaf_csp", nargs, 7) < 0)
-        return NULL;
-    PyObject *on_prune = args[6] == Py_None ? NULL : args[6];
-    long m_long = PyLong_AsLong(args[3]);
-    if (m_long == -1 && PyErr_Occurred())
-        return NULL;
-    if (m_long >= MAX_NODES)
-        return too_large(m_long + 1);
-    int m = (int)m_long;
-    long long budget;
-    uint64_t seed;
-    if (read_limit(args[4], &budget) < 0 || read_seed(args[5], &seed) < 0)
-        return NULL;
-
-    /* the leaves are the keys of the result, so their sequence is held
-     * until it is built; a domain mask may hold bit 63 */
-    PyObject *leaves_f = NULL, *doms_f = NULL;
-    PyObject *result = NULL;
-    struct leaf_csp c;
-
-    leaves_f = PySequence_Fast(args[0], "leaves must be a sequence");
-    if (leaves_f == NULL)
-        goto done;
-    Py_ssize_t k_size = PySequence_Fast_GET_SIZE(leaves_f);
-    if (k_size == 0) {
-        result = PyDict_New();
-        goto done;
-    }
-    if (k_size >= MAX_NODES) {
-        too_large(k_size + 1);
-        goto done;
-    }
-    if (m < 1) {
-        PyErr_SetString(PyExc_ValueError, "a leaf CSP with leaves needs m >= 1");
-        goto done;
-    }
-    int k = c.k = (int)k_size;
-    c.m = m;
-    PyObject **leaves = PySequence_Fast_ITEMS(leaves_f);
-    long long pl[MAX_NODES];
-    Py_ssize_t pl_size = READ_INT_SEQ(args[1], "parent_labels", pl);
-    if (pl_size < 0)
-        goto done;
-    doms_f = PySequence_Fast(args[2], "domain_masks must be a sequence");
-    if (doms_f == NULL)
-        goto done;
-    if (pl_size != k || PySequence_Fast_GET_SIZE(doms_f) != k) {
-        PyErr_SetString(PyExc_ValueError,
-                        "leaves, parent_labels and domain_masks differ in length");
-        goto done;
-    }
-    uint64_t *doms = c.levels[0];
-    for (int j = 0; j < k; j++) {
-        doms[j] = PyLong_AsUnsignedLongLong(PySequence_Fast_GET_ITEM(doms_f, j));
-        if (doms[j] == (unsigned long long)-1 && PyErr_Occurred())
-            goto done;
-        if (doms[j] >> m >> 1) {
-            PyErr_SetString(PyExc_ValueError, "a domain holds a value above m");
-            goto done;
-        }
-        c.plm[j] = floor_mod(pl[j], m);
-    }
-    for (int i = 0; i < k; i++) {
-        c.sibs[i] = 0;
-        for (int j = 0; j < k; j++)
-            if (j != i && pl[j] == pl[i])
-                c.sibs[i] |= UINT64_C(1) << j;
-    }
-    struct mt g;
-    mt_seed(&g, seed);
-    int found = leaf_run(&c, budget, &g, on_prune, leaves);
-    if (found >= 0)
-        result = found ? assignment(leaves, c.chosen, c.values, k) : Py_NewRef(Py_None);
-
-done:
-    Py_XDECREF(leaves_f);
-    Py_XDECREF(doms_f);
-    return result;
-}
-
 /* ------------------------------------------------------------------ */
-/* stage1 and solve_twostage                                           */
+/* The tree's shape and the leaf CSP                                   */
 /* ------------------------------------------------------------------ */
 
 /* The two stages' shape of the tree of n >= 3 nodes with these preorder
@@ -839,6 +749,32 @@ take_shape(const long long *parents, int n, struct dfs *s, int *leaf, int *leaf_
     return k;
 }
 
+/* The leaf CSP that stage 1's labels in s leave, into c->levels[0]: a
+ * leaf may take an unused value whose edge sum with its neighbour's label
+ * is unused.  The leaves next to one node share one domain. */
+static void
+leaf_domains(const struct dfs *s, struct leaf_csp *c)
+{
+    int m = c->m;
+    uint64_t free_ = s->full & ~s->used_values;
+    uint64_t open = s->low & ~s->used_sums;
+    uint64_t dom_at[MAX_NODES];    /* the domain of the leaves next to a node */
+    uint64_t filled = 0;           /* the nodes whose dom_at is set */
+    for (int j = 0; j < c->k; j++) {
+        int nb = c->nb[j];
+        if (!(filled >> nb & 1)) {
+            filled |= UINT64_C(1) << nb;
+            dom_at[nb] = free_ & open_values(open, s->lab[nb], m);
+        }
+        c->levels[0][j] = dom_at[nb];
+        c->plm[j] = s->lab[nb] % m;
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* stage1, stage2 and solve_twostage                                   */
+/* ------------------------------------------------------------------ */
+
 PyDoc_STRVAR(stage1_doc,
 "stage1(parents, budget, seed)\n"
 "--\n\n"
@@ -875,6 +811,70 @@ k_stage1(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(NL)", labels, s.backtracks);
 }
 
+PyDoc_STRVAR(stage2_doc,
+"stage2(parents, labels, budget, seed, on_prune)\n"
+"--\n\n"
+"The leaf CSP and leaf search of treeharmony.twostage.solve_leaf_csp on\n"
+"the tree of 3 to 64 nodes with these preorder parents, after stage 1's\n"
+"labels of nodes 0..n-1 as stage1 returns them: distinct values of\n"
+"0..n-1 on the internal nodes and -1 on each leaf.  Draws what\n"
+"random.Random(seed) would draw for an int seed, 0 <= seed < 2**64.\n"
+"Returns a dict from leaf to value, or None.  on_prune, unless None, is\n"
+"called as on_prune(leaf, value, assigned) on each forward-checking\n"
+"removal.");
+
+static PyObject *
+k_stage2(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t nargs)
+{
+    if (check_arity("stage2", nargs, 5) < 0)
+        return NULL;
+    uint64_t seed;
+    long long budget;
+    if (read_seed(args[3], &seed) < 0 || read_limit(args[2], &budget) < 0)
+        return NULL;
+    long long parents[MAX_NODES], labels[MAX_NODES];
+    int n = read_parents(args[0], "stage2", 3, parents);
+    if (n < 0)
+        return NULL;
+    Py_ssize_t size = READ_INT_SEQ(args[1], "labels", labels);
+    if (size < 0)
+        return NULL;
+
+    struct dfs s;
+    struct leaf_csp c;
+    int k = c.k = take_shape(parents, n, &s, c.leaf, c.nb, c.sibs);
+    int m = c.m = n - 1;
+    /* stage 1's labels, used values and internal edge sums, as dfs_run
+     * leaves them for leaf_domains */
+    int ok = size == n;
+    s.used_values = s.used_sums = 0;
+    for (int i = 0; ok && i < s.size; i++) {
+        int v = s.ord[i], p = s.par[i];
+        long long f = labels[v];
+        ok = f >= 0 && f < n && !(s.used_values >> f & 1);
+        if (ok) {
+            s.lab[v] = (int)f;
+            s.used_values |= UINT64_C(1) << f;
+            if (p >= 0)   /* an earlier internal node, so labelled already */
+                s.used_sums |= UINT64_C(1) << (f + s.lab[p]) % m;
+        }
+    }
+    for (int j = 0; ok && j < k; j++)
+        ok = labels[c.leaf[j]] == -1;
+    if (!ok) {
+        PyErr_SetString(PyExc_ValueError, "labels must hold one label per node: "
+                        "distinct values of 0..n-1 on the internal nodes, -1 on each leaf");
+        return NULL;
+    }
+    leaf_domains(&s, &c);
+    struct mt g;
+    mt_seed(&g, seed);
+    int found = leaf_run(&c, budget, &g, args[4] == Py_None ? NULL : args[4]);
+    if (found < 0)
+        return NULL;
+    return found ? assignment(&c, k) : Py_NewRef(Py_None);
+}
+
 PyDoc_STRVAR(solve_twostage_doc,
 "solve_twostage(parents, runs, stage1_budget, stage2_budget, seed)\n"
 "--\n\n"
@@ -901,10 +901,8 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
 
     struct dfs s;
     struct leaf_csp c;
-    int m = n - 1;
-    int leaf[MAX_NODES], leaf_nb[MAX_NODES];
-    int k = c.k = take_shape(parents, n, &s, leaf, leaf_nb, c.sibs);
-    c.m = m;
+    int k = c.k = take_shape(parents, n, &s, c.leaf, c.nb, c.sibs);
+    c.m = n - 1;
     struct mt g;
     mt_seed(&g, seed);
 
@@ -917,23 +915,8 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
             stage1_failures++;
             continue;
         }
-        /* the leaf CSP of build_leaf_csp: a leaf may take an unused value
-         * whose edge sum with its neighbour's label is unused, one mask
-         * per neighbour */
-        uint64_t free_ = s.full & ~s.used_values;
-        uint64_t open = s.low & ~s.used_sums;
-        uint64_t dom_at[MAX_NODES];    /* the domain of the leaves next to a node */
-        uint64_t filled = 0;           /* the nodes whose dom_at is set */
-        for (int j = 0; j < k; j++) {
-            int nb = leaf_nb[j];
-            if (!(filled >> nb & 1)) {
-                filled |= UINT64_C(1) << nb;
-                dom_at[nb] = free_ & open_values(open, s.lab[nb], m);
-            }
-            c.levels[0][j] = dom_at[nb];
-            c.plm[j] = s.lab[nb] % m;
-        }
-        found = leaf_run(&c, budget2, &g, NULL, NULL);
+        leaf_domains(&s, &c);
+        found = leaf_run(&c, budget2, &g, NULL);
         if (found < 0)
             return NULL;
         if (!found)
@@ -942,7 +925,7 @@ k_solve_twostage(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssize_t 
 
     if (found)
         for (int d = 0; d < k; d++)
-            s.lab[leaf[c.chosen[d]]] = c.values[d];
+            s.lab[c.leaf[c.chosen[d]]] = c.values[d];
     /* reducing the permutation mod n-1 merges 0 and n-1 on 0 */
     PyObject *labels = found ? labels_tuple(s.lab, n, 1) : Py_NewRef(Py_None);
     if (labels == NULL)
@@ -1006,8 +989,7 @@ k_solve_backtracking(PyObject *Py_UNUSED(module), PyObject *const *args, Py_ssiz
 
 static PyMethodDef kernel_methods[] = {
     {"stage1", (PyCFunction)(void (*)(void))k_stage1, METH_FASTCALL, stage1_doc},
-    {"solve_leaf_csp", (PyCFunction)(void (*)(void))k_solve_leaf_csp, METH_FASTCALL,
-     solve_leaf_csp_doc},
+    {"stage2", (PyCFunction)(void (*)(void))k_stage2, METH_FASTCALL, stage2_doc},
     {"solve_twostage", (PyCFunction)(void (*)(void))k_solve_twostage, METH_FASTCALL,
      solve_twostage_doc},
     {"solve_backtracking", (PyCFunction)(void (*)(void))k_solve_backtracking, METH_FASTCALL,
@@ -1019,7 +1001,8 @@ static struct PyModuleDef kernel_module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "treeharmony._kernel",
     .m_doc = "Compiled two-stage and backtracking solvers of treeharmony, and "
-             "their stage-1 and leaf searches.",
+             "their two stages on a tree: stage 1's search, and the leaf CSP "
+             "with its search.",
     .m_size = -1,
     .m_methods = kernel_methods,
 };

@@ -76,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="append one SweepReport JSON object per n "
                               "(default: <out>.report.jsonl)")
     p_sweep.add_argument("--fresh", action="store_true",
-                         help="delete an existing checkpoint, then restart")
+                         help="delete an existing checkpoint, then restart the "
+                              "output and the report from empty files")
     p_sweep.add_argument("--block-size", type=int, default=DEFAULT_BLOCK_SIZE,
                          help="trees per work unit (default: %(default)s); the "
                               "costly trees of each n come last, so small "

@@ -329,10 +329,12 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     ``fresh=True`` to delete it and start over.
     Failures never abort the sweep; they are accumulated per n in the
     checkpoint and the returned reports (and appended to *report_path*
-    when given, once this call finishes n).  Each n's report resumes
-    from its checkpoint line, so every field, counts and times, covers
-    every tree of n done so far: a stopped call's time is in the
-    checkpoint up to its last block.
+    when given, once this call finishes n; a call that reads no
+    checkpoint truncates *report_path* along with the output).  Each n's
+    report resumes from its checkpoint line, so every field, counts and
+    times, covers every tree of n done so far: a stopped call's time is
+    in the checkpoint up to its last block, and an n it holds complete
+    is not enumerated again.
     ``progress(n, completed)`` runs after each block's checkpoint is
     written; an exception it raises stops the sweep at that point, and a
     later call resumes from there.
@@ -351,6 +353,10 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
     if not os.path.exists(checkpoint_path):
         reports: dict[int, SweepReport] = {}
         out_mode = "w"
+        if report_path is not None:
+            # the report starts anew with the output: an old n's last
+            # line would otherwise outlast this run's lines for it
+            open(report_path, "w", encoding="utf-8").close()
     else:
         ck = _read_checkpoint(checkpoint_path)
         reports = ck.reports
@@ -386,8 +392,10 @@ def sweep(n_min: int, n_max: int, cfg: SolverConfig, workers: int = 1, *,
             # n's clock goes on from the wall time its checkpoint records
             wall0 = time.perf_counter() - report.wall_time
             done = report.trees_total
-            calls = ((n, start, seqs, cfg) for start, seqs in
-                     _blocks(free_trees(n).skip(done), block_size))
+            # an n that the checkpoint holds complete opens no stream
+            blocks = (() if done == oracle_count_otter(n)
+                      else _blocks(free_trees(n).skip(done), block_size))
+            calls = ((n, start, seqs, cfg) for start, seqs in blocks)
             for results, cpu in _in_order(pool, 2 * workers, _solve_block, calls):
                 report.cpu_time += cpu
                 for _, cert_line, info in results:

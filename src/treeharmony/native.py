@@ -5,8 +5,9 @@ make one call per tree: ``solve_twostage`` runs a whole
 :func:`treeharmony.twostage.solve_twostage` call, every round of stage
 1, the leaf-CSP build and stage 2, and ``solve_backtracking`` a whole
 :func:`treeharmony.backtracking.solve_backtracking` call, every restart.
-``stage1`` (one stage-1 search on a tree) and ``solve_leaf_csp`` (the
-leaf search) serve :func:`treeharmony.twostage.stage1_internal` and
+``stage1`` (one stage-1 search on a tree) and ``stage2`` (the leaf-CSP
+build and leaf search on a tree and stage 1's labels) serve
+:func:`treeharmony.twostage.stage1_internal` and
 :func:`treeharmony.twostage.solve_leaf_csp`, library and test entry
 points.  Every entry takes an int seed and draws only from a
 Mersenne Twister of its own, seeded as ``random.Random(seed)`` seeds

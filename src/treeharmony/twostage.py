@@ -55,59 +55,31 @@ search takes an int seed and draws what ``random.Random(seed)`` would
 draw, from the kernel's own Mersenne Twister.  :func:`solve_twostage`
 is one kernel call per tree: the kernel's ``solve_twostage`` takes the
 tree's shape from its parents once and runs every round of stage 1, the
-leaf-CSP build and stage 2 in C on one generator.  :func:`stage1_internal`
-(one kernel call on the tree, which takes the same shape),
-:func:`build_leaf_csp` and :func:`solve_leaf_csp` run one step each,
-the searches on a generator of their own seed.  They are library and
-test entry points, and the solvers do not call them.
+leaf-CSP build and stage 2 in C on one generator.  The stage functions
+run one step each, the searches on a generator of their own seed:
+:func:`stage1_internal` is the kernel's ``stage1`` on the tree, and
+:func:`solve_leaf_csp` its ``stage2`` on the tree and stage 1's labels,
+which :func:`build_leaf_csp` only checks and packs; the kernel alone
+decides what a leaf may take.  They are library and test entry points,
+and the solvers do not call them.
 """
 
 from typing import NamedTuple
 
 from .config import SolveOutcome, SolverConfig
 from .native import kernel
-from .trees import Tree
+from .trees import Tree, internal_nodes
 
 
 class LeafCSP(NamedTuple):
-    """Residual leaf-assignment problem after stage 1, as bitmasks.
+    """Residual leaf-assignment problem after stage 1: the tree's preorder
+    parents and stage 1's labels of nodes 0..n-1, -1 on each leaf, as the
+    kernel's ``stage1`` returns them.  The kernel reads the leaves'
+    domains off the two: a leaf may take an unused value whose edge sum
+    with its neighbour's label is unused."""
 
-    Bit w of ``domain_masks[i]`` means ``leaves[i]`` may take value w:
-    w is unused and its edge sum with the leaf's neighbor label avoids
-    the used sums.
-    """
-
-    n: int
-    leaves: tuple[int, ...]
-    parent_labels: tuple[int, ...]   # label of each leaf's unique neighbor
-    domain_masks: tuple[int, ...]
-
-
-def _open_values(open_sums: int, pl: int, m: int) -> int:
-    """The values w in 0..m whose edge sum with parent label pl is a bit
-    of *open_sums*.  Value w < m has sum (w + pl) % m and value m has
-    sum pl % m, so this is *open_sums* rotated right by pl % m within m
-    bits, plus bit m when bit pl % m is open."""
-    r = pl % m
-    allowed = ((open_sums >> r) | (open_sums << (m - r))) & ((1 << m) - 1)
-    if open_sums >> r & 1:
-        allowed |= 1 << m
-    return allowed
-
-
-def _shape(tree: Tree):
-    """What :func:`build_leaf_csp` reads of *tree*: the internal nodes
-    ascending and each one's parent (-1 for the root or a parent that is
-    a leaf), then the leaves ascending and each one's neighbour."""
-    adjacency = tree.adjacency
-    order = tuple(v for v in range(tree.n) if len(adjacency[v]) > 1)
-    # A parent precedes its children in level-sequence order, so each
-    # internal node's only earlier internal neighbour is its parent.
-    parents = tuple(p if p >= 0 and len(adjacency[p]) > 1 else -1
-                    for p in map(tree.parents.__getitem__, order))
-    leaves = tuple(v for v in range(tree.n) if len(adjacency[v]) <= 1)
-    leaf_parents = tuple(adjacency[leaf][0] for leaf in leaves)
-    return order, parents, leaves, leaf_parents
+    parents: tuple[int, ...]
+    labels: tuple[int, ...]
 
 
 def stage1_internal(tree: Tree, cfg: SolverConfig, seed: int) -> dict[int, int] | None:
@@ -130,35 +102,19 @@ def stage1_internal(tree: Tree, cfg: SolverConfig, seed: int) -> dict[int, int] 
 
 
 def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> LeafCSP:
-    """Reduce the remaining problem to a CSP over the leaves, given
-    *partial*, stage 1's labels of the internal nodes.  An empty initial
-    domain is not an error here; it shows up as an immediate stage-2
-    failure and triggers a stage-1 retry.  A tree of fewer than three
-    nodes, or a partial whose keys are not exactly the internal nodes,
-    raises ValueError."""
+    """The remaining problem over the leaves, given *partial*, stage 1's
+    labels of the internal nodes.  A tree of fewer than three nodes, or a
+    partial whose keys are not exactly the internal nodes, raises
+    ValueError; :func:`solve_leaf_csp` refuses labels that are not
+    distinct values of 0..n-1."""
     n = tree.n
     if n < 3:
         raise ValueError(f"a leaf CSP needs a tree of at least 3 nodes, not {n}")
-    order, parents, leaves, leaf_parents = _shape(tree)
-    if partial.keys() != set(order):
+    internal = internal_nodes(tree)
+    if partial.keys() != internal:
         raise ValueError("the partial must label exactly the internal nodes "
-                         f"{list(order)}, not {sorted(partial)}")
-    m = n - 1
-    used_values = used_sums = 0
-    for value in partial.values():
-        used_values |= 1 << value
-    for v, p in zip(order, parents):
-        if p >= 0:
-            used_sums |= 1 << ((partial[v] + partial[p]) % m)
-    parent_labels = tuple(map(partial.__getitem__, leaf_parents))
-    free = ((1 << n) - 1) & ~used_values
-    open_sums = ((1 << m) - 1) & ~used_sums
-    by_label: dict[int, int] = {}
-    for pl in parent_labels:
-        if pl not in by_label:
-            by_label[pl] = free & _open_values(open_sums, pl, m)
-    domains = tuple(map(by_label.__getitem__, parent_labels))
-    return LeafCSP(n, leaves, parent_labels, domains)
+                         f"{sorted(internal)}, not {sorted(partial)}")
+    return LeafCSP(tree.parents, tuple(partial.get(v, -1) for v in range(n)))
 
 
 def solve_leaf_csp(csp: LeafCSP, seed: int, budget: int = 5000,
@@ -167,11 +123,13 @@ def solve_leaf_csp(csp: LeafCSP, seed: int, budget: int = 5000,
 
     Backtracking with forward checking and a Hall check.  Domains are
     bitmasks: bit w of a leaf's domain means the leaf may still take
-    value w.  After each fixation the assigned value is removed from
-    every free leaf's domain, and so is every value that would repeat the
-    new edge sum.  The next variable is the free leaf with the smallest
-    domain (ties to the lowest leaf position), picked in the same pass as
-    forward checking; that pass stops at the first wipeout.  Once the
+    value w, and at the start it is set when w is unused and its edge
+    sum with the leaf's neighbour's label is unused.  After each fixation
+    the assigned value is removed from every free leaf's domain, and so
+    is every value that would repeat the new edge sum.  The next
+    variable is the free leaf with the smallest domain (ties to the
+    lowest leaf position), picked in the same pass as forward checking;
+    that pass stops at the first wipeout.  Once the
     search has backtracked, a fixation that forward checking survives
     must also leave the free leaves matchable to distinct values and to
     distinct edge sums (Hall's condition for both all-different
@@ -194,7 +152,8 @@ def solve_leaf_csp(csp: LeafCSP, seed: int, budget: int = 5000,
     forward-checking removal (soundness instrumentation for tests); Hall
     violations and sibling refutations are not reported, as a refuted
     value may still extend to a labelling under another assignment.
-    None on failure or once *budget* (an int) backtracks are spent.
+    Returns a dict from leaf to value, or None on failure or once
+    *budget* (an int) backtracks are spent.
 
     The draws are a contract (see the module docstring): the search
     makes those of ``random.Random(seed)``; a CSP with an empty domain or
@@ -202,12 +161,12 @@ def solve_leaf_csp(csp: LeafCSP, seed: int, budget: int = 5000,
     level tries is drawn when it is tried, on the level's untried values
     (so a last untried value draws nothing), and nothing else is drawn.
 
-    The search runs in the compiled kernel; a CSP of a tree with more
-    than 64 nodes, or a seed outside ``0 <= seed < 2**64``, raises
-    ValueError.
+    The CSP is built and searched in one kernel call.  A tree of more
+    than 64 nodes, labels that are not distinct values of 0..n-1 on the
+    internal nodes and -1 on each leaf, or a seed outside
+    ``0 <= seed < 2**64`` raise ValueError.
     """
-    return kernel().solve_leaf_csp(csp.leaves, csp.parent_labels, csp.domain_masks,
-                                   csp.n - 1, budget, seed, on_prune)
+    return kernel().stage2(csp.parents, csp.labels, budget, seed, on_prune)
 
 
 def solve_twostage(tree: Tree, cfg: SolverConfig, seed: int) -> SolveOutcome:

@@ -1,30 +1,32 @@
-"""The Python labelling DFS, stage-1 shape, leaf search, two-stage loop
-and backtracking loop, kept as test-side references.
+"""The Python labelling DFS, stage-1 shape, leaf-CSP build, leaf search,
+two-stage loop and backtracking loop, kept as test-side references.
 
 These are the searches that ``treeharmony._kernel`` (``_kernel.c``) runs
 in C, as they stood in pure Python before the port: the labelling DFS
 (:func:`label_dfs`) on the stage-1 shape of a tree (:func:`stage1_shape`,
 with the weights of the congruence) as the kernel's ``stage1`` runs it,
-``solve_leaf_csp`` of :mod:`treeharmony.twostage` with its helpers, the
-retry loop of ``twostage.solve_twostage`` and the restart loop of
+the leaf CSP of a tree and stage 1's labels in mask form
+(:func:`build_leaf_csp`) and its search (:func:`solve_leaf_csp`) as the
+kernel's ``stage2`` runs them, the retry loop of
+``twostage.solve_twostage`` and the restart loop of
 ``backtracking.solve_backtracking``.  The loops are composed from the
-searches here and the package's pure-Python ``twostage.build_leaf_csp``,
-so no reference calls the kernel.  Each draws through a caller's
+functions here alone, so no reference calls the kernel or runs package
+code that the kernel replaced.  Each draws through a caller's
 ``random.Random``; the kernel, which takes a seed, must make the draws
 these make on ``random.Random(seed)``.  The equivalence tests hold the
-kernel to them: the same result, the same backtracks, the same labels
-and the same stats.  Tests that need to see inside the search (a patched
-``_pick``, a labels list that logs its assignments) run these, and so
-do the tests of what the kernel's entries no longer take: random
-weights, other value counts and preset labels.
+kernel to them: the same result, the same backtracks, the same labels,
+the same ``on_prune`` calls and the same stats.  Tests that need to see
+inside the search (a patched ``_pick``, a labels list that logs its
+assignments, the domains of a leaf CSP) run these, and so do the tests
+of what the kernel's entries no longer take: random weights, other value
+counts and preset labels.
 """
 
 import random
+from typing import NamedTuple
 
-from treeharmony import twostage
 from treeharmony.config import SolveOutcome, SolverConfig
 from treeharmony.trees import Tree
-from treeharmony.twostage import LeafCSP, _open_values
 
 
 class CountingRandom(random.Random):
@@ -54,6 +56,18 @@ def _pick(mask: int, getrandbits) -> int:
     for _ in range(r):
         mask &= mask - 1
     return (mask & -mask).bit_length() - 1
+
+
+def _open_values(open_sums: int, pl: int, m: int) -> int:
+    """The values w in 0..m whose edge sum with parent label pl is a bit
+    of *open_sums*.  Value w < m has sum (w + pl) % m and value m has
+    sum pl % m, so this is *open_sums* rotated right by pl % m within m
+    bits, plus bit m when bit pl % m is open."""
+    r = pl % m
+    allowed = ((open_sums >> r) | (open_sums << (m - r))) & ((1 << m) - 1)
+    if open_sums >> r & 1:
+        allowed |= 1 << m
+    return allowed
 
 
 def label_dfs(order, parents, labels, n_values: int, budget: int, rng,
@@ -191,6 +205,38 @@ def stage1(tree: Tree, budget: int, rng) -> tuple[tuple[int, ...] | None, int]:
     return (tuple(labels) if ok else None), backtracks
 
 
+class MaskCSP(NamedTuple):
+    """A leaf CSP in mask form: bit w of ``domain_masks[i]`` means
+    ``leaves[i]`` may take value w."""
+
+    n: int
+    leaves: tuple[int, ...]
+    parent_labels: tuple[int, ...]   # the label of each leaf's neighbour
+    domain_masks: tuple[int, ...]
+
+
+def build_leaf_csp(tree: Tree, partial: dict[int, int]) -> MaskCSP:
+    """The leaf CSP that the kernel's ``stage2`` builds from the tree of 3
+    or more nodes and stage 1's labels *partial* of its internal nodes:
+    the leaves ascending, each with its neighbour's label, and as domain
+    the unused values whose edge sum with that label is unused (the sums
+    of the internal-internal edges)."""
+    n, m = tree.n, tree.n - 1
+    order, parents, _ = stage1_shape(tree)
+    used_values = used_sums = 0
+    for value in partial.values():
+        used_values |= 1 << value
+    for v, p in zip(order, parents):
+        if p >= 0:
+            used_sums |= 1 << (partial[v] + partial[p]) % m
+    leaves = tuple(v for v in range(n) if len(tree.adjacency[v]) == 1)
+    parent_labels = tuple(partial[tree.adjacency[leaf][0]] for leaf in leaves)
+    free = ((1 << n) - 1) & ~used_values
+    open_sums = ((1 << m) - 1) & ~used_sums
+    domains = tuple(free & _open_values(open_sums, pl, m) for pl in parent_labels)
+    return MaskCSP(n, leaves, parent_labels, domains)
+
+
 def _matchable(masks) -> bool:
     """True when every mask can keep a bit of its own that no other mask
     keeps (a system of distinct representatives): a greedy pass that
@@ -239,7 +285,7 @@ def _hall_holds(doms, parent_labels, m: int) -> bool:
     matched to distinct values of their domains, and also to distinct
     edge sums: Hall's condition for both all-different constraints.  The
     sums of a domain are its values rotated left by the parent label,
-    the inverse of :func:`treeharmony.twostage._open_values`."""
+    the inverse of :func:`_open_values`."""
     if not _matchable([d for d in doms if d]):
         return False
     low = (1 << m) - 1
@@ -255,13 +301,13 @@ def _hall_holds(doms, parent_labels, m: int) -> bool:
     return _matchable(sums)
 
 
-def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
+def solve_leaf_csp(csp: MaskCSP, rng, budget: int = 5000,
                    on_prune=None) -> dict[int, int] | None:
     """The search that :func:`treeharmony.twostage.solve_leaf_csp`
-    documents, in Python."""
+    documents, in Python, on a CSP of :func:`build_leaf_csp`.  Leaves
+    with the same parent label are siblings, which for the distinct
+    labels of stage 1 are the leaves with the same neighbour."""
     k = len(csp.leaves)
-    if k == 0:
-        return {}
     if not all(csp.domain_masks):
         return None
     doms = list(csp.domain_masks)
@@ -361,7 +407,7 @@ def solve_leaf_csp(csp: LeafCSP, rng, budget: int = 5000,
 def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
     """The loop that :func:`treeharmony.twostage.solve_twostage` runs in
     the kernel, in Python: one round is stage 1 (:func:`stage1`), then
-    :func:`twostage.build_leaf_csp` and :func:`solve_leaf_csp`."""
+    :func:`build_leaf_csp` and :func:`solve_leaf_csp`."""
     n = tree.n
     stats = {"runs": 0, "stage1_failures": 0, "stage2_failures": 0}
     for run in range(cfg.twostage_runs):
@@ -374,7 +420,7 @@ def solve_twostage(tree: Tree, cfg: SolverConfig, rng) -> SolveOutcome:
             stats["stage1_failures"] += 1
             continue
         partial = {v: f for v, f in enumerate(labels) if f >= 0}
-        csp = twostage.build_leaf_csp(tree, partial)
+        csp = build_leaf_csp(tree, partial)
         assignment = solve_leaf_csp(csp, rng, cfg.stage2_budget)
         if assignment is None:
             stats["stage2_failures"] += 1

@@ -10,11 +10,11 @@ import random
 import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
-from itertools import permutations
 from pathlib import Path
 
 import pytest
 
+from completions import harmonious_completions
 from random_trees import random_tree
 from treeharmony.config import SolverConfig
 from treeharmony.generate import (count_free_trees_enumerated, free_trees,
@@ -204,33 +204,6 @@ def test_criterion_06_tabu_incremental_eval():
 # 7. Forward-checking soundness                                       #
 # ------------------------------------------------------------------ #
 
-def _harmonious_completions_exist(tree: Tree, fixed: dict) -> bool:
-    n = tree.n
-    m = n - 1
-    if len(set(fixed.values())) != len(fixed):
-        return False
-    rest_nodes = [v for v in range(n) if v not in fixed]
-    rest_values = [v for v in range(n) if v not in fixed.values()]
-    parent = tree.parents
-    for perm in permutations(rest_values):
-        labels = [0] * n
-        for v, value in fixed.items():
-            labels[v] = value
-        for v, value in zip(rest_nodes, perm):
-            labels[v] = value
-        seen = 0
-        ok = True
-        for i in range(1, n):
-            bit = 1 << ((labels[i] + labels[parent[i]]) % m)
-            if seen & bit:
-                ok = False
-                break
-            seen |= bit
-        if ok:
-            return True
-    return False
-
-
 def test_criterion_07_forward_checking_soundness():
     with criterion(7, "no value pruned by stage-2 forward checking on any "
                       "tree n<=8 participates in a harmonious completion"):
@@ -251,7 +224,7 @@ def test_criterion_07_forward_checking_soundness():
                         fixed = dict(partial)
                         fixed.update(assigned)
                         fixed[leaf] = value
-                        assert not _harmonious_completions_exist(tree, fixed), \
+                        assert not harmonious_completions(tree, fixed), \
                             (seq, partial, leaf, value, assigned)
 
 

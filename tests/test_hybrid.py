@@ -16,7 +16,8 @@ from treeharmony import hybrid, labelling
 from treeharmony.cli import main as cli_main
 from treeharmony.config import (PIPELINE_TAGS, SOLVER_VERSION, SolveOutcome,
                                 SolverConfig)
-from treeharmony.generate import GENERATOR_VERSION, free_trees, oracle_count_otter
+from treeharmony.generate import (GENERATOR_VERSION, FreeTreeStream, free_trees,
+                                  oracle_count_otter)
 from treeharmony.hybrid import (CheckpointError, _read_checkpoint, _solve_block,
                                 derive_seed, make_certificate, solve_hybrid, sweep)
 from treeharmony.labelling import (SOLVER_TAGS, Certificate, is_harmonious,
@@ -639,6 +640,50 @@ def test_fresh_sweep_stopped_before_its_first_checkpoint_resumes_cleanly(
     assert out.read_bytes() == ref.read_bytes()
     assert cli_main(["verify", str(out)]) == 0
     assert "13 certificates ok" in capsys.readouterr().err
+
+
+def test_a_resumed_sweep_opens_no_stream_for_a_finished_n(tmp_path, monkeypatch):
+    # the checkpoint holds n = 2..9 complete, so resuming the range draws
+    # no tree from the enumeration and appends the report lines of the
+    # run that finished them
+    out, ck, rep = tmp_path / "c.jsonl", tmp_path / "c.ck", tmp_path / "r.jsonl"
+    sweep(2, 9, CFG, out_path=out, checkpoint_path=ck, report_path=rep)
+    lines, certs = rep.read_text(encoding="utf-8"), out.read_bytes()
+    drawn = []
+    draw = FreeTreeStream.next
+    monkeypatch.setattr(FreeTreeStream, "next",
+                        lambda stream: drawn.append(stream.n) or draw(stream))
+    sweep(2, 9, CFG, out_path=out, checkpoint_path=ck, report_path=rep)
+    assert drawn == []
+    assert rep.read_text(encoding="utf-8") == lines * 2
+    assert out.read_bytes() == certs
+
+
+def test_a_sweep_that_reads_no_checkpoint_starts_its_report_anew(tmp_path):
+    # a fresh run truncates the report along with the output, so the
+    # finished run it replaces leaves no line behind, and the last line
+    # of each n holds the totals of the new run
+    out, ck, rep = tmp_path / "c.jsonl", tmp_path / "c.ck", tmp_path / "r.jsonl"
+    sweep(2, 9, CFG, out_path=out, checkpoint_path=ck, report_path=rep)
+
+    def stop_in_n9(n, completed):
+        if n == 9:
+            raise _Stop
+
+    with pytest.raises(_Stop):
+        sweep(2, 9, CFG, out_path=out, checkpoint_path=ck, report_path=rep, fresh=True,
+              block_size=16, progress=stop_in_n9)
+    assert _read_checkpoint(ck).reports[9].trees_total == 16
+    records = [json.loads(line) for line in rep.read_text(encoding="utf-8").splitlines()]
+    assert [(r["n"], r["trees_total"]) for r in records] == \
+        [(n, oracle_count_otter(n)) for n in range(2, 9)]
+    certs = out.read_text(encoding="utf-8").splitlines()
+    assert len(certs) == sum(oracle_count_otter(n) for n in range(2, 9)) + 16
+    # with no checkpoint at all, too
+    ck.unlink()
+    sweep(2, 3, CFG, out_path=out, checkpoint_path=ck, report_path=rep)
+    assert [json.loads(line)["n"]
+            for line in rep.read_text(encoding="utf-8").splitlines()] == [2, 3]
 
 
 def _twostage_returns_all_zero(tree, cfg, seed):

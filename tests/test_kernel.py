@@ -19,7 +19,7 @@ from treeharmony.backtracking import solve_backtracking
 from treeharmony.config import SolverConfig
 from treeharmony.generate import free_trees
 from treeharmony.hybrid import benchmark_solvers, sweep
-from treeharmony.trees import Tree, internal_nodes
+from treeharmony.trees import Tree, internal_nodes, rooted_level_sequence
 from treeharmony.twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
@@ -81,59 +81,63 @@ def test_solve_backtracking_matches_the_reference_loop_at_64_nodes():
 
 
 # ------------------------------------------------------------------ #
-# solve_leaf_csp against the reference                                #
+# stage2 against the reference                                        #
 # ------------------------------------------------------------------ #
 
-def _both_leaf_searches(csp, budget, seed):
-    """The kernel on *seed* and the reference on random.Random(seed): both
-    (result, on_prune calls)."""
+def _both_leaf_searches(tree, partial, budget, seed):
+    """The kernel's stage2 through solve_leaf_csp on *seed*, and the
+    reference's build and search on random.Random(seed): both (result,
+    on_prune calls)."""
     out = []
-    for search, draws in ((solve_leaf_csp, seed),
-                          (search_reference.solve_leaf_csp, random.Random(seed))):
+    for build, search, draws in (
+            (build_leaf_csp, solve_leaf_csp, seed),
+            (search_reference.build_leaf_csp, search_reference.solve_leaf_csp,
+             random.Random(seed))):
         pruned = []
-        result = search(csp, draws, budget, lambda *removal: pruned.append(removal))
+        result = search(build(tree, partial), draws, budget,
+                        lambda *removal: pruned.append(removal))
         out.append((result, pruned))
     return out
 
 
-def test_solve_leaf_csp_matches_reference():
-    # CSPs of stage-1 partials and of arbitrary injective partials (which
-    # often leave an empty domain or fail Hall at the root); the kernel
-    # reports the same removals, in the same order, through on_prune
+def test_stage2_matches_the_reference_build_and_search():
+    # every tree on 3..9 nodes, 1,000 random trees on 4..14 nodes, 60 on
+    # 64 nodes and 400 on 3..64 nodes rooted at a random leaf, which no
+    # canonical sequence is; each with a stage-1 partial and a random
+    # injective one, which often leaves an empty domain or fails Hall at
+    # the root, at budgets 0, 1, 150 and unbounded.  The kernel builds
+    # the leaf CSP from the tree and the labels, and gives the result
+    # and the removals, in the same order, through on_prune, that the
+    # reference gives on its own build
     rng = random.Random(0x1EAF)
-    seen = {"solved": 0, "failed": 0, "pruned": 0}
+    trees = [Tree.from_level_sequence(seq) for n in range(3, 10) for seq in free_trees(n)]
+    trees += [random_tree(rng.randrange(4, 15), rng) for _ in range(1000)]
+    trees += [random_tree(64, rng) for _ in range(60)]
     for _ in range(400):
-        n = rng.randrange(4, 15)
-        tree = random_tree(n, rng)
+        tree = random_tree(rng.randrange(3, 65), rng)
+        leaves = [v for v in range(tree.n) if len(tree.adjacency[v]) == 1]
+        trees.append(Tree.from_level_sequence(
+            rooted_level_sequence(tree.adjacency, rng.choice(leaves))))
+    seen = dict.fromkeys(("solved", "failed", "pruned", "empty", "hall"), 0)
+    for tree in trees:
         internal = sorted(internal_nodes(tree))
         partials = [stage1_internal(tree, CFG, rng.getrandbits(32)),
-                    dict(zip(internal, rng.sample(range(n), len(internal))))]
+                    dict(zip(internal, rng.sample(range(tree.n), len(internal))))]
         for partial in partials:
             if partial is None:
                 continue
-            csp = build_leaf_csp(tree, partial)
+            csp = search_reference.build_leaf_csp(tree, partial)
+            empty = not all(csp.domain_masks)
+            seen["empty"] += empty
+            seen["hall"] += not (empty or search_reference._hall_holds(
+                csp.domain_masks, csp.parent_labels, tree.n - 1))
             for budget in BUDGETS:
-                got, want = _both_leaf_searches(csp, budget, rng.getrandbits(32))
+                got, want = _both_leaf_searches(tree, partial, budget, rng.getrandbits(64))
                 assert got == want, (tree.levels, partial, budget)
                 seen["solved" if want[0] is not None else "failed"] += 1
                 seen["pruned"] += bool(want[1])
-    assert min(seen.values()) > 300, seen
-
-
-def test_solve_leaf_csp_matches_reference_at_64_nodes():
-    rng = random.Random(0x64)
-    searched = 0
-    for _ in range(30):
-        tree = random_tree(64, rng)
-        partial = stage1_internal(tree, CFG, rng.getrandbits(32))
-        if partial is None:
-            continue
-        csp = build_leaf_csp(tree, partial)
-        for budget in (0, 1, 20):
-            got, want = _both_leaf_searches(csp, budget, rng.getrandbits(32))
-            assert got == want, (tree.levels, budget)
-            searched += 1
-    assert searched >= 30
+    assert len(trees) == 93 + 1000 + 60 + 400
+    assert min(seen.values()) > 100, seen
 
 
 def test_the_reference_loops_call_no_kernel(monkeypatch):
@@ -155,7 +159,8 @@ def test_more_than_64_nodes_is_a_value_error():
         stage1_internal(tree, CFG, 0)
     with pytest.raises(ValueError, match="at most 64 nodes, not 65"):
         native.kernel().stage1(tree.parents, 10, 0)
-    csp = LeafCSP(65, (1, 2), (0, 0), (6, 6))
+    internal = sorted(internal_nodes(tree))
+    csp = build_leaf_csp(tree, dict(zip(internal, range(len(internal)))))
     with pytest.raises(ValueError, match="at most 64 nodes"):
         solve_leaf_csp(csp, 0)
     with pytest.raises(ValueError, match="at most 64 nodes"):
@@ -176,7 +181,7 @@ def _entry_calls(seed):
     """A valid call of each kernel entry, with *seed* as its seed."""
     k = native.kernel()
     return (lambda: k.stage1((-1, 0, 1), 10, seed),
-            lambda: k.solve_leaf_csp(*_leaf_args(seed=seed)),
+            lambda: k.stage2(*_stage2_args(seed=seed)),
             lambda: k.solve_twostage((-1, 0, 1), 1, 10, 10, seed),
             lambda: k.solve_backtracking((-1, 0, 1), 1, 10, seed))
 
@@ -201,17 +206,17 @@ def test_each_entry_refuses_a_seed_it_cannot_replay():
 # What the entries refuse                                             #
 # ------------------------------------------------------------------ #
 
-def _leaf_args(**changed):
-    # a valid solve_leaf_csp call: two sibling leaves under a root labelled 0
-    args = {"leaves": (1, 2), "parent_labels": (0, 0), "domain_masks": (6, 6), "m": 3,
-            "budget": 10, "seed": 0, "on_prune": None}
+def _stage2_args(**changed):
+    # a valid stage2 call: the 3-node star with its hub labelled 0
+    args = {"parents": (-1, 0, 0), "labels": (0, -1, -1), "budget": 10, "seed": 0,
+            "on_prune": None}
     args.update(changed)
     return tuple(args.values())
 
 
 def test_each_entry_refuses_another_number_of_arguments():
     k = native.kernel()
-    for name, count in (("stage1", 3), ("solve_leaf_csp", 7), ("solve_twostage", 5),
+    for name, count in (("stage1", 3), ("stage2", 5), ("solve_twostage", 5),
                         ("solve_backtracking", 4)):
         for nargs in (0, count - 1, count + 1):
             with pytest.raises(TypeError, match=f"^{name} takes {count} arguments$"):
@@ -242,44 +247,39 @@ def test_stage1_refusals():
     assert labels[0] == labels[63] == -1 and min(labels[1:63]) >= 0
 
 
-def test_solve_leaf_csp_refusals():
-    leaf = native.kernel().solve_leaf_csp
-    assert leaf(*_leaf_args()) in ({1: 1, 2: 2}, {1: 2, 2: 1})
+def test_stage2_refusals():
+    stage2 = native.kernel().stage2
+    assert stage2(*_stage2_args()) in ({1: 1, 2: 2}, {1: 2, 2: 1})
     refused = [
-        (TypeError, "integer", {"m": "3"}),
         (TypeError, "integer", {"budget": "10"}),
-        (ValueError, "at most 64 nodes, not 65", {"m": 64}),
-        (TypeError, "leaves must be a sequence", {"leaves": 5}),
-        (ValueError, "at most 64 nodes, not 65", {"leaves": tuple(range(64)), "m": 63}),
-        (ValueError, "needs m >= 1", {"m": 0}),
-        (ValueError, "needs m >= 1", {"m": -5}),
-        (TypeError, "parent_labels must be a sequence", {"parent_labels": 5}),
-        (TypeError, "domain_masks must be a sequence", {"domain_masks": 5}),
-        (ValueError, "differ in length", {"parent_labels": (0,)}),
-        (ValueError, "differ in length", {"parent_labels": (0, 0, 0)}),
-        (ValueError, "differ in length", {"domain_masks": (6,)}),
-        (ValueError, "differ in length", {"domain_masks": (6, 6, 6)}),
-        (TypeError, "integer", {"parent_labels": (0, "0")}),
-        (TypeError, "integer", {"domain_masks": (6, None)}),
-        (OverflowError, "negative", {"domain_masks": (6, -1)}),
-        (ValueError, "a domain holds a value above m", {"domain_masks": (6, 1 << 4)}),
-        (ValueError, "a domain holds a value above m", {"domain_masks": (1 << 63, 6)}),
+        (TypeError, "parents must be a sequence", {"parents": 5}),
+        (TypeError, "integer", {"parents": (-1, 0, "0")}),
+        (ValueError, "at most 64 nodes, not 65", {"parents": (-1,) + (0,) * 64}),
+        (TypeError, "labels must be a sequence", {"labels": 5}),
+        (TypeError, "integer", {"labels": (0, -1, None)}),
+        (ValueError, "at most 64 nodes, not 65", {"labels": (0,) + (-1,) * 64}),
     ]
+    # the n <= 2 trees, which have no internal node, have no leaf CSP
+    for parents in ((), (-1,), (-1, 0)):
+        refused.append((ValueError, "^stage2 needs at least 3 nodes$", {"parents": parents}))
+    for parents in ((0, 0, 1), (-1, 0, 2), (-1, 0, -1), (-1, 1, 0), (-1, 0, 3)):
+        refused.append((ValueError, "^parents must be -1 for node 0 and an earlier node",
+                        {"parents": parents}))
+    # the labels of stage 1: one per node, distinct values of 0..n-1 on
+    # the internal nodes and -1 on each leaf
+    for labels in ((0, -1), (0, -1, -1, -1), (3, -1, -1), (-1, -1, -1), (-2, -1, -1),
+                   (2**62, -1, -1), (0, 1, -1), (0, -1, 0), (0, -1, -2)):
+        refused.append((ValueError, "^labels must hold one label per node", {"labels": labels}))
+    refused.append((ValueError, "^labels must hold one label per node",
+                    {"parents": (-1, 0, 1, 0), "labels": (2, 2, -1, -1)}))
     for error, message, changed in refused:
         with pytest.raises(error, match=message):
-            leaf(*_leaf_args(**changed))
-    # value m is a value, not one above it; at m = 63 that is bit 63
-    assert leaf(*_leaf_args(domain_masks=(1 << 3, 6))) == {1: 3, 2: 2}
-    assert leaf(*_leaf_args(leaves=(1,), parent_labels=(0,), domain_masks=(1 << 63,),
-                            m=63)) == {1: 63}
-
-
-def test_a_leaf_csp_without_leaves_is_solved_by_no_values():
-    # nothing else is read: not even m or the other two sequences
-    leaf = native.kernel().solve_leaf_csp
-    assert leaf((), (), (), 3, 10, 0, None) == {}
-    assert leaf([], None, None, 0, 0, 0, None) == {}
-    assert solve_leaf_csp(LeafCSP(5, (), (), ()), 0) == {}
+            stage2(*_stage2_args(**changed))
+    # value m is a value: on the 64-node path, whose ends are the leaves,
+    # with labels 1..62 on the inner nodes, the free values are 0 and 63
+    path = (-1,) + tuple(range(63))
+    got = stage2(path, (-1,) + tuple(range(1, 63)) + (-1,), UNBOUNDED, 0, None)
+    assert sorted(got.values()) == [0, 63]
 
 
 def test_a_limit_is_an_int():
@@ -289,11 +289,15 @@ def test_a_limit_is_an_int():
         with pytest.raises(TypeError, match="integer"):
             native.kernel().stage1((-1, 0, 1), budget, 0)
         with pytest.raises(TypeError, match="integer"):
-            solve_leaf_csp(LeafCSP(4, (1, 2), (0, 0), (6, 6)), 0, budget)
+            solve_leaf_csp(LeafCSP((-1, 0, 0), (0, -1, -1)), 0, budget)
     path = (-1, 0, 1, 2, 3, 4)
     stage1 = native.kernel().stage1
     assert stage1(path, 2**70, 5) == stage1(path, 2**62, 5)
     assert stage1(path, -2**70, 5) == stage1(path, 0, 5)
+    stage2 = native.kernel().stage2
+    star = (-1, 0, 0, 0, 0)
+    assert stage2(star, (2, -1, -1, -1, -1), 2**70, 5, None) == \
+        stage2(star, (2, -1, -1, -1, -1), 2**62, 5, None)
     solve = native.kernel().solve_twostage
     for limits in ((3.0, 10, 10), (3, 10.0, 10), (3, 10, math.inf)):
         with pytest.raises(TypeError, match="integer"):
@@ -309,9 +313,10 @@ def test_a_limit_is_an_int():
 
 
 def test_an_on_prune_that_raises_stops_the_search():
-    # leaf 1 takes 3 (edge sum 3), which strikes 3 from leaf 2 and then 2,
-    # whose sum with leaf 2's parent label 1 is 3 as well
-    csp = LeafCSP(6, (1, 2), (0, 1), (1 << 3, 1 << 2 | 1 << 3))
+    # on the 4-node path with internal labels 0 and 1, leaf 2 takes 2
+    # (edge sum 0), which strikes 2 from leaf 3 and then 3, whose sum
+    # with leaf 3's neighbour label 0 is 0 as well
+    csp = build_leaf_csp(Tree.from_level_sequence((0, 1, 2, 1)), {0: 0, 1: 1})
 
     def on_prune(leaf, value, assigned):
         if when(value, assigned):
@@ -377,7 +382,7 @@ def test_kernel_compiles_without_warnings(tmp_path):
 
 # Run in a subprocess on the kernel built at sys.argv[1]: every entry on
 # every tree with n <= 9 and on random trees on 3..64 nodes, at the
-# default config and at small limits, solve_leaf_csp with on_prune set,
+# default config and at small limits, stage2 with on_prune set,
 # and each entry's refusals.
 _EVERY_ENTRY = """
 import random, sys
@@ -420,9 +425,13 @@ big = (-1,) + tuple(range(64))
 refused = [(k.stage1, (big, 1, 0)), (k.stage1, ((-1, 0, 2), 1, 0)),
            (k.stage1, ((-1, 0, 1), 1.5, 0)), (k.stage1, ((-1, 0, 1), 1, -1)),
            (k.solve_twostage, (big, 1, 1, 1, 0)), (k.solve_backtracking, (big, 1, 1, 0)),
-           (k.solve_leaf_csp, (tuple(range(64)), (), (), 63, 1, 0, None)),
-           (k.solve_leaf_csp, ((1, 2), (0,) * 65, (6, 6), 3, 1, 0, None)),
-           (k.solve_leaf_csp, ((1, 2), (0, 0), (6, 1 << 63), 3, 1, 0, None))]
+           (k.stage2, (big, (0,) * 65, 1, 0, None))]
+# labels of the 3-node star that are not stage 1's: the wrong length,
+# an internal label out of range (far out, too) or -1, and a labelled
+# leaf; and a repeated internal label on the 4-node path
+refused += [(k.stage2, ((-1, 0, 0), labels, 1, 0, None))
+            for labels in ((0, -1), (3, -1, -1), (2**62, -1, -1), (-1, -1, -1), (0, 1, -1))]
+refused.append((k.stage2, ((-1, 0, 1, 0), (2, 2, -1, -1), 1, 0, None)))
 for entry, args in refused:
     try:
         entry(*args)
@@ -448,7 +457,7 @@ def test_the_kernel_runs_without_undefined_behaviour(tmp_path):
     # each tree under each of its configs, a leaf search of most stage-1
     # partials, and each refusal
     solves, leaf_searches, refusals = map(int, proc.stdout.split())
-    assert (solves, refusals) == (2 * 95 + 300, 9) and leaf_searches > 300, proc.stdout
+    assert (solves, refusals) == (2 * 95 + 300, 13) and leaf_searches > 300, proc.stdout
 
 
 def test_failed_build_names_the_command_and_its_output(tmp_path):

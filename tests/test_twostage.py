@@ -9,6 +9,7 @@ from operator import or_
 
 import pytest
 
+from completions import harmonious_completions
 from random_trees import random_tree
 import search_reference
 from treeharmony.config import SolverConfig
@@ -16,7 +17,7 @@ from treeharmony.generate import free_trees
 from treeharmony.labelling import (is_harmonious, iter_harmonious_bijective,
                                    normalize_labelling, shift_labelling)
 from treeharmony.trees import Tree, internal_nodes, rooted_level_sequence
-from treeharmony.twostage import (build_leaf_csp, solve_leaf_csp,
+from treeharmony.twostage import (LeafCSP, build_leaf_csp, solve_leaf_csp,
                                   solve_twostage, stage1_internal)
 
 P4 = Tree.from_level_sequence((0, 1, 2, 1))
@@ -272,21 +273,25 @@ def test_congruence_lookahead_keeps_every_closable_value(monkeypatch):
 # Leaf CSP construction                                               #
 # ------------------------------------------------------------------ #
 
+# The kernel builds the leaf CSP inside stage2, so the domains are read
+# off the reference build, which tests/test_kernel.py holds it to.
+
 def _domains(csp):
-    """The leaf CSP's domain bitmasks as frozensets of values."""
+    """The domain bitmasks of a reference leaf CSP as frozensets of
+    values."""
     return tuple(frozenset(w for w in range(csp.n) if mask >> w & 1)
                  for mask in csp.domain_masks)
 
 
 def test_build_leaf_csp_star_all_open():
-    csp = build_leaf_csp(STAR4, {0: 3})
+    csp = search_reference.build_leaf_csp(STAR4, {0: 3})
     assert csp.leaves == (1, 2, 3)
     assert _domains(csp) == (frozenset({0, 1, 2}),) * 3
 
 
 def test_build_leaf_csp_p4_hand_construction():
     # internal labels f0=0, f1=1, internal edge sum G={1}
-    csp = build_leaf_csp(P4, {0: 0, 1: 1})
+    csp = search_reference.build_leaf_csp(P4, {0: 0, 1: 1})
     assert csp.leaves == (2, 3)
     # leaf 2 hangs under node 1 (label 1): {2,3} minus w with (w+1)%3=1
     assert _domains(csp)[0] == frozenset({2})
@@ -298,7 +303,7 @@ def test_build_leaf_csp_empty_domain_is_failure_not_error():
     # internal pair (0,1) exhausts nothing, but a crafted partial can:
     # on the 5-star, give the hub 0 and pretend 1..4 are used up
     star5 = Tree.from_level_sequence((0, 1, 1, 1, 1))
-    csp = build_leaf_csp(star5, {0: 0})
+    csp = search_reference.build_leaf_csp(star5, {0: 0})
     assert all(csp.domain_masks)
     # stage-2 failure shows up as None from the solver, not an exception
     bad = build_leaf_csp(P4, {0: 0, 1: 1})
@@ -317,6 +322,22 @@ def test_build_leaf_csp_refuses_what_it_cannot_reduce():
                           (STAR4, {0: 3, 1: 0}), (STAR4, {1: 0})):
         with pytest.raises(ValueError, match="^the partial must label exactly the internal"):
             build_leaf_csp(tree, partial)
+
+
+def test_solve_leaf_csp_refuses_labels_that_are_not_stage_1s():
+    # an internal label outside 0..n-1 or repeated, a labelled leaf and
+    # labels of another length, each refused by the kernel, which alone
+    # reads the labels
+    refused = (lambda: build_leaf_csp(STAR4, {0: 7}),
+               lambda: build_leaf_csp(P4, {0: 2, 1: 2}),
+               lambda: build_leaf_csp(STAR4, {0: -1}),
+               lambda: LeafCSP(STAR4.parents, (3, 0, -1, -1)),
+               lambda: LeafCSP(STAR4.parents, (3, -1, -1)),
+               lambda: LeafCSP(STAR4.parents, (3, -1, -1, -1, -1)))
+    for csp in refused:
+        with pytest.raises(ValueError, match="^labels must hold one label per node"):
+            solve_leaf_csp(csp(), 0)
+    assert build_leaf_csp(STAR4, {0: 3}) == LeafCSP(STAR4.parents, (3, -1, -1, -1))
 
 
 def test_leaf_csp_star_solves():
@@ -372,8 +393,6 @@ def _reference_solve_leaf_csp(csp, rng, budget, on_prune, hall_refuted):
     domains; *hall_refuted* is a one-item list that counts the fixations
     it refutes below the root."""
     k = len(csp.leaves)
-    if k == 0:
-        return {}
     if not all(csp.domain_masks):
         return None
     m = csp.n - 1
@@ -512,7 +531,7 @@ def test_bitmask_solver_matches_set_reference():
         for partial in partials:
             if partial is None:
                 continue
-            csp = build_leaf_csp(tree, partial)
+            csp = search_reference.build_leaf_csp(tree, partial)
             empty = not all(csp.domain_masks)
             seen["empty"] += empty
             seen["hall"] += not (empty or _hall_holds(
@@ -525,7 +544,7 @@ def test_bitmask_solver_matches_set_reference():
                     csp, random.Random(seed), budget,
                     lambda *removal: ref_pruned.append(removal), hall_refuted)
                 got = solve_leaf_csp(
-                    csp, seed, budget,
+                    build_leaf_csp(tree, partial), seed, budget,
                     lambda *removal: new_pruned.append(removal))
                 assert got == want, (tree.levels, partial, budget)
                 # the bitmask pass stops at a wipeout, so it reports a
@@ -540,35 +559,6 @@ def test_bitmask_solver_matches_set_reference():
 # ------------------------------------------------------------------ #
 # Forward-checking soundness and stage-2 completeness                 #
 # ------------------------------------------------------------------ #
-
-def _harmonious_completions(tree, fixed):
-    """Brute force: all full bijective harmonious labellings extending
-    *fixed* (a node->value dict).  A non-injective *fixed* has none."""
-    n = tree.n
-    m = n - 1
-    if len(set(fixed.values())) != len(fixed):
-        return []
-    rest_nodes = [v for v in range(n) if v not in fixed]
-    rest_values = [v for v in range(n) if v not in fixed.values()]
-    out = []
-    for perm in permutations(rest_values):
-        labels = [0] * n
-        for v, value in fixed.items():
-            labels[v] = value
-        for v, value in zip(rest_nodes, perm):
-            labels[v] = value
-        sums = set()
-        ok = True
-        for i in range(1, n):
-            s = (labels[i] + labels[tree.parents[i]]) % m
-            if s in sums:
-                ok = False
-                break
-            sums.add(s)
-        if ok:
-            out.append(tuple(labels))
-    return out
-
 
 def test_forward_checking_soundness_small():
     rng = random.Random(23)
@@ -585,7 +575,7 @@ def test_forward_checking_soundness_small():
                 fixed = dict(partial)
                 fixed.update(assigned)
                 fixed[leaf] = value
-                assert not _harmonious_completions(tree, fixed), \
+                assert not harmonious_completions(tree, fixed), \
                     (seq, partial, leaf, value, assigned)
 
 
@@ -598,7 +588,7 @@ def test_stage2_complete_relative_to_its_sample():
             tree = Tree.from_level_sequence(seq)
             for attempt in range(4):
                 partial = stage1_internal(tree, CFG, rng.getrandbits(32))
-                extensions = _harmonious_completions(tree, partial)
+                extensions = harmonious_completions(tree, partial)
                 got = solve_leaf_csp(build_leaf_csp(tree, partial),
                                      attempt, budget=10 ** 9)
                 assert (got is not None) == bool(extensions), (seq, partial)
@@ -620,7 +610,7 @@ def test_stage2_complete_on_every_small_tree():
             tree = Tree.from_level_sequence(seq)
             for attempt in range(3):
                 partial = stage1_internal(tree, CFG, rng.getrandbits(32))
-                extensions = _harmonious_completions(tree, partial)
+                extensions = harmonious_completions(tree, partial)
                 got = solve_leaf_csp(build_leaf_csp(tree, partial),
                                      attempt, budget=10 ** 9)
                 assert (got is not None) == bool(extensions), (seq, partial)

@@ -100,24 +100,14 @@ def _both_leaf_searches(tree, partial, budget, seed):
     return out
 
 
-def test_stage2_matches_the_reference_build_and_search():
-    # every tree on 3..9 nodes, 1,000 random trees on 4..14 nodes, 60 on
-    # 64 nodes and 400 on 3..64 nodes rooted at a random leaf, which no
-    # canonical sequence is; each with a stage-1 partial and a random
-    # injective one, which often leaves an empty domain or fails Hall at
-    # the root, at budgets 0, 1, 150 and unbounded.  The kernel builds
-    # the leaf CSP from the tree and the labels, and gives the result
-    # and the removals, in the same order, through on_prune, that the
-    # reference gives on its own build
-    rng = random.Random(0x1EAF)
-    trees = [Tree.from_level_sequence(seq) for n in range(3, 10) for seq in free_trees(n)]
-    trees += [random_tree(rng.randrange(4, 15), rng) for _ in range(1000)]
-    trees += [random_tree(64, rng) for _ in range(60)]
-    for _ in range(400):
-        tree = random_tree(rng.randrange(3, 65), rng)
-        leaves = [v for v in range(tree.n) if len(tree.adjacency[v]) == 1]
-        trees.append(Tree.from_level_sequence(
-            rooted_level_sequence(tree.adjacency, rng.choice(leaves))))
+def _count_against_reference(trees, rng):
+    """Each tree with a stage-1 partial and a random injective one, which
+    often leaves an empty domain or fails Hall at the root, at budgets
+    0, 1, 150 and unbounded.  The kernel builds the leaf CSP from the
+    tree and the labels, and gives the result and the removals, in the
+    same order, through on_prune, that the reference gives on its own
+    build.  Returns how many calls solved, failed and pruned, and how
+    many partials left an empty domain or failed Hall at the root."""
     seen = dict.fromkeys(("solved", "failed", "pruned", "empty", "hall"), 0)
     for tree in trees:
         internal = sorted(internal_nodes(tree))
@@ -136,8 +126,30 @@ def test_stage2_matches_the_reference_build_and_search():
                 assert got == want, (tree.levels, partial, budget)
                 seen["solved" if want[0] is not None else "failed"] += 1
                 seen["pruned"] += bool(want[1])
-    assert len(trees) == 93 + 1000 + 60 + 400
+    return seen
+
+
+def test_solve_leaf_csp_matches_reference():
+    # every tree on 3..9 nodes, 1,000 random trees on 4..14 nodes and 400
+    # on 3..64 nodes rooted at a random leaf, which no canonical sequence is
+    rng = random.Random(0x1EAF)
+    trees = [Tree.from_level_sequence(seq) for n in range(3, 10) for seq in free_trees(n)]
+    trees += [random_tree(rng.randrange(4, 15), rng) for _ in range(1000)]
+    for _ in range(400):
+        tree = random_tree(rng.randrange(3, 65), rng)
+        leaves = [v for v in range(tree.n) if len(tree.adjacency[v]) == 1]
+        trees.append(Tree.from_level_sequence(
+            rooted_level_sequence(tree.adjacency, rng.choice(leaves))))
+    assert len(trees) == 93 + 1000 + 400
+    seen = _count_against_reference(trees, rng)
     assert min(seen.values()) > 100, seen
+
+
+def test_solve_leaf_csp_matches_reference_at_64_nodes():
+    # 60 random trees on 64 nodes, where the values fill the 64-bit mask
+    rng = random.Random(0x64)
+    seen = _count_against_reference([random_tree(64, rng) for _ in range(60)], rng)
+    assert min(seen[k] for k in ("solved", "failed", "pruned")) > 100, seen
 
 
 def test_the_reference_loops_call_no_kernel(monkeypatch):

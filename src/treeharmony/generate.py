@@ -25,11 +25,13 @@ follows the free-tree method of Wright, Richmond, Odlyzko and McKay:
 The walk judges about 1.6 rooted sequences per emitted tree (n = 13 to
 18).  Two independent oracles validate the stream: exhaustive Pruefer
 decoding for n <= 9 and the classic rooted-tree convolution count
-(Otter's dissimilarity formula) for the free-tree totals.
+(Otter's dissimilarity formula) for the free-tree totals.  The Pruefer
+oracle decodes only the (n-2)^(n-2) codes over the nodes 0..n-3, which
+still reach every free tree (see :func:`oracle_enumerate_prufer`).
 """
 
 from functools import lru_cache
-from itertools import islice, product
+from itertools import product
 
 from .trees import canonical_from_edges
 
@@ -258,22 +260,21 @@ def prufer_decode(n: int, code) -> list[tuple[int, int]]:
     return out
 
 
-def oracle_enumerate_prufer(n: int, start: int = 0, stop: int | None = None) -> set[tuple[int, ...]]:
+def oracle_enumerate_prufer(n: int) -> set[tuple[int, ...]]:
     """Exact set of free-tree isomorphism classes on n nodes, by decoding
-    all n^(n-2) Pruefer sequences, canonicalizing each and deduplicating.
+    Pruefer sequences, canonicalizing each and deduplicating.
 
-    ``start``/``stop`` slice the code space by lexicographic rank so the
-    work can be chunked across processes; the union over a partition of
-    [0, n^(n-2)) equals the full run.
+    Only the (n-2)^(n-2) codes over the nodes 0..n-3 are decoded, and they
+    reach every free tree: a node's degree is its number of occurrences in
+    the code plus 1, so these codes are exactly the labelled trees in which
+    n-2 and n-1 are leaves; every tree on n >= 3 nodes has two leaves, and
+    some labelling calls them n-2 and n-1.
     """
     if not 1 <= n <= 9:
-        raise ValueError("pruefer oracle supports 1 <= n <= 9 (cost n^(n-2))")
+        raise ValueError("pruefer oracle supports 1 <= n <= 9 (cost (n-2)^(n-2))")
     if n == 1:
         return {(0,)}
     if n == 2:
         return {(0, 1)}
-    out = set()
-    codes = product(range(n), repeat=n - 2)
-    for code in islice(codes, start, stop):
-        out.add(canonical_from_edges(n, prufer_decode(n, code)))
-    return out
+    return {canonical_from_edges(n, prufer_decode(n, code))
+            for code in product(range(n - 2), repeat=n - 2)}

@@ -22,7 +22,6 @@ derivation or duplicate detection with the search-side code.
 import json
 from collections import namedtuple
 from dataclasses import dataclass
-from itertools import permutations
 
 from .config import PIPELINE_TAGS
 from .trees import Tree
@@ -203,31 +202,6 @@ def exhaustive_search(tree: Tree) -> ExhaustiveResult:
             witness = sol
         count += 1
     return ExhaustiveResult(count > 0, count, witness)
-
-
-def _count_by_permutations(tree: Tree) -> int:
-    """Literal cross-check of exhaustive_search: filter all n!
-    permutations with an inline distinctness test.  Keep n small."""
-    n = tree.n
-    if n == 1:
-        return 1
-    if n > 8:
-        raise ValueError("permutation filter supports n <= 8")
-    m = n - 1
-    edge_list = [(tree.parents[i], i) for i in range(1, n)]
-    count = 0
-    for perm in permutations(range(n)):
-        seen = 0
-        ok = True
-        for u, v in edge_list:
-            bit = 1 << ((perm[u] + perm[v]) % m)
-            if seen & bit:
-                ok = False
-                break
-            seen |= bit
-        if ok:
-            count += 1
-    return count
 
 
 # ---------------------------------------------------------------------------

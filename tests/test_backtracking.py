@@ -1,10 +1,10 @@
 """Probabilistic backtracking solver."""
 
 import random
-from itertools import permutations
 
 import pytest
 
+from completions import harmonious_completions
 import search_reference
 from search_reference import _pick
 from treeharmony.backtracking import solve_backtracking
@@ -103,7 +103,7 @@ def test_label_dfs_unbounded_succeeds_iff_root_dup_witness_exists():
     for n in range(2, 9):
         for seq in free_trees(n):
             tree = Tree.from_level_sequence(seq)
-            witness = _has_root_dup_witness(tree)
+            witness = bool(harmonious_completions(tree, {0: 0}))
             labels = [0] + [-1] * (n - 1)
             ok, _ = search_reference.label_dfs(range(1, n), tree.parents[1:], labels, n - 1,
                                                UNBOUNDED, random.Random(rng.getrandbits(32)))
@@ -216,7 +216,7 @@ def test_trivial_sizes_inside_restart_loop():
     assert not solve_backtracking(one, SolverConfig(backtrack_restarts=0), 0).success
 
 
-def test_perturbation_keeps_soundness():
+def test_two_trees_solve_on_twenty_seeds():
     cfg = SolverConfig()
     for seed in range(20):
         for seq in ((0, 1, 2, 1, 2, 1), (0, 1, 2, 3, 2, 1, 1)):
@@ -232,7 +232,9 @@ def test_perturbation_keeps_soundness():
 # Center-rooted trees with NO harmonious labelling whose duplicated
 # value sits on the root (exhaustive check below).  The 5-path is one!
 # Backtracking alone can never label these; the hybrid's other solvers
-# carry them.
+# carry them.  By shift invariance the root label can be 0, and the
+# bijective completions of {0: 0} are exactly these labellings: the node
+# given n-1 reduces to the duplicate 0 with every sum mod n-1 kept.
 NO_ROOT_DUP_TREES = {
     (0, 1, 2, 1, 2),
     (0, 1, 2, 2, 1, 2),
@@ -242,32 +244,11 @@ NO_ROOT_DUP_TREES = {
 }
 
 
-def _has_root_dup_witness(tree: Tree) -> bool:
-    # exhaustive over labellings whose duplicated value sits on the root;
-    # by shift invariance the root label can be fixed to 0
-    n = tree.n
-    m = n - 1
-    parent = tree.parents
-    for perm in permutations(range(m)):
-        labels = (0, *perm)
-        seen = 0
-        ok = True
-        for i in range(1, n):
-            bit = 1 << ((labels[i] + labels[parent[i]]) % m)
-            if seen & bit:
-                ok = False
-                break
-            seen |= bit
-        if ok:
-            return True
-    return False
-
-
 def test_root_duplicate_restriction():
     missing = set()
     for n in range(2, 9):
         for seq in free_trees(n):
-            if not _has_root_dup_witness(Tree.from_level_sequence(seq)):
+            if not harmonious_completions(Tree.from_level_sequence(seq), {0: 0}):
                 missing.add(seq)
     assert missing == NO_ROOT_DUP_TREES
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from itertools import product
 
 import pytest
 
@@ -12,8 +13,8 @@ from treeharmony.generate import (_EMIT, _successor, _verdict,
                                   count_rooted_trees, free_trees,
                                   oracle_count_otter, oracle_enumerate_prufer,
                                   prufer_decode)
-from treeharmony.trees import (Tree, canonicalize, centers,
-                               rooted_level_sequence)
+from treeharmony.trees import (Tree, canonical_from_edges, canonicalize,
+                               centers, rooted_level_sequence)
 
 # Free-tree counts t(1..16), frozen from the convolution oracle below and
 # cross-checked against the enumerator in test_counts_agree.
@@ -205,7 +206,6 @@ def _decode_reference(n, code):
 
 
 def test_prufer_decode_against_reference():
-    from itertools import product
     for n in (3, 4, 5):
         for code in product(range(n), repeat=n - 2):
             fast = {frozenset(e) for e in prufer_decode(n, list(code))}
@@ -233,16 +233,12 @@ def test_prufer_decode_is_a_tree():
 def test_prufer_oracle_set_equality():
     for n in range(1, 8):
         assert set(free_trees(n)) == oracle_enumerate_prufer(n)
-
-
-def test_prufer_oracle_range_chunks_union():
-    n = 6
-    total = n ** (n - 2)
-    whole = oracle_enumerate_prufer(n)
-    parts = (oracle_enumerate_prufer(n, 0, total // 3)
-             | oracle_enumerate_prufer(n, total // 3, 2 * total // 3)
-             | oracle_enumerate_prufer(n, 2 * total // 3, None))
-    assert parts == whole
+    # the oracle decodes only the codes over the nodes 0..n-3; every
+    # n^(n-2) code gives the same classes
+    for n in range(3, 8):
+        full = {canonical_from_edges(n, prufer_decode(n, code))
+                for code in product(range(n), repeat=n - 2)}
+        assert oracle_enumerate_prufer(n) == full
 
 
 def test_prufer_oracle_rejects_big_n():

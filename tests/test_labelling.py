@@ -11,10 +11,10 @@ from itertools import permutations
 
 import pytest
 
+from completions import harmonious_completions
 from random_trees import random_tree
 from treeharmony.generate import free_trees
 from treeharmony.labelling import (Certificate, CertificateError,
-                                   _count_by_permutations,
                                    check_labelling, eval_labelling,
                                    exhaustive_search, induced_edge_labels,
                                    is_harmonious, iter_harmonious_bijective,
@@ -203,13 +203,7 @@ def test_exhaustive_matches_permutation_filter():
     for n in range(1, 8):
         for seq in free_trees(n):
             t = Tree.from_level_sequence(seq)
-            assert exhaustive_search(t).count == _count_by_permutations(t)
-
-
-def test_all_small_trees_harmonious():
-    for n in range(1, 8):
-        for seq in free_trees(n):
-            assert exhaustive_search(Tree.from_level_sequence(seq)).exists
+            assert exhaustive_search(t).count == len(harmonious_completions(t, {}))
 
 
 def test_reduced_permutation_is_harmonious_iff_oracle_yields_it():
